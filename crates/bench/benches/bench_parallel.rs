@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dynfo_graph::generate::{gnp, rng};
 use dynfo_logic::formula::{exists, rel, v};
-use dynfo_logic::parallel::{evaluate_parallel, evaluate_parallel_spawn};
+use dynfo_logic::parallel::evaluate_parallel;
 use dynfo_logic::{Structure, Vocabulary};
 use std::sync::Arc;
 
@@ -36,21 +36,16 @@ fn bench(c: &mut Criterion) {
             |b, &threads| b.iter(|| evaluate_parallel(&f, &st, &[], threads).unwrap()),
         );
     }
-    // Pooled (persistent workers) vs spawn-per-call on a small, cheap
-    // formula where scheduling overhead dominates: this is the shape of
-    // a Dyn-FO update stream — thousands of tiny evaluations — and the
-    // case the worker pool exists for.
+    // The persistent pool on a small, cheap formula where scheduling
+    // overhead dominates: this is the shape of a Dyn-FO update stream —
+    // thousands of tiny evaluations — and the case the worker pool
+    // exists for.
     let small = rel("E", [v("x"), v("y")]) & rel("E", [v("y"), v("x")]);
     for threads in [2usize, 8] {
         group.bench_with_input(
             BenchmarkId::new("per_update_pooled", threads),
             &threads,
             |b, &threads| b.iter(|| evaluate_parallel(&small, &st, &[], threads).unwrap()),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("per_update_spawn", threads),
-            &threads,
-            |b, &threads| b.iter(|| evaluate_parallel_spawn(&small, &st, &[], threads).unwrap()),
         );
     }
     group.finish();

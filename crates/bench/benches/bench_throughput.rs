@@ -13,12 +13,8 @@
 //!   independent targets per request.
 //!
 //! The grid is batch {1, 16, 64, 256} × threads {1, 2, 4, 8}. The
-//! baseline (`seq_rebuild_t1`) is the pre-delta pipeline: full
-//! re-evaluation installs (`InstallMode::Rebuild`), one request at a
-//! time, one thread — what `apply_all` cost before this pipeline
-//! landed. `seq_t{k}` is sequential `apply_all` on the new pipeline at
-//! the same thread count as the batched runs, the ISSUE's comparison
-//! point.
+//! baseline `seq_t{k}` is sequential `apply_all` at the same thread
+//! count as the batched runs.
 //!
 //! A journal-amortization report prints before the timings: fsyncs per
 //! request for a `dynfo-serve` session at each batch size (group
@@ -28,7 +24,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dynfo_bench::{undirected_workload, weighted_workload};
 use dynfo_core::programs::{msf, reach_u};
-use dynfo_core::{DynFoMachine, DynFoProgram, InstallMode, Request};
+use dynfo_core::{DynFoMachine, DynFoProgram, Request};
 use dynfo_serve::{scratch_dir, SessionStore, StoreConfig};
 
 const REACH_N: u32 = 16;
@@ -52,11 +48,6 @@ fn run_batched(program: &DynFoProgram, n: u32, stream: &[Request], batch: usize,
 
 fn run_sequential(program: &DynFoProgram, n: u32, stream: &[Request], threads: usize) {
     let mut m = DynFoMachine::new(program.clone(), n).with_parallelism(threads);
-    m.apply_all(stream).expect("apply_all");
-}
-
-fn run_rebuild_baseline(program: &DynFoProgram, n: u32, stream: &[Request]) {
-    let mut m = DynFoMachine::new(program.clone(), n).with_install_mode(InstallMode::Rebuild);
     m.apply_all(stream).expect("apply_all");
 }
 
@@ -107,13 +98,8 @@ fn bench(c: &mut Criterion) {
         group.warm_up_time(std::time::Duration::from_millis(if smoke { 50 } else { 300 }));
         group.measurement_time(std::time::Duration::from_millis(if smoke { 200 } else { 2000 }));
 
-        // Pre-delta baseline: rebuild installs, single thread.
-        group.bench_function(BenchmarkId::new("seq_rebuild", "t1"), |b| {
-            b.iter(|| run_rebuild_baseline(&program, n, stream))
-        });
-
         for &threads in threads {
-            // Sequential apply_all on the new pipeline, same threads.
+            // Sequential apply_all, same threads.
             group.bench_with_input(
                 BenchmarkId::new("seq", format!("t{threads}")),
                 &threads,

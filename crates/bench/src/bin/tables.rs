@@ -1348,17 +1348,18 @@ fn e23_serving_tier() {
 /// One E24 measurement, also emitted to `BENCH_E24.json` under `--json`.
 /// `kwords_*` are static per-execution plan words (plan-for-plan over
 /// the optimized machine's plan set, so asymmetric work-cap fallback
-/// cannot skew them); `run_kwords_*` are the realized kernel-word
-/// counters from actually driving the stream and queries.
+/// cannot skew them); `run_kwords_on` / `us_on` are the realized
+/// kernel-word counter and latency from actually driving the stream
+/// and queries. `raw_run` is the same pair for the raw lowering, which
+/// only the machine-free corpus rows can execute.
 struct E24Row {
     kind: &'static str,
     name: String,
     n: u32,
     kwords_off: u64,
     kwords_on: u64,
-    run_kwords_off: u64,
+    raw_run: Option<(u64, f64)>,
     run_kwords_on: u64,
-    us_off: f64,
     us_on: f64,
     ops_removed: u64,
     words_saved: u64,
@@ -1379,13 +1380,15 @@ impl E24Row {
 /// raw lowering vs optimized, across the 12 update programs and the
 /// enumerated synth corpus.
 ///
-/// Part 1 drives each update program over a fixed churn stream twice —
-/// once with `with_plan_opt(false)` (the raw syntactic lowering, which
-/// is also the differential baseline in `plan_equivalence`) and once
-/// with the optimizer on — then replays its queries, and compares the
-/// *realized* kernel words (update + query work) and the mean
-/// per-update latency. `ops_removed` / `words_saved` are the machine's
-/// static `plan_opt_summary()` over every compiled plan. The
+/// Part 1 drives each update program over a fixed churn stream, then
+/// replays its queries, and reports the optimizer's effect
+/// plan-for-plan off that one machine: `ops_removed` / `words_saved`
+/// are its static `plan_opt_summary()` over every compiled plan,
+/// "plan kw on" its `plan_static_words()`, and "plan kw off" the two
+/// added back together — the raw lowering's total. The realized kernel
+/// words (update + query work) and mean per-update latency are the
+/// shipped pipeline's; the machine has no optimizer-off route to
+/// realize the other side. The
 /// binary-aux programs run at n = 64 (REACH_u also 256, PARITY to
 /// 1024); the 4/5-variable programs run at the sizes E20 established
 /// as honest for their plan budgets (MSF at 16, the S⁴-slot programs
@@ -1397,9 +1400,8 @@ impl E24Row {
 /// comparing summed static `work_words`; the subset whose raw plan
 /// fits the production compile budget *and* whose root decode stays
 /// small (≤ 2²⁰ bits) is also executed for wall-clock per-formula
-/// latency. Baselines pin the optimizer per-plan via `compile_with` /
-/// `with_plan_opt`, never `DYNFO_PLAN_OPT` — the env var is read once
-/// per process and would poison the in-process A/B.
+/// latency. The raw side is `Plan::compile_with(.., false)`, the
+/// lowering the optimizer's never-regress guard compares against.
 fn e24_plan_optimizer() {
     use dynfo_core::program::DynFoProgram;
     use dynfo_graph::generate::{churn_stream, rng, EdgeOp};
@@ -1411,8 +1413,7 @@ fn e24_plan_optimizer() {
     let mut total_ops_removed = 0u64;
 
     header("E24 plan optimizer: 12 update programs, raw lowering vs optimized");
-    row(["program", "n", "plan kw off", "plan kw on", "saved", "run kw off", "run kw on",
-         "upd us off", "upd us on", "ops rm"]
+    row(["program", "n", "plan kw off", "plan kw on", "saved", "run kw", "upd us", "ops rm"]
         .map(String::from).as_ref());
 
     fn insert_reqs(n: u32, undirected: bool, seed: u64) -> Vec<Request> {
@@ -1535,41 +1536,31 @@ fn e24_plan_optimizer() {
     for (name, program, workload, sizes, queries) in &cases {
         for &n in sizes {
             let reqs = workload(n);
-            let mut run_kw = [0u64; 2];
-            let mut upd = [0f64; 2];
-            let mut summary = (0u64, 0u64);
-            let mut static_on = 0u64;
-            for (i, optimize) in [false, true].into_iter().enumerate() {
-                let mut machine = DynFoMachine::new(program(), n).with_plan_opt(optimize);
-                upd[i] = mean_update_seconds(&mut machine, &reqs);
-                for _ in 0..QUERY_REPS {
-                    for (q, args) in queries {
-                        machine.query_named(q, args).expect("query");
-                    }
-                }
-                let stats = machine.stats();
-                run_kw[i] = stats.update_work.kernel_words + stats.query_work.kernel_words;
-                if optimize {
-                    summary = machine.plan_opt_summary();
-                    // Named-query plans have compiled lazily by now, so
-                    // this covers rules + boolean query + named queries.
-                    static_on = machine.plan_static_words();
+            let mut machine = DynFoMachine::new(program(), n);
+            let us_on = mean_update_seconds(&mut machine, &reqs);
+            for _ in 0..QUERY_REPS {
+                for (q, args) in queries {
+                    machine.query_named(q, args).expect("query");
                 }
             }
+            let stats = machine.stats();
+            let (ops_removed, words_saved) = machine.plan_opt_summary();
+            // Named-query plans have compiled lazily by now, so this
+            // covers rules + boolean query + named queries.
+            let static_on = machine.plan_static_words();
             let r = E24Row {
                 kind: "program",
                 name: name.to_string(),
                 n,
-                // Plan-for-plan: the optimized machine's plan set, with
-                // the saved words added back for the raw-lowering side.
-                kwords_off: static_on + summary.1,
+                // Plan-for-plan: the machine's plan set, with the saved
+                // words added back for the raw-lowering side.
+                kwords_off: static_on + words_saved,
                 kwords_on: static_on,
-                run_kwords_off: run_kw[0],
-                run_kwords_on: run_kw[1],
-                us_off: upd[0],
-                us_on: upd[1],
-                ops_removed: summary.0,
-                words_saved: summary.1,
+                raw_run: None,
+                run_kwords_on: stats.update_work.kernel_words + stats.query_work.kernel_words,
+                us_on,
+                ops_removed,
+                words_saved,
             };
             row(&[
                 r.name.clone(),
@@ -1577,9 +1568,7 @@ fn e24_plan_optimizer() {
                 r.kwords_off.to_string(),
                 r.kwords_on.to_string(),
                 format!("{:.1}%", r.saved_pct()),
-                format!("{}k", r.run_kwords_off / 1000),
                 format!("{}k", r.run_kwords_on / 1000),
-                us(r.us_off),
                 us(r.us_on),
                 r.ops_removed.to_string(),
             ]);
@@ -1631,15 +1620,15 @@ fn e24_plan_optimizer() {
                 }
             }
         }
+        let us_off = exec_secs[0] / executed.max(1) as f64;
         let r = E24Row {
             kind: "corpus",
             name: format!("corpus[{CORPUS_CAP}]"),
             n,
             kwords_off: kw[0],
             kwords_on: kw[1],
-            run_kwords_off: run_kw[0],
+            raw_run: Some((run_kw[0], us_off)),
             run_kwords_on: run_kw[1],
-            us_off: exec_secs[0] / executed.max(1) as f64,
             us_on: exec_secs[1] / executed.max(1) as f64,
             ops_removed,
             words_saved: kw[0].saturating_sub(kw[1]),
@@ -1651,7 +1640,7 @@ fn e24_plan_optimizer() {
             format!("{}k", r.kwords_off / 1000),
             format!("{}k", r.kwords_on / 1000),
             format!("{:.1}%", r.saved_pct()),
-            us(r.us_off),
+            us(us_off),
             us(r.us_on),
             r.ops_removed.to_string(),
         ]);
@@ -1666,17 +1655,19 @@ fn e24_plan_optimizer() {
     if EMIT_JSON.load(std::sync::atomic::Ordering::Relaxed) {
         let mut out = String::from("[\n");
         for (i, r) in rows.iter().enumerate() {
+            let raw_run = r.raw_run.map_or(String::new(), |(words, secs)| {
+                format!("\"run_words_off\": {words}, \"us_off\": {:.1}, ", secs * 1e6)
+            });
             out.push_str(&format!(
-                "  {{\"kind\": \"{}\", \"name\": \"{}\", \"n\": {}, \"kernel_words_off\": {}, \"kernel_words_on\": {}, \"saved_pct\": {:.1}, \"run_words_off\": {}, \"run_words_on\": {}, \"us_off\": {:.1}, \"us_on\": {:.1}, \"ops_removed\": {}, \"words_saved\": {}}}{}\n",
+                "  {{\"kind\": \"{}\", \"name\": \"{}\", \"n\": {}, \"kernel_words_off\": {}, \"kernel_words_on\": {}, \"saved_pct\": {:.1}, {}\"run_words_on\": {}, \"us_on\": {:.1}, \"ops_removed\": {}, \"words_saved\": {}}}{}\n",
                 r.kind,
                 r.name,
                 r.n,
                 r.kwords_off,
                 r.kwords_on,
                 r.saved_pct(),
-                r.run_kwords_off,
+                raw_run,
                 r.run_kwords_on,
-                r.us_off * 1e6,
                 r.us_on * 1e6,
                 r.ops_removed,
                 r.words_saved,

@@ -11,8 +11,8 @@ pub mod program;
 pub mod request;
 
 pub use machine::{
-    check_memoryless, run_with_oracle, BatchError, BulkRoute, DynFoMachine, InstallMode,
-    InstallStats, MachineError, MachineStats,
+    check_memoryless, run_with_oracle, BatchError, BulkRoute, DynFoMachine, InstallStats,
+    MachineError, MachineStats,
 };
 pub use program::{DynFoProgram, Init, ProgramBuilder, RecomputeFn, UpdateRule};
 pub use request::{apply_to_input, eval_requests, Op, Request, RequestError, RequestKind};

@@ -57,8 +57,7 @@ struct MachineObs {
     /// fixed cost under [`BulkRoute::Auto`]).
     bulk_fallback: Arc<Counter>,
     /// `machine.recomputes` — full "start over" recomputes executed
-    /// (explicit [`DynFoMachine::recompute`] calls plus cadence
-    /// firings).
+    /// ([`DynFoMachine::recompute`] calls).
     recomputes: Arc<Counter>,
 }
 
@@ -89,7 +88,7 @@ impl MachineObs {
     fn kind_index(plan: &GeneralPlan) -> usize {
         match plan {
             GeneralPlan::Grow(_) => 1,
-            GeneralPlan::Shrink => 2,
+            GeneralPlan::Shrink(_) => 2,
             GeneralPlan::Guarded(_) => 3,
             GeneralPlan::Full => 4,
         }
@@ -183,15 +182,15 @@ pub struct MachineStats {
     pub query_work: EvalStats,
     /// How general-rule results reached the auxiliary structure.
     pub installs: InstallStats,
-    /// Full "start over" recomputes executed (explicit calls plus
-    /// [`DynFoMachine::with_recompute_every`] cadence firings).
+    /// Full "start over" recomputes executed
+    /// ([`DynFoMachine::recompute`] calls).
     pub recomputes: usize,
 }
 
 /// Counters for the install phase of updates: how each general rule's
 /// result reached its target relation. Together they witness the delta
-/// pipeline's claim — in [`InstallMode::Delta`], `rebuilds` stays 0 and
-/// an unchanged target costs no allocation (`unchanged` counts those).
+/// pipeline's claim — every install is an in-place delta, and an
+/// unchanged target costs no allocation (`unchanged` counts those).
 #[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
 pub struct InstallStats {
     /// General-rule evaluations whose install plan was empty: the
@@ -200,9 +199,9 @@ pub struct InstallStats {
     pub unchanged: usize,
     /// In-place delta installs (≥ 1 tuple added or removed).
     pub delta: usize,
-    /// Full `Relation` constructions followed by a wholesale slot
-    /// replacement — the pre-delta path, taken only in
-    /// [`InstallMode::Rebuild`].
+    /// Always 0: the machine never constructs a full `Relation` and
+    /// replaces the slot wholesale. The field is retained because the
+    /// frozen `benchmark/` crate reads it.
     pub rebuilds: usize,
     /// Tuples inserted by delta installs.
     pub tuples_added: usize,
@@ -242,9 +241,10 @@ enum RulePlan {
 ///   target read back exactly (declared variables, declared order, all
 ///   distinct). The target only grows, so only `ψ` is evaluated and the
 ///   old relation is never rescanned.
-/// * `Shrink` — the formula is `T(x̄) ∧ ψ` with the same exact
+/// * `Shrink(ψ)` — the formula is `T(x̄) ∧ ψ` with the same exact
 ///   self-atom. The new value is a subset of the old; one sorted merge
-///   yields the removals.
+///   yields the removals. The stored formula is what evaluates; the
+///   residual ψ is kept for the bulk fixpoint's closure.
 /// * `Guarded` — the formula is a disjunction whose disjuncts carry
 ///   *closed* guards (conjuncts with no free variables — only request
 ///   params and constants, e.g. `F(?0,?1)` in REACH_u's PV-delete).
@@ -262,7 +262,7 @@ enum RulePlan {
 #[derive(Clone, Debug)]
 enum GeneralPlan {
     Grow(Formula),
-    Shrink,
+    Shrink(Formula),
     Guarded(GuardedPlan),
     Full,
 }
@@ -321,7 +321,7 @@ struct BitPlan {
     arena: Mutex<PlanArena>,
 }
 
-/// Default base work budget for machine-installed plans, in 64-bit
+/// Base work budget for machine-installed plans, in 64-bit
 /// words per execution (`Plan::work_words`). A compiled plan always
 /// pays its full `S^k`-shaped traversal, while the interpreter's delta
 /// pipeline often resolves the same rule from a guard probe or a
@@ -338,7 +338,7 @@ const PLAN_WORK_WORDS_CAP: u64 = 1 << 16;
 /// Hard ceiling on compiled-plan size, independent of density. Slot
 /// buffers and arity valid-masks materialize at `work_words` scale, so
 /// this bounds per-plan memory (2^22 words = 32 MiB) no matter what
-/// the env override or the live budget would admit.
+/// the live budget would admit.
 const PLAN_COMPILE_WORDS_CAP: u64 = 1 << 22;
 
 /// Interpreter cost proxy: kernel words one maintained row is worth.
@@ -348,52 +348,11 @@ const PLAN_COMPILE_WORDS_CAP: u64 = 1 << 22;
 /// magnitude of the scan volume its reads imply.
 const PLAN_WORDS_PER_ROW: u64 = 8;
 
-/// The base plan budget: `DYNFO_PLAN_WORK_CAP` when set to a positive
-/// integer (parsed once per process, exported through dynfo-obs as the
-/// `machine.plan_work_cap` gauge), else [`PLAN_WORK_WORDS_CAP`].
-fn plan_work_cap() -> u64 {
-    static CAP: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
-    *CAP.get_or_init(|| {
-        let cap = std::env::var("DYNFO_PLAN_WORK_CAP")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .filter(|&v| v > 0)
-            .unwrap_or(PLAN_WORK_WORDS_CAP);
-        if dynfo_obs::ENABLED {
-            ObsHandle::default()
-                .gauge("machine.plan_work_cap")
-                .set(cap.min(i64::MAX as u64) as i64);
-        }
-        cap
-    })
-}
-
-/// The algebraic-optimizer default: `DYNFO_PLAN_OPT=off|0|false`
-/// disables the plan optimizer process-wide (parsed once, exported
-/// through dynfo-obs as the `machine.plan_opt` gauge); anything else —
-/// including unset — leaves it on. Per-machine override:
-/// [`DynFoMachine::with_plan_opt`].
-fn plan_opt_default() -> bool {
-    static OPT: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *OPT.get_or_init(|| {
-        let on = !matches!(
-            std::env::var("DYNFO_PLAN_OPT")
-                .map(|v| v.trim().to_ascii_lowercase())
-                .as_deref(),
-            Ok("off" | "0" | "false")
-        );
-        if dynfo_obs::ENABLED {
-            ObsHandle::default().gauge("machine.plan_opt").set(on as i64);
-        }
-        on
-    })
-}
-
 impl BitPlan {
-    fn compile(f: &Formula, st: &Structure, optimize: bool) -> Option<BitPlan> {
-        let plan = Plan::compile_with(f, st, optimize)?;
+    fn compile(f: &Formula, st: &Structure) -> Option<BitPlan> {
+        let plan = Plan::compile(f, st)?;
         let work_words = plan.work_words();
-        if work_words > PLAN_COMPILE_WORDS_CAP.max(plan_work_cap()) {
+        if work_words > PLAN_COMPILE_WORDS_CAP {
             return None;
         }
         let reads: Arc<[RelId]> = dynfo_logic::analysis::relation_symbols(f)
@@ -417,7 +376,7 @@ impl BitPlan {
     /// over sparsely populated reads (REACH_a's shrink-shaped delete
     /// against a thin path relation) keep the interpreter.
     fn profitable(&self, st: &Structure) -> bool {
-        if self.work_words <= plan_work_cap() {
+        if self.work_words <= PLAN_WORK_WORDS_CAP {
             return true;
         }
         let rows: u64 = self
@@ -442,20 +401,6 @@ impl Clone for BitPlan {
     }
 }
 
-/// How general-rule results are installed into the auxiliary structure.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum InstallMode {
-    /// Plan each update as an explicit delta and mutate the target in
-    /// place (the default). Unchanged targets cost zero allocation and
-    /// the O(|R|) whole-relation equality diff disappears.
-    Delta,
-    /// Materialize a fresh `Relation` per rule and replace the slot when
-    /// it differs, evaluating with the baseline conjunct planner (no
-    /// guard short-circuiting) — the pre-delta executor, kept as the
-    /// differential baseline for tests and benchmarks.
-    Rebuild,
-}
-
 /// How a definable bulk change reaches the state (ROADMAP item 1's
 /// small-Δ headroom). Routing never affects the final state — both
 /// paths land on the expanded stream's result — only which pipeline
@@ -475,20 +420,40 @@ pub enum BulkRoute {
     Fallback,
 }
 
-/// What a general-rule evaluation asks the install phase to do.
-#[derive(Clone, Debug)]
-enum GeneralOutcome {
-    Plan(InstallPlan),
-    Rebuild(Relation),
-}
-
 /// Reusable per-request buffers (satellite of the batched pipeline:
 /// `apply` allocates nothing for bookkeeping on the hot path).
 #[derive(Clone, Debug, Default)]
 struct Scratch {
     params: Vec<Elem>,
-    installs: Vec<(RelId, Sym, GeneralOutcome)>,
+    installs: Vec<(RelId, Sym, InstallPlan)>,
     fast_ops: Vec<(RelId, Sym, bool)>,
+}
+
+/// One update rule compiled for execution: everything the update path
+/// needs, resolved once at construction.
+#[derive(Clone, Debug)]
+struct CompiledRule {
+    /// The target relation's slot in the auxiliary structure.
+    target: RelId,
+    /// The program's rule: target symbol, declared variables, stored
+    /// formula.
+    rule: UpdateRule,
+    /// How the rule executes.
+    route: RulePlan,
+    /// The bit-parallel plan for what the interpreter would evaluate
+    /// (`None` where compilation declined: input copies, guarded rules,
+    /// formulas over sparse-only relations, plans past the size cap).
+    bits: Option<BitPlan>,
+}
+
+/// The compiled rules of one request kind, in program order.
+#[derive(Clone, Debug, Default)]
+struct KindTable {
+    rules: Vec<CompiledRule>,
+    /// Whether a bulk change of this kind may run the one-shot
+    /// Δ-fixpoint (see [`bulk_one_shot_eligible`]). Depends only on the
+    /// program and the kind, so it is decided here, not per request.
+    bulk_one_shot: bool,
 }
 
 /// A running instance of a Dyn-FO program.
@@ -497,17 +462,14 @@ pub struct DynFoMachine {
     program: DynFoProgram,
     state: Structure,
     stats: MachineStats,
-    /// Per-(kind, rule-index) execution plans, compiled at construction.
-    plans: BTreeMap<RequestKind, Vec<RulePlan>>,
+    /// Every rule compiled for execution, by request kind. Each `ins`/
+    /// `del` kind of the input vocabulary has an entry, rules or not.
+    tables: BTreeMap<RequestKind, KindTable>,
     /// Subformula results kept warm across requests; entries are
     /// invalidated when a relation they read changes (every install is
     /// an explicit delta) or, for entries reading a constant, when that
     /// constant is `set`.
     cache: SubformulaCache,
-    /// Bit-parallel plans for general rules, parallel to `plans`
-    /// (`None` where compilation declined: input copies, guarded rules,
-    /// formulas over sparse-only relations).
-    bit_plans: BTreeMap<RequestKind, Vec<Option<BitPlan>>>,
     /// Compiled plan for the program's boolean query.
     query_plan: Option<BitPlan>,
     /// Plans for named queries, compiled on first use.
@@ -515,21 +477,11 @@ pub struct DynFoMachine {
     /// Execute general rules and queries through compiled plans where
     /// available (the default); off keeps the interpreter everywhere.
     use_plans: bool,
-    /// Run the algebraic optimizer over compiled plans (the default —
-    /// see `DYNFO_PLAN_OPT`). Off compiles the raw syntactic lowering,
-    /// the differential baseline for the optimizer-on/off suites.
-    plan_opt: bool,
-    /// Delta installs (default) or the rebuild baseline.
-    install_mode: InstallMode,
     /// Worker threads for scheduling general rules within one request
     /// (1 = serial).
     parallelism: usize,
     /// Reused per-request buffers; empty between calls.
     scratch: Scratch,
-    /// Fire the program's recompute closure after every k-th request
-    /// applied through [`DynFoMachine::apply`] (0 = never — the
-    /// default; serving layers drive their own seq-keyed cadence).
-    recompute_every: u64,
     /// How definable bulk changes are routed (see [`BulkRoute`]).
     bulk_route: BulkRoute,
     /// Where this machine's metrics go (see [`DynFoMachine::with_obs`]).
@@ -540,28 +492,7 @@ impl DynFoMachine {
     /// Initialize for universe size `n` (runs the program's `f(∅)`).
     pub fn new(program: DynFoProgram, n: Elem) -> DynFoMachine {
         let state = program.initial_structure(n);
-        let plan_opt = plan_opt_default();
-        let plans = compile_plans(&program);
-        let bit_plans = compile_bit_plans(&program, &plans, &state, plan_opt);
-        let query_plan = BitPlan::compile(program.query(), &state, plan_opt);
-        DynFoMachine {
-            plans,
-            bit_plans,
-            query_plan,
-            named_plans: BTreeMap::new(),
-            use_plans: true,
-            plan_opt,
-            program,
-            state,
-            stats: MachineStats::default(),
-            cache: SubformulaCache::new(),
-            install_mode: InstallMode::Delta,
-            parallelism: 1,
-            scratch: Scratch::default(),
-            recompute_every: 0,
-            bulk_route: BulkRoute::Auto,
-            obs: MachineObs::new(&ObsHandle::default()),
-        }
+        DynFoMachine::over(program, state)
     }
 
     /// Restore a machine from a previously captured auxiliary structure
@@ -608,28 +539,26 @@ impl DynFoMachine {
                 ));
             }
         }
-        let plan_opt = plan_opt_default();
-        let plans = compile_plans(&program);
-        let bit_plans = compile_bit_plans(&program, &plans, &state, plan_opt);
-        let query_plan = BitPlan::compile(program.query(), &state, plan_opt);
-        Ok(DynFoMachine {
-            plans,
-            bit_plans,
-            query_plan,
+        Ok(DynFoMachine::over(program, state))
+    }
+
+    /// The one construction path: compile every rule and the boolean
+    /// query against `state`'s layout and start with shipped defaults.
+    fn over(program: DynFoProgram, state: Structure) -> DynFoMachine {
+        DynFoMachine {
+            tables: compile_tables(&program, &state),
+            query_plan: BitPlan::compile(program.query(), &state),
             named_plans: BTreeMap::new(),
             use_plans: true,
-            plan_opt,
             program,
             state,
             stats: MachineStats::default(),
             cache: SubformulaCache::new(),
-            install_mode: InstallMode::Delta,
             parallelism: 1,
             scratch: Scratch::default(),
-            recompute_every: 0,
             bulk_route: BulkRoute::Auto,
             obs: MachineObs::new(&ObsHandle::default()),
-        })
+        }
     }
 
     /// Route this machine's metrics through `handle` — the global
@@ -637,23 +566,6 @@ impl DynFoMachine {
     /// or nowhere ([`ObsHandle::disabled`]).
     pub fn with_obs(mut self, handle: &ObsHandle) -> DynFoMachine {
         self.obs = MachineObs::new(handle);
-        self
-    }
-
-    /// How general-rule results are installed (delta by default).
-    pub fn install_mode(&self) -> InstallMode {
-        self.install_mode
-    }
-
-    /// Select delta installs or the rebuild baseline. Both produce the
-    /// same state; the property tests hold them against each other.
-    pub fn set_install_mode(&mut self, mode: InstallMode) {
-        self.install_mode = mode;
-    }
-
-    /// Builder form of [`DynFoMachine::set_install_mode`].
-    pub fn with_install_mode(mut self, mode: InstallMode) -> DynFoMachine {
-        self.install_mode = mode;
         self
     }
 
@@ -665,71 +577,34 @@ impl DynFoMachine {
 
     /// Enable or disable compiled plans. Both settings compute the same
     /// state and answers — the interpreter is the always-available
-    /// fallback and the property tests hold the two against each other;
-    /// only `plan_*`/`kernel_words` counters and speed differ. Plans run
-    /// only in [`InstallMode::Delta`]; the rebuild baseline always
-    /// interprets.
-    pub fn set_use_plans(&mut self, on: bool) {
-        self.use_plans = on;
-    }
-
-    /// Builder form of [`DynFoMachine::set_use_plans`].
+    /// fallback and the differential suites hold the two against each
+    /// other; only `plan_*`/`kernel_words` counters and speed differ.
     pub fn with_use_plans(mut self, on: bool) -> DynFoMachine {
         self.use_plans = on;
         self
     }
 
-    /// Whether the algebraic optimizer rewrites compiled plans (the
-    /// default unless `DYNFO_PLAN_OPT=off`).
-    pub fn plan_opt(&self) -> bool {
-        self.plan_opt
-    }
-
-    /// Enable or disable the algebraic plan optimizer. Both settings
-    /// compute the same state and answers — the optimizer-off lowering
-    /// is the differential baseline the equivalence suites hold the
-    /// optimized plans against; only plan shape, `plan.opt_*` counters,
-    /// and speed differ. Toggling recompiles every rule and query plan
-    /// (named-query plans recompile lazily on next use).
-    pub fn set_plan_opt(&mut self, on: bool) {
-        if self.plan_opt == on {
-            return;
-        }
-        self.plan_opt = on;
-        self.bit_plans = compile_bit_plans(&self.program, &self.plans, &self.state, on);
-        self.query_plan = BitPlan::compile(self.program.query(), &self.state, on);
-        self.named_plans.clear();
-    }
-
-    /// Builder form of [`DynFoMachine::set_plan_opt`].
-    pub fn with_plan_opt(mut self, on: bool) -> DynFoMachine {
-        self.set_plan_opt(on);
-        self
+    /// Every currently compiled plan: rule plans, the boolean query,
+    /// and the named queries compiled so far.
+    fn bit_plans(&self) -> impl Iterator<Item = &BitPlan> {
+        self.tables
+            .values()
+            .flat_map(|t| t.rules.iter().filter_map(|r| r.bits.as_ref()))
+            .chain(&self.query_plan)
+            .chain(self.named_plans.values().flatten())
     }
 
     /// Total `(ops removed, kernel words saved per execution)` by the
     /// algebraic optimizer across every currently compiled plan (rule
     /// plans, the boolean query, and named queries compiled so far).
-    /// All zeros when the optimizer is off or nothing was reducible.
+    /// All zeros when nothing was reducible.
     pub fn plan_opt_summary(&self) -> (u64, u64) {
-        let mut ops = 0u64;
-        let mut words = 0u64;
-        let mut add = |bp: &BitPlan| {
-            ops += bp.plan.opt_ops_removed();
-            words += bp.plan.opt_kernel_words_saved();
-        };
-        for rules in self.bit_plans.values() {
-            for bp in rules.iter().flatten() {
-                add(bp);
-            }
-        }
-        if let Some(bp) = &self.query_plan {
-            add(bp);
-        }
-        for bp in self.named_plans.values().flatten() {
-            add(bp);
-        }
-        (ops, words)
+        self.bit_plans().fold((0, 0), |(ops, words), bp| {
+            (
+                ops + bp.plan.opt_ops_removed(),
+                words + bp.plan.opt_kernel_words_saved(),
+            )
+        })
     }
 
     /// Sum of `work_words` (kernel words one execution touches) across
@@ -737,23 +612,10 @@ impl DynFoMachine {
     /// realized `kernel_words` counters, unaffected by which plans the
     /// per-execution work cap lets the machine actually run. Adding
     /// back [`DynFoMachine::plan_opt_summary`]'s words-saved term gives
-    /// the raw-lowering total, so optimizer-off and optimizer-on
-    /// machines can be compared plan-for-plan.
+    /// the raw-lowering total, so the optimizer's effect can be read
+    /// plan-for-plan off one machine.
     pub fn plan_static_words(&self) -> u64 {
-        let mut words = 0u64;
-        let mut add = |bp: &BitPlan| words += bp.plan.work_words();
-        for rules in self.bit_plans.values() {
-            for bp in rules.iter().flatten() {
-                add(bp);
-            }
-        }
-        if let Some(bp) = &self.query_plan {
-            add(bp);
-        }
-        for bp in self.named_plans.values().flatten() {
-            add(bp);
-        }
-        words
+        self.bit_plans().map(|bp| bp.work_words).sum()
     }
 
     /// Worker threads used to schedule general rules within one request.
@@ -766,13 +628,8 @@ impl DynFoMachine {
     /// write disjoint targets and read only the pre-state, so the
     /// parallel schedule is deterministic: worker stats and caches are
     /// merged back in rule order.
-    pub fn set_parallelism(&mut self, threads: usize) {
-        self.parallelism = threads.max(1);
-    }
-
-    /// Builder form of [`DynFoMachine::set_parallelism`].
     pub fn with_parallelism(mut self, threads: usize) -> DynFoMachine {
-        self.set_parallelism(threads);
+        self.parallelism = threads.max(1);
         self
     }
 
@@ -788,42 +645,11 @@ impl DynFoMachine {
         self
     }
 
-    /// "Start over and muddle through" cadence: fire the program's
-    /// recompute closure after every `k`-th request applied through
-    /// [`DynFoMachine::apply`] (0 — the default — never fires). The
-    /// cadence is keyed on the cumulative request count, so it is a
-    /// property of the request *stream*, not of wall time. Batch and
-    /// bulk entry points do not fire it — a journal has no batch
-    /// boundaries, so a serving layer replays recovery through `apply`
-    /// and drives the cadence off absolute sequence numbers instead
-    /// (`StoreConfig::recompute_every`). No-op for programs without a
-    /// recompute closure.
-    pub fn with_recompute_every(mut self, k: u64) -> DynFoMachine {
-        self.recompute_every = k;
-        self
-    }
-
-    /// The machine-internal recompute cadence (0 = off).
-    pub fn recompute_every(&self) -> u64 {
-        self.recompute_every
-    }
-
-    /// How definable bulk changes are routed (see [`BulkRoute`];
-    /// [`BulkRoute::Auto`] is the default).
-    pub fn bulk_route(&self) -> BulkRoute {
-        self.bulk_route
-    }
-
-    /// Select bulk routing. All three routes produce the same state —
-    /// the differential suites hold them against each other — so
-    /// [`BulkRoute::OneShot`]/[`BulkRoute::Fallback`] exist to pin one
-    /// pipeline for tests and benchmarks, while [`BulkRoute::Auto`]
-    /// picks by the cost model.
-    pub fn set_bulk_route(&mut self, route: BulkRoute) {
-        self.bulk_route = route;
-    }
-
-    /// Builder form of [`DynFoMachine::set_bulk_route`].
+    /// Select bulk routing ([`BulkRoute::Auto`] is the default). All
+    /// three routes produce the same state — the differential suites
+    /// hold them against each other — so [`BulkRoute::OneShot`]/
+    /// [`BulkRoute::Fallback`] exist to pin one pipeline for tests and
+    /// benchmarks, while [`BulkRoute::Auto`] picks by the cost model.
     pub fn with_bulk_route(mut self, route: BulkRoute) -> DynFoMachine {
         self.bulk_route = route;
         self
@@ -902,17 +728,7 @@ impl DynFoMachine {
     /// frame leaves the machine untouched.
     pub fn apply(&mut self, req: &Request) -> Result<EvalStats, MachineError> {
         req.validate(self.program.input_vocab(), self.n())?;
-        let before = self.stats.requests as u64;
-        let out = self.apply_validated(req)?;
-        // Muddle-through cadence: a bulk fallback can advance the
-        // request count by more than one, so fire on window *crossings*
-        // rather than exact multiples.
-        if self.recompute_every > 0
-            && self.stats.requests as u64 / self.recompute_every > before / self.recompute_every
-        {
-            self.recompute()?;
-        }
-        Ok(out)
+        self.apply_validated(req)
     }
 
     /// [`DynFoMachine::apply`] minus validation (the batch path
@@ -967,38 +783,27 @@ impl DynFoMachine {
         &mut self,
         kind: RequestKind,
         params: &[Elem],
-        installs: &mut Vec<(RelId, Sym, GeneralOutcome)>,
+        installs: &mut Vec<(RelId, Sym, InstallPlan)>,
         fast_ops: &mut Vec<(RelId, Sym, bool)>,
     ) -> Result<EvalStats, MachineError> {
-        let rules = self.program.rules_for(kind);
-        let no_plans = Vec::new();
-        let plans = self.plans.get(&kind).unwrap_or(&no_plans);
-        debug_assert_eq!(rules.len(), plans.len());
-        let mode = self.install_mode;
-        // Compiled plans only run in delta mode; the rebuild baseline
-        // stays a pure interpreter measurement.
-        let plans_on = self.use_plans && mode == InstallMode::Delta;
-        let bits = plans_on.then(|| self.bit_plans.get(&kind)).flatten();
-
-        let mut generals: Vec<(&UpdateRule, &GeneralPlan, RelId, Option<&BitPlan>)> = Vec::new();
-        for (i, (rule, plan)) in rules.iter().zip(plans).enumerate() {
-            let id = self
-                .state
-                .vocab()
-                .relation(rule.target)
-                .expect("rule target exists in aux vocab");
-            match plan {
-                RulePlan::InsertCopy => fast_ops.push((id, rule.target, true)),
-                RulePlan::DeleteCopy => fast_ops.push((id, rule.target, false)),
-                RulePlan::General(g) => {
-                    let bp = bits.and_then(|v| v[i].as_ref());
-                    generals.push((rule, g, id, bp));
-                }
+        let rules = rules_for(&self.tables, kind);
+        let use_plans = self.use_plans;
+        for cr in rules {
+            match &cr.route {
+                RulePlan::InsertCopy => fast_ops.push((cr.target, cr.rule.target, true)),
+                RulePlan::DeleteCopy => fast_ops.push((cr.target, cr.rule.target, false)),
+                RulePlan::General(_) => {}
             }
         }
+        let generals = || {
+            rules.iter().filter_map(|cr| match &cr.route {
+                RulePlan::General(g) => Some((cr, g)),
+                _ => None,
+            })
+        };
 
         let mut work = EvalStats::default();
-        if self.parallelism > 1 && generals.len() > 1 {
+        if self.parallelism > 1 && generals().nth(1).is_some() {
             // One job per general rule. The program builder rejects two
             // rules with the same (kind, target), so rules write
             // disjoint targets; all of them read the shared pre-state
@@ -1006,33 +811,22 @@ impl DynFoMachine {
             // result slot plus a private overlay cache, and the host
             // merges slots *in rule order*, so stats, cache contents,
             // and installs are identical to the serial schedule.
-            type WorkerOut = (
-                Result<GeneralOutcome, EvalError>,
-                EvalStats,
-                SubformulaCache,
-            );
+            type WorkerOut = (Result<InstallPlan, EvalError>, EvalStats, SubformulaCache);
             let pool = EvalPool::global(self.parallelism);
             let slots: Vec<Mutex<Option<WorkerOut>>> =
-                generals.iter().map(|_| Mutex::new(None)).collect();
+                generals().map(|_| Mutex::new(None)).collect();
             {
                 let state = &self.state;
                 let base = &self.cache;
                 let obs = &self.obs;
-                let mut jobs: Vec<Box<dyn FnOnce() + Send + '_>> =
-                    Vec::with_capacity(generals.len());
-                for (&(rule, gplan, id, bp), slot) in generals.iter().zip(&slots) {
+                let mut jobs: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(slots.len());
+                for ((cr, gplan), slot) in generals().zip(&slots) {
                     jobs.push(Box::new(move || {
                         let started = dynfo_obs::clock();
                         let mut local = SubformulaCache::new();
                         let mut ev =
                             Evaluator::with_overlay_cache(state, params, base, &mut local);
-                        if mode == InstallMode::Rebuild {
-                            // The baseline executor measures the
-                            // pre-delta planner: no short-circuiting.
-                            ev.set_short_circuit(false);
-                        }
-                        let res =
-                            eval_general(state, rule, gplan, mode, id, bp, plans_on, obs, &mut ev);
+                        let res = eval_general(state, cr, gplan, use_plans, obs, &mut ev);
                         let stats = ev.stats();
                         drop(ev);
                         obs.rule_ns[MachineObs::kind_index(gplan)].observe_since(started);
@@ -1041,40 +835,27 @@ impl DynFoMachine {
                 }
                 pool.run_scoped(jobs);
             }
-            for (&(rule, gplan, id, _), slot) in generals.iter().zip(slots) {
+            for ((cr, gplan), slot) in generals().zip(slots) {
                 let (res, stats, local) = slot
                     .into_inner()
                     .unwrap()
                     .expect("eval worker filled its slot");
                 work.absorb(&stats);
                 self.cache.absorb(local);
-                let outcome = res?;
-                self.stats.installs.note_eval(gplan, mode);
-                installs.push((id, rule.target, outcome));
+                let plan = res?;
+                self.stats.installs.note_eval(gplan);
+                installs.push((cr.target, cr.rule.target, plan));
             }
         } else {
-            for (rule, gplan, id, bp) in generals {
+            for (cr, gplan) in generals() {
                 let started = dynfo_obs::clock();
                 let mut ev = Evaluator::with_cache(&self.state, params, &mut self.cache);
-                if mode == InstallMode::Rebuild {
-                    ev.set_short_circuit(false);
-                }
-                let res = eval_general(
-                    &self.state,
-                    rule,
-                    gplan,
-                    mode,
-                    id,
-                    bp,
-                    plans_on,
-                    &self.obs,
-                    &mut ev,
-                );
+                let res = eval_general(&self.state, cr, gplan, use_plans, &self.obs, &mut ev);
                 work.absorb(&ev.stats());
                 self.obs.rule_ns[MachineObs::kind_index(gplan)].observe_since(started);
-                let outcome = res?;
-                self.stats.installs.note_eval(gplan, mode);
-                installs.push((id, rule.target, outcome));
+                let plan = res?;
+                self.stats.installs.note_eval(gplan);
+                installs.push((cr.target, cr.rule.target, plan));
             }
         }
         Ok(work)
@@ -1086,32 +867,21 @@ impl DynFoMachine {
         &mut self,
         req: &Request,
         params: &[Elem],
-        installs: &mut Vec<(RelId, Sym, GeneralOutcome)>,
+        installs: &mut Vec<(RelId, Sym, InstallPlan)>,
         fast_ops: &[(RelId, Sym, bool)],
     ) {
         let mut changed: BTreeSet<Sym> = BTreeSet::new();
-        for (id, target, outcome) in installs.drain(..) {
-            match outcome {
-                GeneralOutcome::Plan(plan) => {
-                    if plan.is_noop() {
-                        // The evaluation confirmed the target: no write,
-                        // no allocation, no cache eviction.
-                        self.stats.installs.unchanged += 1;
-                    } else {
-                        self.stats.installs.delta += 1;
-                        self.stats.installs.tuples_added += plan.added.len();
-                        self.stats.installs.tuples_removed += plan.removed.len();
-                        self.state.apply_delta(id, &plan.added, &plan.removed);
-                        changed.insert(target);
-                    }
-                }
-                GeneralOutcome::Rebuild(relation) => {
-                    self.stats.installs.rebuilds += 1;
-                    if *self.state.relation(id) != relation {
-                        changed.insert(target);
-                        self.state.set_relation(id, relation);
-                    }
-                }
+        for (id, target, plan) in installs.drain(..) {
+            if plan.is_noop() {
+                // The evaluation confirmed the target: no write, no
+                // allocation, no cache eviction.
+                self.stats.installs.unchanged += 1;
+            } else {
+                self.stats.installs.delta += 1;
+                self.stats.installs.tuples_added += plan.added.len();
+                self.stats.installs.tuples_removed += plan.removed.len();
+                self.state.apply_delta(id, &plan.added, &plan.removed);
+                changed.insert(target);
             }
         }
         if !fast_ops.is_empty() {
@@ -1224,12 +994,9 @@ impl DynFoMachine {
         if matches!(req, Request::Set(..)) || req.is_bulk() {
             return false;
         }
-        match self.plans.get(&req.kind()) {
-            None => true,
-            Some(plans) => plans
-                .iter()
-                .all(|p| !matches!(p, RulePlan::General(_))),
-        }
+        rules_for(&self.tables, req.kind())
+            .iter()
+            .all(|cr| !matches!(cr.route, RulePlan::General(_)))
     }
 
     /// Apply a coalesced run of fast-only requests (see
@@ -1247,32 +1014,21 @@ impl DynFoMachine {
                 continue;
             }
             prev = Some(req);
-            let kind = req.kind();
-            let Some(plans) = self.plans.get(&kind) else {
+            let rules = rules_for(&self.tables, req.kind());
+            if rules.is_empty() {
                 continue;
-            };
-            let rules = self.program.rules_for(kind);
+            }
             req.params_into(&mut params);
             let tuple = Tuple::from_slice(&params);
-            for (rule, plan) in rules.iter().zip(plans) {
-                let is_insert = match plan {
-                    RulePlan::InsertCopy => true,
-                    RulePlan::DeleteCopy => false,
+            for cr in rules {
+                let rel = self.state.relation_mut(cr.target);
+                let did = match cr.route {
+                    RulePlan::InsertCopy => rel.insert(tuple),
+                    RulePlan::DeleteCopy => rel.remove(&tuple),
                     RulePlan::General(_) => unreachable!("fast run contains general rule"),
                 };
-                let id = self
-                    .state
-                    .vocab()
-                    .relation(rule.target)
-                    .expect("rule target exists in aux vocab");
-                let rel = self.state.relation_mut(id);
-                let did = if is_insert {
-                    rel.insert(tuple)
-                } else {
-                    rel.remove(&tuple)
-                };
                 if did {
-                    changed.insert(rule.target);
+                    changed.insert(cr.rule.target);
                 }
             }
         }
@@ -1294,10 +1050,12 @@ impl DynFoMachine {
     /// Maintenance then dispatches: programs whose rules for this kind
     /// are all copies and `Grow`/`Shrink` shapes with target-positive
     /// residuals run *one* monotone fixpoint over the whole Δ
-    /// ([`DynFoMachine::apply_bulk_one_shot`]); everything else replays
-    /// Δ through the ordinary per-tuple pipeline. Both paths land on
-    /// the byte-identical state the expanded single-tuple stream
-    /// produces — the `DiffMode::Bulk` differential suites enforce it.
+    /// ([`DynFoMachine::apply_bulk_one_shot`]) — a verdict reached
+    /// once, at construction ([`KindTable::bulk_one_shot`]); everything
+    /// else replays Δ through the ordinary per-tuple pipeline. Both
+    /// paths land on the byte-identical state the expanded single-tuple
+    /// stream produces — the `DiffMode::Bulk` differential suites
+    /// enforce it.
     fn apply_bulk(&mut self, req: &Request) -> Result<EvalStats, MachineError> {
         let _span = dynfo_obs::span("machine.bulk");
         let started = dynfo_obs::clock();
@@ -1309,7 +1067,7 @@ impl DynFoMachine {
         let tuples = self.bulk_delta(rel, delta, is_ins)?;
         self.obs.bulk_tuples.add(tuples.len() as u64);
         let kind = req.kind();
-        let eligible = self.bulk_one_shot_eligible(kind, is_ins);
+        let eligible = self.tables.get(&kind).is_some_and(|t| t.bulk_one_shot);
         let one_shot = match self.bulk_route {
             BulkRoute::OneShot => eligible,
             BulkRoute::Fallback => false,
@@ -1359,8 +1117,8 @@ impl DynFoMachine {
     /// statistics stay identical to the stream it replays.
     fn eval_delta_set(&self, delta: &Formula, arity: usize) -> Result<Vec<Tuple>, MachineError> {
         let canonical = canonicalize(delta);
-        if self.use_plans && self.install_mode == InstallMode::Delta {
-            if let Some(bp) = BitPlan::compile(&canonical, &self.state, self.plan_opt) {
+        if self.use_plans {
+            if let Some(bp) = BitPlan::compile(&canonical, &self.state) {
                 if bp.profitable(&self.state) {
                     let mut local = SubformulaCache::new();
                     let mut ev = Evaluator::with_cache(&self.state, &[], &mut local);
@@ -1378,64 +1136,6 @@ impl DynFoMachine {
         let table = dynfo_logic::evaluate(&canonical, &self.state, &[])
             .map_err(MachineError::Eval)?;
         Ok(delta_rows(table, arity, self.n()))
-    }
-
-    /// Can `kind`'s rules run the one-shot bulk fixpoint? Three
-    /// conditions, each load-bearing for stream equivalence:
-    ///
-    /// 1. The program claims memorylessness (§3): the auxiliary
-    ///    structure is a function of the input alone, so any
-    ///    interleaving of Δ's requests — including the simultaneous
-    ///    closure the fixpoint computes — converges to the stream's
-    ///    final state.
-    /// 2. Every rule for the kind is an insert copy or `Grow` (bulk
-    ///    insert), or a delete copy or `Shrink` (bulk delete): the
-    ///    per-request change is a union with (intersection against) a
-    ///    definable set.
-    /// 3. Every residual ψ mentions the kind's rule targets only at
-    ///    even negation depth, so the per-round operator is monotone
-    ///    and its least (greatest) fixpoint from the pre-state is
-    ///    well-defined. ψ(x;ā) = R(x) with target R shows monotonicity
-    ///    cannot be dropped silently — hence the syntactic check, with
-    ///    the differential suites as the empirical backstop.
-    fn bulk_one_shot_eligible(&self, kind: RequestKind, is_ins: bool) -> bool {
-        if !self.program.claims_memoryless() {
-            return false;
-        }
-        // The fixpoint extends the state with a scratch Δ relation and
-        // rewrites params to fresh `__`-prefixed variables; a program
-        // using the reserved prefix itself takes the fallback.
-        if self
-            .state
-            .vocab()
-            .relation(Sym::new(BULK_DELTA_REL))
-            .is_some()
-        {
-            return false;
-        }
-        let Some(plans) = self.plans.get(&kind) else {
-            return true; // no rules: the aux state ignores this kind
-        };
-        let rules = self.program.rules_for(kind);
-        let targets: BTreeSet<Sym> = rules.iter().map(|r| r.target).collect();
-        rules.iter().zip(plans).all(|(rule, plan)| {
-            if format!("{}", rule.formula).contains("__") {
-                return false;
-            }
-            match plan {
-                RulePlan::InsertCopy => is_ins,
-                RulePlan::DeleteCopy => !is_ins,
-                RulePlan::General(GeneralPlan::Grow(psi)) => {
-                    is_ins && positive_in(psi, &targets)
-                }
-                RulePlan::General(GeneralPlan::Shrink) => {
-                    !is_ins
-                        && shrink_residual(rule)
-                            .is_some_and(|psi| positive_in(&psi, &targets))
-                }
-                RulePlan::General(_) => false,
-            }
-        })
     }
 
     /// ROADMAP item 1's small-Δ headroom: is the one-shot Δ-fixpoint
@@ -1469,30 +1169,23 @@ impl DynFoMachine {
         const BULK_ROUNDS_FLOOR: u64 = 4;
         let n = self.n() as u64;
         let dense_words = |arity: u32| n.saturating_pow(arity).div_ceil(64).max(1);
-        let rules = self.program.rules_for(kind);
-        let no_plans = Vec::new();
-        let plans = self.plans.get(&kind).unwrap_or(&no_plans);
-        let no_bits = Vec::new();
-        let bits = self.bit_plans.get(&kind).unwrap_or(&no_bits);
         let mut closure_fixed = 0u64;
         let mut per_tuple = 0u64;
-        for (i, (rule, plan)) in rules.iter().zip(plans).enumerate() {
-            match plan {
+        for cr in rules_for(&self.tables, kind) {
+            match cr.route {
                 RulePlan::InsertCopy | RulePlan::DeleteCopy => {
                     per_tuple = per_tuple.saturating_add(1);
                 }
                 RulePlan::General(_) => {
-                    let arity = rule.vars.len() as u32;
+                    let arity = cr.rule.vars.len() as u32;
                     closure_fixed = closure_fixed.saturating_add(
                         dense_words(arity)
                             .saturating_mul(n)
                             .saturating_mul(BULK_ROUNDS_FLOOR),
                     );
-                    let compiled = (self.use_plans && self.install_mode == InstallMode::Delta)
-                        .then(|| bits.get(i).and_then(|bp| bp.as_ref().map(|bp| bp.work_words)))
-                        .flatten();
-                    let cost = compiled.unwrap_or_else(|| {
-                        let rows: u64 = dynfo_logic::analysis::relation_symbols(&rule.formula)
+                    let compiled = cr.bits.as_ref().filter(|_| self.use_plans);
+                    let cost = compiled.map(|bp| bp.work_words).unwrap_or_else(|| {
+                        let rows: u64 = dynfo_logic::analysis::relation_symbols(&cr.rule.formula)
                             .into_iter()
                             .filter_map(|s| self.state.vocab().relation(s))
                             .map(|id| self.state.relation(id).len() as u64)
@@ -1530,10 +1223,10 @@ impl DynFoMachine {
     ) -> Result<EvalStats, MachineError> {
         enum RoundRule<'a> {
             /// Insert/delete copy: the target changes by Δ itself.
-            Copy(RelId, Sym),
+            Copy(RelId),
             /// A closed formula whose aligned rows are this round's
             /// additions (bulk insert) or removals (bulk delete).
-            Closed(RelId, Sym, &'a UpdateRule, Formula),
+            Closed(RelId, &'a UpdateRule, Formula),
         }
 
         let n = self.n();
@@ -1543,9 +1236,7 @@ impl DynFoMachine {
             .relation(kind.sym)
             .expect("validated bulk target exists in aux vocab");
         let arity = self.state.relation(target_id).arity();
-        let rules = self.program.rules_for(kind);
-        let no_plans = Vec::new();
-        let plans = self.plans.get(&kind).unwrap_or(&no_plans);
+        let rules = rules_for(&self.tables, kind);
 
         let dvars: Vec<Sym> = (0..arity).map(|i| Sym::new(&format!("__d{i}"))).collect();
         let delta_atom = Formula::Rel {
@@ -1583,33 +1274,21 @@ impl DynFoMachine {
                 }
                 g => close_one(g),
             };
-            if self.plan_opt {
-                dynfo_logic::eval::opt::optimize_formula(&closed).unwrap_or(closed)
-            } else {
-                closed
-            }
+            dynfo_logic::eval::opt::optimize_formula(&closed).unwrap_or(closed)
         };
-        let mut round_rules: Vec<RoundRule> = Vec::with_capacity(rules.len());
-        for (rule, plan) in rules.iter().zip(plans) {
-            let id = self
-                .state
-                .vocab()
-                .relation(rule.target)
-                .expect("rule target exists in aux vocab");
-            match plan {
-                RulePlan::InsertCopy | RulePlan::DeleteCopy => {
-                    round_rules.push(RoundRule::Copy(id, rule.target))
-                }
+        let round_rules: Vec<RoundRule> = rules
+            .iter()
+            .map(|cr| match &cr.route {
+                RulePlan::InsertCopy | RulePlan::DeleteCopy => RoundRule::Copy(cr.target),
                 RulePlan::General(GeneralPlan::Grow(psi)) => {
-                    round_rules.push(RoundRule::Closed(id, rule.target, rule, close(psi, false)))
+                    RoundRule::Closed(cr.target, &cr.rule, close(psi, false))
                 }
-                RulePlan::General(GeneralPlan::Shrink) => {
-                    let psi = shrink_residual(rule).expect("eligibility checked shrink shape");
-                    round_rules.push(RoundRule::Closed(id, rule.target, rule, close(&psi, true)))
+                RulePlan::General(GeneralPlan::Shrink(psi)) => {
+                    RoundRule::Closed(cr.target, &cr.rule, close(psi, true))
                 }
                 RulePlan::General(_) => unreachable!("eligibility admits copy/grow/shrink only"),
-            }
-        }
+            })
+            .collect();
 
         let delta_rel =
             Relation::from_tuples_with_universe(arity, n, delta.iter().copied());
@@ -1626,11 +1305,7 @@ impl DynFoMachine {
         let compiled: Vec<Option<BitPlan>> = round_rules
             .iter()
             .map(|rr| match rr {
-                RoundRule::Closed(_, _, _, f)
-                    if self.use_plans && self.install_mode == InstallMode::Delta =>
-                {
-                    BitPlan::compile(f, &ext, self.plan_opt)
-                }
+                RoundRule::Closed(_, _, f) if self.use_plans => BitPlan::compile(f, &ext),
                 _ => None,
             })
             .collect();
@@ -1642,8 +1317,8 @@ impl DynFoMachine {
             round_changes.clear();
             for (rr, bp) in round_rules.iter().zip(&compiled) {
                 match rr {
-                    RoundRule::Copy(id, _) => round_changes.push((*id, delta.to_vec())),
-                    RoundRule::Closed(id, _, rule, f) => {
+                    RoundRule::Copy(id) => round_changes.push((*id, delta.to_vec())),
+                    RoundRule::Closed(id, rule, f) => {
                         let mut local = SubformulaCache::new();
                         let mut ev = Evaluator::with_cache(&ext, &[], &mut local);
                         let table = match bp {
@@ -1692,10 +1367,8 @@ impl DynFoMachine {
         // Diff the converged targets against the real state and install
         // each as one delta.
         let mut changed_syms: BTreeSet<Sym> = BTreeSet::new();
-        for rr in &round_rules {
-            let (id, target) = match rr {
-                RoundRule::Copy(id, t) | RoundRule::Closed(id, t, ..) => (*id, *t),
-            };
+        for cr in rules {
+            let (id, target) = (cr.target, cr.rule.target);
             let new_rel = ext.relation(id);
             let old_rel = self.state.relation(id);
             let mut added: Vec<Tuple> = Vec::new();
@@ -1799,8 +1472,8 @@ impl DynFoMachine {
         // passes may slice across the pool.
         let pool = (self.parallelism > 1).then(|| EvalPool::global(self.parallelism));
         let mut ev = Evaluator::with_cache(&self.state, &[], &mut self.cache);
-        let bits = self.use_plans.then_some(self.query_plan.as_ref()).flatten();
-        let ans = match run_plan(&self.state, bits, self.use_plans, pool.as_deref(), &mut ev)? {
+        let plan = self.query_plan.as_ref();
+        let ans = match run_plan(&self.state, plan, self.use_plans, pool.as_deref(), &mut ev)? {
             Some(t) => t.as_bool(),
             None => ev.eval(self.program.query())?.as_bool(),
         };
@@ -1823,17 +1496,13 @@ impl DynFoMachine {
         if self.use_plans && !self.named_plans.contains_key(&sym) {
             // Plans are parameter-generic (`?i` resolves at execution),
             // so one compilation serves every argument vector.
-            let bp = BitPlan::compile(&f, &self.state, self.plan_opt);
+            let bp = BitPlan::compile(&f, &self.state);
             self.named_plans.insert(sym, bp);
         }
         let pool = (self.parallelism > 1).then(|| EvalPool::global(self.parallelism));
         let mut ev = Evaluator::with_cache(&self.state, args, &mut self.cache);
-        let bits = self
-            .use_plans
-            .then(|| self.named_plans.get(&sym))
-            .flatten()
-            .and_then(|o| o.as_ref());
-        let ans = match run_plan(&self.state, bits, self.use_plans, pool.as_deref(), &mut ev)? {
+        let plan = self.named_plans.get(&sym).and_then(|o| o.as_ref());
+        let ans = match run_plan(&self.state, plan, self.use_plans, pool.as_deref(), &mut ev)? {
             Some(t) => t.as_bool(),
             None => ev.eval(&f)?.as_bool(),
         };
@@ -1854,48 +1523,93 @@ impl DynFoMachine {
     }
 }
 
-/// Compile every rule of `program` to its execution plan.
-fn compile_plans(program: &DynFoProgram) -> BTreeMap<RequestKind, Vec<RulePlan>> {
-    let mut plans: BTreeMap<RequestKind, Vec<RulePlan>> = BTreeMap::new();
-    for (&kind, rule) in program.rules() {
-        plans.entry(kind).or_default().push(classify_rule(rule));
-    }
-    plans
+/// The compiled rules for `kind` (none for a kind the program has no
+/// rules for). A free function over the table map, not a method, so
+/// callers keep mutating the machine's other fields while they hold
+/// the slice.
+fn rules_for(tables: &BTreeMap<RequestKind, KindTable>, kind: RequestKind) -> &[CompiledRule] {
+    tables.get(&kind).map_or(&[], |t| &t.rules)
 }
 
-/// Compile each general rule's evaluated formula to a bit-parallel plan
-/// where the lowering succeeds (`None` elsewhere — input copies, guarded
-/// rules, and formulas compilation declines). The compiled formula
-/// matches what delta-mode [`eval_general`] would hand the interpreter:
-/// a Grow rule's ψ, otherwise the stored formula.
-fn compile_bit_plans(
-    program: &DynFoProgram,
-    plans: &BTreeMap<RequestKind, Vec<RulePlan>>,
-    st: &Structure,
-    optimize: bool,
-) -> BTreeMap<RequestKind, Vec<Option<BitPlan>>> {
-    let mut out = BTreeMap::new();
-    for (&kind, rule_plans) in plans {
-        let rules = program.rules_for(kind);
-        debug_assert_eq!(rules.len(), rule_plans.len());
-        let compiled = rules
-            .iter()
-            .zip(rule_plans)
-            .map(|(rule, plan)| match plan {
-                RulePlan::General(GeneralPlan::Grow(psi)) => BitPlan::compile(psi, st, optimize),
-                RulePlan::General(GeneralPlan::Shrink | GeneralPlan::Full) => {
-                    BitPlan::compile(&rule.formula, st, optimize)
-                }
-                // Guard refinement already beats whole-formula
-                // evaluation; its surviving disjuncts vary per request,
-                // so there is no single formula to compile.
-                RulePlan::General(GeneralPlan::Guarded(_)) => None,
-                RulePlan::InsertCopy | RulePlan::DeleteCopy => None,
-            })
-            .collect();
-        out.insert(kind, compiled);
+/// Compile every rule of `program` for execution against `st`'s
+/// layout: resolve its target slot, classify its shape, and lower what
+/// the interpreter would evaluate — a Grow rule's ψ, otherwise the
+/// stored formula — to a bit-parallel plan where the lowering succeeds.
+/// Guarded rules get no plan: guard refinement already beats
+/// whole-formula evaluation, and its surviving disjuncts vary per
+/// request, so there is no single formula to compile.
+fn compile_tables(program: &DynFoProgram, st: &Structure) -> BTreeMap<RequestKind, KindTable> {
+    let mut tables: BTreeMap<RequestKind, KindTable> = BTreeMap::new();
+    // A bulk change may target an input relation the program has no
+    // rules for (the one-shot splice is then a no-op counted as one
+    // request), so every such kind gets its verdict too.
+    for (_, rel) in program.input_vocab().relations() {
+        for op in [Op::Ins, Op::Del] {
+            tables.entry(RequestKind { op, sym: rel.name }).or_default();
+        }
     }
-    out
+    for (&kind, rule) in program.rules() {
+        let route = classify_rule(rule);
+        let compiled = match &route {
+            RulePlan::General(GeneralPlan::Grow(psi)) => Some(psi),
+            RulePlan::General(GeneralPlan::Shrink(_) | GeneralPlan::Full) => Some(&rule.formula),
+            RulePlan::General(GeneralPlan::Guarded(_))
+            | RulePlan::InsertCopy
+            | RulePlan::DeleteCopy => None,
+        };
+        tables.entry(kind).or_default().rules.push(CompiledRule {
+            target: st
+                .vocab()
+                .relation(rule.target)
+                .expect("rule target exists in aux vocab"),
+            bits: compiled.and_then(|f| BitPlan::compile(f, st)),
+            rule: rule.clone(),
+            route,
+        });
+    }
+    // The fixpoint extends the state with a scratch Δ relation; a
+    // program using the reserved name itself takes the fallback.
+    let may_close = program.claims_memoryless()
+        && st.vocab().relation(Sym::new(BULK_DELTA_REL)).is_none();
+    for (kind, table) in &mut tables {
+        table.bulk_one_shot = may_close && bulk_one_shot_eligible(&table.rules, kind.op == Op::Ins);
+    }
+    tables
+}
+
+/// Can these rules — all the rules of one `ins` (`is_ins`) or `del`
+/// kind — run the one-shot bulk fixpoint? On top of the program-wide
+/// precondition checked by the caller (the program claims
+/// memorylessness (§3): the auxiliary structure is a function of the
+/// input alone, so any interleaving of Δ's requests — including the
+/// simultaneous closure the fixpoint computes — converges to the
+/// stream's final state), two conditions, each load-bearing for stream
+/// equivalence:
+///
+/// 1. Every rule is an insert copy or `Grow` (bulk insert), or a delete
+///    copy or `Shrink` (bulk delete): the per-request change is a union
+///    with (intersection against) a definable set.
+/// 2. Every residual ψ mentions the kind's rule targets only at even
+///    negation depth, so the per-round operator is monotone and its
+///    least (greatest) fixpoint from the pre-state is well-defined.
+///    ψ(x;ā) = R(x) with target R shows monotonicity cannot be dropped
+///    silently — hence the syntactic check, with the differential
+///    suites as the empirical backstop.
+fn bulk_one_shot_eligible(rules: &[CompiledRule], is_ins: bool) -> bool {
+    let targets: BTreeSet<Sym> = rules.iter().map(|cr| cr.rule.target).collect();
+    rules.iter().all(|cr| {
+        let monotone = match &cr.route {
+            RulePlan::InsertCopy => is_ins,
+            RulePlan::DeleteCopy => !is_ins,
+            RulePlan::General(GeneralPlan::Grow(psi)) => is_ins && positive_in(psi, &targets),
+            RulePlan::General(GeneralPlan::Shrink(psi)) => !is_ins && positive_in(psi, &targets),
+            RulePlan::General(_) => false,
+        };
+        // The fixpoint rewrites params to fresh `__`-prefixed
+        // variables; a rule using the reserved prefix itself takes the
+        // fallback.
+        monotone && !format!("{}", cr.rule.formula).contains("__")
+    })
 }
 
 /// Decide how an update rule executes: detect the two canonical
@@ -1932,18 +1646,7 @@ fn classify_rule(rule: &UpdateRule) -> RulePlan {
                 return RulePlan::InsertCopy;
             }
             // `T(x̄) ∨ ψ`: evaluate only ψ; the old target survives.
-            let rest: Vec<Formula> = parts
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| i != self_at)
-                .map(|(_, f)| f.clone())
-                .collect();
-            let psi = match rest.len() {
-                0 => return RulePlan::General(GeneralPlan::Full), // `T ∨ T`? keep it simple
-                1 => rest.into_iter().next().expect("one disjunct"),
-                _ => Formula::Or(rest),
-            };
-            RulePlan::General(GeneralPlan::Grow(psi))
+            RulePlan::General(GeneralPlan::Grow(without(parts, self_at, Formula::Or)))
         }
         Formula::And(parts) => {
             let Some(self_at) = parts.iter().position(is_target_atom) else {
@@ -1953,7 +1656,7 @@ fn classify_rule(rule: &UpdateRule) -> RulePlan {
                 return RulePlan::DeleteCopy;
             }
             // `T(x̄) ∧ ψ`: the result is a subset of the old target.
-            RulePlan::General(GeneralPlan::Shrink)
+            RulePlan::General(GeneralPlan::Shrink(without(parts, self_at, Formula::And)))
         }
         _ => RulePlan::General(GeneralPlan::Full),
     }
@@ -1964,42 +1667,27 @@ fn classify_rule(rule: &UpdateRule) -> RulePlan {
 /// per-tuple fallback instead.
 const BULK_DELTA_REL: &str = "__DELTA";
 
-/// The residual ψ of a Shrink rule `T(x̄) ∧ ψ`: the stored conjunction
-/// minus the exact self-atom. `None` when the formula is not that
-/// shape (cannot happen for a rule classified `Shrink`).
-fn shrink_residual(rule: &UpdateRule) -> Option<Formula> {
-    let k = rule.vars.len();
-    let is_target_atom = |f: &Formula| -> bool {
-        matches!(f, Formula::Rel { name, args }
-            if *name == rule.target
-                && args.len() == k
-                && args.iter().zip(&rule.vars).all(|(a, v)| *a == Term::Var(*v)))
-    };
-    let Formula::And(parts) = &rule.formula else {
-        return None;
-    };
-    let self_at = parts.iter().position(is_target_atom)?;
-    let rest: Vec<Formula> = parts
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| i != self_at)
-        .map(|(_, f)| f.clone())
-        .collect();
-    Some(match rest.len() {
-        0 => Formula::True,
-        1 => rest.into_iter().next().expect("one conjunct"),
-        _ => Formula::And(rest),
-    })
+/// `parts` minus the one at `skip`, rejoined by `join` — the residual ψ
+/// of `T(x̄) ∨ ψ` / `T(x̄) ∧ ψ`. The program builder's simplifier
+/// collapses singleton connectives, so the rest is never empty.
+fn without(parts: &[Formula], skip: usize, join: fn(Vec<Formula>) -> Formula) -> Formula {
+    let mut rest: Vec<Formula> = parts.to_vec();
+    rest.remove(skip);
+    if rest.len() == 1 {
+        rest.remove(0)
+    } else {
+        join(rest)
+    }
 }
 
 impl InstallStats {
     /// Count which evaluation mode a general rule took.
-    fn note_eval(&mut self, plan: &GeneralPlan, mode: InstallMode) {
-        match (mode, plan) {
-            (InstallMode::Delta, GeneralPlan::Grow(_)) => self.grow_evals += 1,
-            (InstallMode::Delta, GeneralPlan::Shrink) => self.shrink_evals += 1,
-            (InstallMode::Delta, GeneralPlan::Guarded(_)) => self.guarded_evals += 1,
-            _ => self.full_evals += 1,
+    fn note_eval(&mut self, plan: &GeneralPlan) {
+        match plan {
+            GeneralPlan::Grow(_) => self.grow_evals += 1,
+            GeneralPlan::Shrink(_) => self.shrink_evals += 1,
+            GeneralPlan::Guarded(_) => self.guarded_evals += 1,
+            GeneralPlan::Full => self.full_evals += 1,
         }
     }
 }
@@ -2051,114 +1739,65 @@ fn classify_guarded(parts: &[Formula], is_target_atom: &dyn Fn(&Formula) -> bool
     }
 }
 
-/// Execute a query's compiled plan if one is available. `Ok(None)` means
-/// the caller interprets instead — no plan, plans disabled, the budget
-/// declined, or a runtime bail — with `plan_fallback` counted whenever
-/// plans were enabled.
+/// Execute a rule's or query's compiled plan over the dense backends,
+/// provided plans are enabled and the live budget says the fixed
+/// kernel work beats the interpreter at the current occupancy
+/// ([`BitPlan::profitable`]). `Ok(None)` means the caller interprets
+/// instead — plans disabled, compilation or the budget declined, or
+/// the plan bailed at runtime (a relation's backend or universe no
+/// longer matches the compiled layout) — with `plan_fallback` counted
+/// whenever plans were enabled. Real evaluation errors surface exactly
+/// like the interpreter's.
 fn run_plan(
     st: &Structure,
-    bits: Option<&BitPlan>,
-    plans_on: bool,
+    plan: Option<&BitPlan>,
+    use_plans: bool,
     pool: Option<&EvalPool>,
     ev: &mut Evaluator<'_>,
 ) -> Result<Option<dynfo_logic::Table>, EvalError> {
-    if let Some(bp) = bits {
-        if bp.profitable(st) {
-            let mut arena = bp.arena.lock().unwrap();
-            if let Some(t) = bp.plan.execute(ev, &mut arena, pool)? {
-                return Ok(Some(t));
-            }
+    if !use_plans {
+        return Ok(None);
+    }
+    if let Some(bp) = plan.filter(|bp| bp.profitable(st)) {
+        let mut arena = bp.arena.lock().unwrap();
+        if let Some(t) = bp.plan.execute(ev, &mut arena, pool)? {
+            return Ok(Some(t));
         }
     }
-    if plans_on {
-        ev.stats_mut().plan_fallback += 1;
-        if dynfo_obs::ENABLED {
-            dynfo_logic::obs::eval_obs().plan_fallback.inc();
-        }
+    ev.stats_mut().plan_fallback += 1;
+    if dynfo_obs::ENABLED {
+        dynfo_logic::obs::eval_obs().plan_fallback.inc();
     }
     Ok(None)
 }
 
-/// Evaluate one general rule against the pre-state and decide its
-/// install action. Shared verbatim between the serial loop and the
-/// parallel scheduler (which passes an overlay-cache evaluator).
-#[allow(clippy::too_many_arguments)]
+/// Evaluate one general rule against the pre-state and plan its
+/// install. Shared verbatim between the serial loop and the parallel
+/// scheduler (which passes an overlay-cache evaluator).
 fn eval_general(
     st: &Structure,
-    rule: &UpdateRule,
+    cr: &CompiledRule,
     plan: &GeneralPlan,
-    mode: InstallMode,
-    id: RelId,
-    bits: Option<&BitPlan>,
-    plans_on: bool,
+    use_plans: bool,
     obs: &MachineObs,
     ev: &mut Evaluator<'_>,
-) -> Result<GeneralOutcome, EvalError> {
-    let n = st.size();
-    if let (InstallMode::Delta, GeneralPlan::Guarded(gp)) = (mode, plan) {
-        return eval_guarded(st, rule, gp, id, obs, ev);
-    }
-    // Compiled path first: execute the rule's bit-parallel plan over the
-    // dense backends, provided the live budget says the fixed kernel
-    // work beats the interpreter at the current occupancy. `Ok(None)`
-    // means the plan bailed at runtime (a relation's backend or universe
-    // no longer matches the compiled layout); real evaluation errors
-    // surface exactly like the interpreter's. `pool` is `None` — rule
-    // plans may already be running on pool workers, and pools must not
-    // nest.
-    if let Some(bp) = bits.filter(|bp| bp.profitable(st)) {
-        let mut arena = bp.arena.lock().unwrap();
-        if let Some(table) = bp.plan.execute(ev, &mut arena, None)? {
-            let rows = align_to_rule(table, rule, n);
-            let delta_mode = match plan {
-                GeneralPlan::Grow(_) => DeltaMode::Grow,
-                GeneralPlan::Shrink => DeltaMode::Shrink,
-                GeneralPlan::Guarded(_) => unreachable!("guarded handled above"),
-                GeneralPlan::Full => DeltaMode::Full,
-            };
-            return Ok(GeneralOutcome::Plan(install_plan(
-                delta_mode,
-                st.relation(id),
-                &rows,
-            )));
-        }
-    }
-    if plans_on {
-        // Plans are enabled but this rule is interpreting: compilation
-        // declined or the plan bailed above.
-        ev.stats_mut().plan_fallback += 1;
-        if dynfo_obs::ENABLED {
-            dynfo_logic::obs::eval_obs().plan_fallback.inc();
-        }
-    }
-    // In delta mode a Grow rule evaluates only its ψ; every other
-    // combination evaluates the stored formula in full.
-    let formula = match (mode, plan) {
-        (InstallMode::Delta, GeneralPlan::Grow(psi)) => psi,
-        _ => &rule.formula,
+) -> Result<InstallPlan, EvalError> {
+    // A Grow rule evaluates only its ψ; Shrink and Full evaluate the
+    // stored formula.
+    let (formula, delta_mode) = match plan {
+        GeneralPlan::Guarded(gp) => return eval_guarded(st, cr, gp, obs, ev),
+        GeneralPlan::Grow(psi) => (psi, DeltaMode::Grow),
+        GeneralPlan::Shrink(_) => (&cr.rule.formula, DeltaMode::Shrink),
+        GeneralPlan::Full => (&cr.rule.formula, DeltaMode::Full),
     };
-    let table = ev.eval(formula)?;
-    let rows = align_to_rule(table, rule, n);
-    match mode {
-        InstallMode::Rebuild => Ok(GeneralOutcome::Rebuild(Relation::from_tuples_with_universe(
-            rule.vars.len(),
-            n,
-            rows,
-        ))),
-        InstallMode::Delta => {
-            let delta_mode = match plan {
-                GeneralPlan::Grow(_) => DeltaMode::Grow,
-                GeneralPlan::Shrink => DeltaMode::Shrink,
-                GeneralPlan::Guarded(_) => unreachable!("guarded handled above"),
-                GeneralPlan::Full => DeltaMode::Full,
-            };
-            Ok(GeneralOutcome::Plan(install_plan(
-                delta_mode,
-                st.relation(id),
-                &rows,
-            )))
-        }
-    }
+    // Compiled path first. No pool: rule plans may already be running
+    // on pool workers, and pools must not nest.
+    let table = match run_plan(st, cr.bits.as_ref(), use_plans, None, ev)? {
+        Some(table) => table,
+        None => ev.eval(formula)?,
+    };
+    let rows = align_to_rule(table, &cr.rule, st.size());
+    Ok(install_plan(delta_mode, st.relation(cr.target), &rows))
 }
 
 /// Project an evaluated table to the rule's declared variables and
@@ -2193,13 +1832,13 @@ fn align_to_rule(table: dynfo_logic::Table, rule: &UpdateRule, n: Elem) -> Vec<T
 /// cheapest sound install strategy for the survivors.
 fn eval_guarded(
     st: &Structure,
-    rule: &UpdateRule,
+    cr: &CompiledRule,
     gp: &GuardedPlan,
-    id: RelId,
     obs: &MachineObs,
     ev: &mut Evaluator<'_>,
-) -> Result<GeneralOutcome, EvalError> {
+) -> Result<InstallPlan, EvalError> {
     let n = st.size();
+    let (rule, id) = (&cr.rule, cr.target);
     let mut live: Vec<&DisjunctBody> = Vec::with_capacity(gp.disjuncts.len());
     'disjuncts: for d in &gp.disjuncts {
         for g in &d.guards {
@@ -2227,7 +1866,7 @@ fn eval_guarded(
             // Every surviving disjunct re-reads the target: T′ = T,
             // decided without scanning a single tuple.
             obs.guard[GUARD_NOOP].inc();
-            return Ok(GeneralOutcome::Plan(InstallPlan::default()));
+            return Ok(InstallPlan::default());
         }
         obs.guard[GUARD_GROW].inc();
         (others, DeltaMode::Grow)
@@ -2245,11 +1884,7 @@ fn eval_guarded(
         if fs.is_empty() {
             // Every guard failed: T′ = ∅.
             obs.guard[GUARD_FULL].inc();
-            return Ok(GeneralOutcome::Plan(install_plan(
-                DeltaMode::Full,
-                st.relation(id),
-                &[],
-            )));
+            return Ok(install_plan(DeltaMode::Full, st.relation(id), &[]));
         }
         obs.guard[if all_restrict { GUARD_SHRINK } else { GUARD_FULL }].inc();
         (fs, if all_restrict { DeltaMode::Shrink } else { DeltaMode::Full })
@@ -2260,11 +1895,7 @@ fn eval_guarded(
     }
     rows.sort_unstable();
     rows.dedup();
-    Ok(GeneralOutcome::Plan(install_plan(
-        delta_mode,
-        st.relation(id),
-        &rows,
-    )))
+    Ok(install_plan(delta_mode, st.relation(id), &rows))
 }
 
 /// Does `f` say `⋀ᵢ xᵢ = ?ᵢ` over exactly `vars` (or, for
@@ -2772,26 +2403,16 @@ mod tests {
     }
 
     #[test]
-    fn delta_installs_never_rebuild_and_detect_unchanged_targets() {
-        let reqs = reach_stream();
-        let mut delta = DynFoMachine::new(crate::programs::reach_u::program(), 8);
-        assert_eq!(delta.install_mode(), InstallMode::Delta);
-        delta.apply_all(&reqs).unwrap();
-        let mut rebuild = DynFoMachine::new(crate::programs::reach_u::program(), 8)
-            .with_install_mode(InstallMode::Rebuild);
-        rebuild.apply_all(&reqs).unwrap();
-
-        assert_eq!(delta.state(), rebuild.state(), "modes agree on state");
-        let d = delta.stats().installs;
-        let r = rebuild.stats().installs;
-        assert_eq!(d.rebuilds, 0, "delta mode never materializes a Relation");
+    fn delta_installs_detect_unchanged_targets() {
+        let mut m = DynFoMachine::new(crate::programs::reach_u::program(), 8);
+        m.apply_all(&reach_stream()).unwrap();
+        let d = m.stats().installs;
+        assert_eq!(d.rebuilds, 0, "the machine never materializes a Relation");
         assert!(
             d.unchanged > 0,
             "the duplicate insert must plan a no-op install: {d:?}"
         );
         assert!(d.delta > 0);
-        assert!(r.rebuilds > 0, "baseline rebuilds every general result");
-        assert_eq!(r.tuples_added + r.tuples_removed, 0);
     }
 
     #[test]

@@ -255,8 +255,8 @@ impl ProgramBuilder {
     /// construction exact), rebuild every auxiliary relation from
     /// scratch. Programs with cheap almost-everywhere update rules and
     /// one stale direction (muddle-through) pair this with
-    /// [`crate::machine::DynFoMachine::with_recompute_every`] or the
-    /// serving tier's `recompute_every` cadence.
+    /// [`crate::machine::DynFoMachine::recompute`] calls on a cadence —
+    /// the serving tier's `recompute_every`.
     pub fn recompute(
         mut self,
         f: impl Fn(&Structure) -> Structure + Send + Sync + 'static,

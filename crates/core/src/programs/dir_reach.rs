@@ -1,7 +1,7 @@
 //! Directed reachability by "start over and muddle through"
 //! (Datta–Kulkarni–Mukherjee–Schwentick–Zeume; strategy paper of
-//! Schwentick et al.): the first non-string client of the machine's
-//! periodic-recompute executor mode.
+//! Schwentick et al.): the first non-string client of the program-level
+//! recompute closure.
 //!
 //! Full dynamic directed reachability (*Reachability is in DynFO*) is
 //! heavyweight; the practical variant maintained here is exact under
@@ -16,11 +16,12 @@
 //! `del(E, a, b)` removes the edge but leaves `TC` as an
 //! over-approximation (muddling through). The program carries a
 //! [`recompute`](crate::program::ProgramBuilder::recompute) closure
-//! that rebuilds `TC` exactly from `E` by BFS; wiring it to
-//! [`DynFoMachine::with_recompute_every`](crate::machine::DynFoMachine)
-//! (or the serving tier's snapshot cadence) amortizes the O(n·m) start
-//! over against the cheap almost-everywhere updates, exactly the
-//! paper's bargain. After any run of insert-only traffic — or right
+//! that rebuilds `TC` exactly from `E` by BFS; calling
+//! [`DynFoMachine::recompute`](crate::machine::DynFoMachine::recompute)
+//! on a cadence (the serving tier's seq-keyed
+//! `StoreConfig::recompute_every`) amortizes the O(n·m) start over
+//! against the cheap almost-everywhere updates, exactly the paper's
+//! bargain. After any run of insert-only traffic — or right
 //! after a recompute — answers are exact; in between, `TC` only ever
 //! errs on the side of *reachable*.
 
@@ -174,25 +175,6 @@ mod tests {
         // Start over: the recompute closure restores exactness.
         assert!(m.recompute().unwrap(), "program carries a recompute fn");
         assert_exact(&mut m, &[(0, 1), (2, 3)]);
-    }
-
-    #[test]
-    fn cadence_restores_exactness_every_k_requests() {
-        let mut m = DynFoMachine::new(dir_reach_program(), N).with_recompute_every(2);
-        let mut edges = vec![(0u32, 1u32), (1, 2), (2, 3)];
-        for &(a, b) in &edges {
-            m.apply(&Request::ins(E, [a, b])).unwrap();
-        }
-        // Requests 4 and 5: a delete (stale) then an insert; the
-        // cadence fires after even request counts, so after the 4th
-        // request the state is exact again.
-        m.apply(&Request::del(E, [1, 2])).unwrap();
-        edges.retain(|&e| e != (1, 2));
-        assert_eq!(m.stats().recomputes, 2, "cadence fired at requests 2 and 4");
-        assert_exact(&mut m, &edges);
-        m.apply(&Request::ins(E, [3, 4])).unwrap();
-        edges.push((3, 4));
-        assert_exact(&mut m, &edges); // insert is exact even mid-window
     }
 
     #[test]

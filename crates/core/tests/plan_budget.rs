@@ -1,92 +1,45 @@
-//! The `DYNFO_PLAN_WORK_CAP` override and the density-aware plan
-//! budget. Lives in its own test binary because the cap is parsed once
-//! per process (`OnceLock`): every test here runs under the same tiny
-//! base cap, set before any machine exists. With the base budget at 1
-//! word, no plan qualifies outright — plans run only when the read
-//! relations' live populations carry the cost — so this pins down both
-//! the override plumbing and the occupancy side of the routing rule.
+//! The occupancy side of the density-aware plan budget
+//! (`BitPlan::profitable`), pinned where the *shipped* constant binds:
+//! REACH_u in the S = 128 layout (65 ≤ n ≤ 128). Its PV insert rule
+//! compiles to a plan of ≈ 99k kernel words — over the 2^16-word base
+//! budget, under the compile ceiling — so whether it runs is decided
+//! per request by the live population of the relation it reads:
+//! declined while the forest is small, admitted once PV holds enough
+//! rows (≈ 12.3k) that the interpreter would scan comparable volume
+//! (E20's REACH_u n = 128 row records the same plan as 94 fallbacks).
 
-use dynfo_core::{programs, DynFoMachine, Request};
-use dynfo_obs::ObsHandle;
-use dynfo_testutil::{churn_stream, edge_requests, rng, run_differential, DiffMode};
-use std::sync::OnceLock;
+use dynfo_core::{programs, Request};
+use dynfo_testutil::{run_differential, DiffMode};
 
-/// Set the override exactly once, before the first machine of the
-/// process forces the cap to parse.
-fn with_tiny_cap() {
-    static SET: OnceLock<()> = OnceLock::new();
-    SET.get_or_init(|| {
-        std::env::set_var("DYNFO_PLAN_WORK_CAP", "1");
-    });
-}
-
-/// The parsed cap is exported through the global registry as the
-/// `machine.plan_work_cap` gauge.
+/// Build two 18-vertex paths, join them, and extend the joined path by
+/// one vertex. PV (the forest's path-vertex relation) holds ≈ L³/3 rows
+/// for a path of L vertices: ≈ 2k per half, ≈ 16k once joined. Every
+/// insert up to and including the join (evaluated on the sparse
+/// pre-state) must decline the PV plan while the smaller plans run; the
+/// insert after it must run every plan. State and answers equal the
+/// interpreter's — and Definition 3.1 — at every step on both sides of
+/// the crossover.
 #[test]
-fn env_cap_is_parsed_and_logged() {
-    with_tiny_cap();
-    let _m = DynFoMachine::new(programs::parity::program(), 8);
-    assert_eq!(
-        ObsHandle::default().gauge("machine.plan_work_cap").get(),
-        1,
-        "gauge should report the DYNFO_PLAN_WORK_CAP override"
-    );
-}
-
-/// With a 1-word base budget, the empty initial state rejects every
-/// plan (no live rows to justify the fixed work), so the first steps
-/// fall back; as the structure populates, rows × words-per-row grows
-/// past plan sizes and plans resume. Correctness is unconditional
-/// either way.
-#[test]
-fn tiny_cap_keeps_answers_and_forces_early_fallback() {
-    with_tiny_cap();
-    let n = 7u32;
-    let reqs = edge_requests("E", &churn_stream(n, 35, 0.3, true, &mut rng(137)));
+fn budget_declines_sparse_reads_and_admits_dense() {
+    let path = |from: u32, to: u32| (from..to).map(|a| Request::ins("E", [a, a + 1]));
+    let mut reqs: Vec<Request> = path(0, 17).chain(path(18, 35)).collect();
+    reqs.push(Request::ins("E", [17, 18]));
+    reqs.push(Request::ins("E", [35, 36]));
     let machines = run_differential(
         &programs::reach_u::program,
-        n,
+        65,
         &reqs,
-        &[("connected", &[0, 6])],
+        &[("connected", &[0, 36]), ("connected", &[0, 64])],
         &[DiffMode::Interp, DiffMode::Plans],
     );
-    let on = &machines[1];
-    let work = on.stats().update_work;
-    let qwork = on.stats().query_work;
-    assert!(
-        work.plan_fallback + qwork.plan_fallback > 0,
-        "a 1-word budget over an initially empty state must decline some plans"
-    );
-}
-
-/// The budget is evaluated against live occupancy, not compile-time
-/// state: a query plan rejected on the empty structure runs once the
-/// relations it reads fill in.
-#[test]
-fn budget_admits_plans_as_occupancy_grows() {
-    with_tiny_cap();
-    let n = 7u32;
-    let mut m = DynFoMachine::new(programs::reach_u::program(), n);
-
-    // Empty state: every read relation has zero rows, so the query
-    // plan's fixed work cannot be covered.
-    m.query().unwrap();
-    let cold = m.stats().query_work;
-    assert_eq!(cold.plan_compiled, 0, "empty-state query must interpret");
-    assert!(cold.plan_fallback > 0);
-
-    // Fill the graph: reads now carry enough rows to pay for the plan.
-    for a in 0..n {
-        for b in 0..n {
-            if a != b {
-                m.apply(&Request::ins("E", [a, b])).unwrap();
-            }
-        }
-    }
-    let before = m.stats().query_work.plan_compiled;
-    m.query().unwrap();
-    assert!(
-        m.stats().query_work.plan_compiled > before,
-        "dense state should admit the query plan under the live budget"
+    // An insert evaluates three rules that have plans, and only PV's
+    // is over the base budget: one fallback per sparse insert, none on
+    // the dense one.
+    let work = machines[1].stats().update_work;
+    assert_eq!(work.plan_compiled + work.plan_fallback, 3 * reqs.len());
+    assert_eq!(
+        work.plan_fallback,
+        reqs.len() - 1,
+        "every insert but the last must decline exactly the PV plan"
     );
 }

@@ -1,30 +1,78 @@
-//! Differential check for compiled update plans: a machine executing
-//! general rules and queries through bit-parallel plans must be
+//! The program × route matrix: every program in the Section 4 library,
+//! on a randomized request stream, through every execution route that
+//! applies to all of them — the relational-algebra interpreter (the
+//! reference, itself held to Definition 3.1 by `run_differential`),
+//! compiled bit-parallel plans with the algebraic optimizer, the
+//! parallel rule scheduler, and `apply_batch`. All four must be
 //! indistinguishable — same auxiliary structure, same answers at every
-//! step — from one running the relational-algebra interpreter. Held
-//! over every program in the Section 4 library on randomized request
-//! streams, because each program stresses a different mix of plan
-//! shapes: grow-only ψ, shrink, full diffs, guarded fallbacks, numeric
-//! guards, and parameterized queries.
+//! aligned step. Each program stresses a different mix of plan shapes:
+//! grow-only ψ, shrink, full diffs, guarded fallbacks, numeric guards,
+//! and parameterized queries.
 //!
-//! The step-loop itself lives in `dynfo-testutil` —
-//! [`assert_plans_transparent`] and [`run_differential`] are the one
-//! shared oracle-differential harness, also used by the integration and
-//! logic-level suites.
+//! Optimizer-on ≡ interpreter ≡ Definition 3.1 subsumes the old
+//! optimizer-on ≡ optimizer-off differential; what each row still pins
+//! separately is that the plan path actually ran and whether the
+//! optimizer found anything to remove in that program's plans — a
+//! rewrite regression that silently stops firing fails here, not just
+//! in E24.
+//!
+//! The step-loop itself lives in `dynfo-testutil` ([`run_differential`]),
+//! the one shared oracle-differential harness, also used by the
+//! integration and logic-level suites.
 
-use dynfo_core::programs;
-use dynfo_core::Request;
+use dynfo_core::{programs, DynFoMachine, DynFoProgram, Request};
 use dynfo_testutil::{
-    assert_plans_transparent, churn_stream, dag_churn_stream, edge_requests, rng,
-    run_differential, weighted_stream, DiffMode,
+    churn_stream, dag_churn_stream, edge_requests, rng, run_differential, weighted_stream,
+    DiffMode,
 };
 use proptest::prelude::*;
 use rand::Rng;
 
-#[test]
-fn plan_parity() {
+/// One matrix row: drive `reqs` through all four routes, require that
+/// compiled plans actually executed on every plans-on machine (guards
+/// against silently falling back everywhere) and never on the
+/// interpreter machine, and check the optimizer's static summary over
+/// the plans machine: with `optimizer_fires` it removed ops (and kernel
+/// words) from some plan, without it the program's plans were already
+/// tight.
+fn assert_routes_agree(
+    program: impl Fn() -> DynFoProgram,
+    n: u32,
+    reqs: &[Request],
+    queries: &[(&str, &[u32])],
+    optimizer_fires: bool,
+) {
+    let machines = run_differential(
+        &program,
+        n,
+        reqs,
+        queries,
+        &[DiffMode::Interp, DiffMode::Plans, DiffMode::Parallel(3), DiffMode::Batch(5)],
+    );
+    let compiled = |m: &DynFoMachine| {
+        m.stats().update_work.plan_compiled + m.stats().query_work.plan_compiled
+    };
+    assert_eq!(compiled(&machines[0]), 0, "plans-off machine must never run a plan");
+    for m in &machines[1..] {
+        assert!(
+            compiled(m) > 0,
+            "no plan ever executed with {} workers (update fallbacks: {}, query fallbacks: {})",
+            m.parallelism(),
+            m.stats().update_work.plan_fallback,
+            m.stats().query_work.plan_fallback
+        );
+    }
+    let (ops, words) = machines[1].plan_opt_summary();
+    if optimizer_fires {
+        assert!(ops > 0 && words > 0, "optimizer found nothing: {ops} ops, {words} words");
+    } else {
+        assert_eq!(ops, 0, "optimizer unexpectedly fired");
+    }
+}
+
+fn parity_stream() -> Vec<Request> {
     let mut rand = rng(11);
-    let reqs: Vec<Request> = (0..40)
+    (0..40)
         .map(|_| {
             let i = rand.gen_range(0..8u32);
             if rand.gen_bool(0.4) {
@@ -33,201 +81,85 @@ fn plan_parity() {
                 Request::ins("M", [i])
             }
         })
-        .collect();
-    assert_plans_transparent(programs::parity::program, 8, &reqs, &[], true);
+        .collect()
 }
 
-#[test]
-fn plan_reach_u() {
-    let n = 7u32;
+/// REACH_u's stream also exercises `set` requests: the query reads
+/// constants s and t.
+fn reach_u_stream(n: u32) -> Vec<Request> {
     let mut reqs = edge_requests("E", &churn_stream(n, 35, 0.3, true, &mut rng(13)));
-    // Exercise `set` requests too: the query reads constants s and t.
     reqs.insert(10, Request::set("s", 2));
     reqs.insert(20, Request::set("t", 5));
-    assert_plans_transparent(
-        programs::reach_u::program,
-        n,
-        &reqs,
-        &[("connected", &[0, 6]), ("connected", &[2, 3])],
-        true,
-    );
+    reqs
 }
 
-#[test]
-fn plan_reach_acyclic() {
-    let n = 7u32;
-    let reqs = edge_requests("E", &dag_churn_stream(n, 35, 0.3, &mut rng(17)));
-    assert_plans_transparent(
-        programs::reach_acyclic::program,
-        n,
-        &reqs,
-        &[("reaches", &[0, 6])],
-        true,
-    );
+macro_rules! route_matrix {
+    ($($test:ident => ($program:expr, $n:expr, $reqs:expr, $queries:expr, $fires:expr);)*) => {$(
+        #[test]
+        fn $test() {
+            assert_routes_agree($program, $n, &$reqs, &$queries, $fires);
+        }
+    )*};
 }
 
-#[test]
-fn plan_trans_reduction() {
-    let n = 6u32;
-    let reqs = edge_requests("E", &dag_churn_stream(n, 30, 0.3, &mut rng(19)));
-    assert_plans_transparent(
-        programs::trans_reduction::program,
-        n,
-        &reqs,
-        &[("in_tr", &[0, 1]), ("reaches", &[0, 5])],
-        true,
-    );
+// {12 programs} × [Interp, Plans, Parallel(3), Batch(5)]; the last
+// column is `optimizer_fires`. The semi-dynamic programs are
+// insert-only by contract (delete rate 0).
+route_matrix! {
+    // PARITY's counter rules are already tight.
+    routes_parity => (programs::parity::program, 8, parity_stream(), [], false);
+    routes_reach_u => (programs::reach_u::program, 7, reach_u_stream(7),
+        [("connected", &[0, 6][..]), ("connected", &[2, 3])], true);
+    routes_reach_acyclic => (programs::reach_acyclic::program, 7,
+        edge_requests("E", &dag_churn_stream(7, 35, 0.3, &mut rng(17))),
+        [("reaches", &[0, 6][..])], true);
+    routes_trans_reduction => (programs::trans_reduction::program, 6,
+        edge_requests("E", &dag_churn_stream(6, 30, 0.3, &mut rng(19))),
+        [("in_tr", &[0, 1][..]), ("reaches", &[0, 5])], true);
+    // MSF's 5-ary cycle rules are the optimizer's biggest win in the library.
+    routes_msf => (programs::msf::program, 5, weighted_stream(5, 30, 23),
+        [("in_msf", &[0, 1][..]), ("connected", &[0, 4])], true);
+    routes_bipartite => (programs::bipartite::program, 7,
+        edge_requests("E", &churn_stream(7, 35, 0.3, true, &mut rng(29))),
+        [("odd_path", &[0, 1][..]), ("connected", &[0, 6])], true);
+    routes_kconn => (|| programs::kconn::program_up_to(2), 6,
+        edge_requests("E", &churn_stream(6, 30, 0.3, true, &mut rng(31))),
+        [("connected", &[0, 5][..])], true);
+    routes_matching => (programs::matching::program, 6,
+        edge_requests("E", &churn_stream(6, 30, 0.3, true, &mut rng(37))),
+        [("matched", &[0, 1][..]), ("is_matched", &[2])], true);
+    routes_lca => (programs::lca::program, 6,
+        edge_requests("E", &dag_churn_stream(6, 30, 0.3, &mut rng(41))),
+        [("ancestor", &[0, 5][..])], true);
+    routes_vertex_cover => (programs::vertex_cover::program, 6,
+        edge_requests("E", &churn_stream(6, 30, 0.3, true, &mut rng(43))),
+        [("in_cover", &[0][..]), ("in_cover", &[3])], true);
+    routes_semi_reach_u => (programs::semi::reach_u_program, 7,
+        edge_requests("E", &churn_stream(7, 25, 0.0, true, &mut rng(47))),
+        [("connected", &[0, 6][..])], false);
+    routes_semi_reach => (programs::semi::reach_program, 7,
+        edge_requests("E", &churn_stream(7, 25, 0.0, false, &mut rng(53))),
+        [("reaches", &[0, 6][..])], false);
 }
 
+/// The whole stream through one `apply_batch` chunk (the comparison
+/// happens once, at the end), and mid-size chunks whose boundaries
+/// interleave with the stream (compared at every boundary).
 #[test]
-fn plan_msf() {
-    let n = 5u32;
-    let reqs = weighted_stream(n, 30, 23);
-    assert_plans_transparent(
-        programs::msf::program,
-        n,
-        &reqs,
-        &[("in_msf", &[0, 1]), ("connected", &[0, 4])],
-        true,
-    );
-}
-
-#[test]
-fn plan_bipartite() {
-    let n = 7u32;
-    let reqs = edge_requests("E", &churn_stream(n, 35, 0.3, true, &mut rng(29)));
-    assert_plans_transparent(
-        programs::bipartite::program,
-        n,
-        &reqs,
-        &[("odd_path", &[0, 1]), ("connected", &[0, 6])],
-        true,
-    );
-}
-
-#[test]
-fn plan_kconn() {
-    let n = 6u32;
-    let reqs = edge_requests("E", &churn_stream(n, 30, 0.3, true, &mut rng(31)));
-    assert_plans_transparent(
-        || programs::kconn::program_up_to(2),
-        n,
-        &reqs,
-        &[("connected", &[0, 5])],
-        true,
-    );
-}
-
-#[test]
-fn plan_matching() {
-    let n = 6u32;
-    let reqs = edge_requests("E", &churn_stream(n, 30, 0.3, true, &mut rng(37)));
-    assert_plans_transparent(
-        programs::matching::program,
-        n,
-        &reqs,
-        &[("matched", &[0, 1]), ("is_matched", &[2])],
-        true,
-    );
-}
-
-#[test]
-fn plan_lca() {
-    let n = 6u32;
-    let reqs = edge_requests("E", &dag_churn_stream(n, 30, 0.3, &mut rng(41)));
-    assert_plans_transparent(
-        programs::lca::program,
-        n,
-        &reqs,
-        &[("ancestor", &[0, 5])],
-        true,
-    );
-}
-
-#[test]
-fn plan_vertex_cover() {
-    let n = 6u32;
-    let reqs = edge_requests("E", &churn_stream(n, 30, 0.3, true, &mut rng(43)));
-    assert_plans_transparent(
-        programs::vertex_cover::program,
-        n,
-        &reqs,
-        &[("in_cover", &[0]), ("in_cover", &[3])],
-        true,
-    );
-}
-
-#[test]
-fn plan_semi_reach_u() {
-    // Semi-dynamic: insert-only by contract.
-    let n = 7u32;
-    let reqs: Vec<Request> = edge_requests("E", &churn_stream(n, 25, 0.0, true, &mut rng(47)));
-    assert_plans_transparent(
-        programs::semi::reach_u_program,
-        n,
-        &reqs,
-        &[("connected", &[0, 6])],
-        true,
-    );
-}
-
-#[test]
-fn plan_semi_reach() {
-    let n = 7u32;
-    let reqs: Vec<Request> = edge_requests("E", &churn_stream(n, 25, 0.0, false, &mut rng(53)));
-    assert_plans_transparent(
-        programs::semi::reach_program,
-        n,
-        &reqs,
-        &[("reaches", &[0, 6])],
-        true,
-    );
-}
-
-/// The parallel scheduler executes rule plans from pool workers; the
-/// result must match the serial interpreter exactly, at every step.
-#[test]
-fn plan_parallel_scheduler_matches_serial_interpreter() {
-    let n = 7u32;
-    let reqs = edge_requests("E", &churn_stream(n, 30, 0.3, true, &mut rng(59)));
-    let machines = run_differential(
-        &programs::reach_u::program,
-        n,
-        &reqs,
-        &[("connected", &[0, n - 1])],
-        &[DiffMode::Interp, DiffMode::Parallel(3)],
-    );
-    assert!(machines[1].stats().update_work.plan_compiled > 0);
-}
-
-/// Batch application with plans matches sequential application without;
-/// the whole stream goes through one `apply_batch` chunk, so the
-/// comparison happens once, at the end.
-#[test]
-fn plan_batch_matches_sequential_interpreter() {
+fn plan_batch_sizes_match_stepwise_interpreter() {
     let n = 7u32;
     let reqs = edge_requests("E", &churn_stream(n, 40, 0.35, true, &mut rng(61)));
     run_differential(
         &programs::reach_u::program,
         n,
         &reqs,
-        &[],
-        &[DiffMode::Interp, DiffMode::Batch(reqs.len())],
-    );
-}
-
-/// Mid-size batches: chunk boundaries interleave with the stream, so the
-/// harness compares at every boundary, not just the end.
-#[test]
-fn plan_small_batches_match_stepwise_plans() {
-    let n = 7u32;
-    let reqs = edge_requests("E", &churn_stream(n, 40, 0.35, true, &mut rng(67)));
-    run_differential(
-        &programs::reach_u::program,
-        n,
-        &reqs,
         &[("connected", &[0, 6])],
-        &[DiffMode::Plans, DiffMode::Batch(7), DiffMode::Batch(3)],
+        &[
+            DiffMode::Interp,
+            DiffMode::Batch(reqs.len()),
+            DiffMode::Batch(7),
+            DiffMode::Batch(3),
+        ],
     );
 }
 
@@ -250,12 +182,12 @@ proptest! {
                 Request::del("E", [a, b])
             })
             .collect();
-        assert_plans_transparent(
-            programs::reach_u::program,
+        run_differential(
+            &programs::reach_u::program,
             6,
             &reqs,
             &[("connected", &[0, 5])],
-            false,
+            &[DiffMode::Interp, DiffMode::Plans],
         );
     }
 
@@ -273,187 +205,14 @@ proptest! {
                 Request::del("M", [i])
             })
             .collect();
-        assert_plans_transparent(programs::parity::program, 8, &reqs, &[], false);
+        run_differential(
+            &programs::parity::program,
+            8,
+            &reqs,
+            &[],
+            &[DiffMode::Interp, DiffMode::Plans],
+        );
     }
-}
-
-// ---------------------------------------------------------------------------
-// Optimizer-on vs optimizer-off differentials (PR 8)
-// ---------------------------------------------------------------------------
-//
-// The algebraic plan optimizer must be invisible in state and answers:
-// each `opt_*` test drives one stream through the raw-lowering baseline
-// (`PlansNoOpt`, the reference), the optimized default, the parallel
-// scheduler, and `apply_batch`, asserting step-for-step agreement. The
-// returned `(ops_removed, words_saved)` summary additionally pins, per
-// program, whether the optimizer found anything to do — a rewrite
-// regression that silently stops firing fails here, not just in E24.
-
-use dynfo_testutil::assert_opt_transparent;
-
-#[test]
-fn opt_parity() {
-    let mut rand = rng(71);
-    let reqs: Vec<Request> = (0..30)
-        .map(|_| {
-            let i = rand.gen_range(0..8u32);
-            if rand.gen_bool(0.4) {
-                Request::del("M", [i])
-            } else {
-                Request::ins("M", [i])
-            }
-        })
-        .collect();
-    // PARITY's counter rules are already tight: nothing to remove.
-    let (ops, _) = assert_opt_transparent(programs::parity::program, 8, &reqs, &[]);
-    assert_eq!(ops, 0, "optimizer unexpectedly fired on PARITY");
-}
-
-#[test]
-fn opt_reach_u() {
-    let n = 7u32;
-    let mut reqs = edge_requests("E", &churn_stream(n, 30, 0.3, true, &mut rng(73)));
-    reqs.insert(8, Request::set("s", 1));
-    let (ops, words) = assert_opt_transparent(
-        programs::reach_u::program,
-        n,
-        &reqs,
-        &[("connected", &[0, 6])],
-    );
-    assert!(ops > 0, "optimizer found nothing in REACH_u");
-    assert!(words > 0);
-}
-
-#[test]
-fn opt_reach_acyclic() {
-    let n = 7u32;
-    let reqs = edge_requests("E", &dag_churn_stream(n, 30, 0.3, &mut rng(79)));
-    let (ops, _) = assert_opt_transparent(
-        programs::reach_acyclic::program,
-        n,
-        &reqs,
-        &[("reaches", &[0, 6])],
-    );
-    assert!(ops > 0, "optimizer found nothing in REACH_acyclic");
-}
-
-#[test]
-fn opt_trans_reduction() {
-    let n = 6u32;
-    let reqs = edge_requests("E", &dag_churn_stream(n, 25, 0.3, &mut rng(83)));
-    let (ops, _) = assert_opt_transparent(
-        programs::trans_reduction::program,
-        n,
-        &reqs,
-        &[("in_tr", &[0, 1])],
-    );
-    assert!(ops > 0, "optimizer found nothing in TRANS_REDUCTION");
-}
-
-#[test]
-fn opt_msf() {
-    let n = 5u32;
-    let reqs = weighted_stream(n, 25, 89);
-    let (ops, words) = assert_opt_transparent(
-        programs::msf::program,
-        n,
-        &reqs,
-        &[("in_msf", &[0, 1]), ("connected", &[0, 4])],
-    );
-    // MSF's 5-ary cycle rules are the biggest win in the whole library.
-    assert!(ops > 0, "optimizer found nothing in MSF");
-    assert!(words > 0);
-}
-
-#[test]
-fn opt_bipartite() {
-    let n = 7u32;
-    let reqs = edge_requests("E", &churn_stream(n, 30, 0.3, true, &mut rng(97)));
-    let (ops, _) = assert_opt_transparent(
-        programs::bipartite::program,
-        n,
-        &reqs,
-        &[("odd_path", &[0, 1])],
-    );
-    assert!(ops > 0, "optimizer found nothing in BIPARTITE");
-}
-
-#[test]
-fn opt_kconn() {
-    let n = 6u32;
-    let reqs = edge_requests("E", &churn_stream(n, 25, 0.3, true, &mut rng(101)));
-    let (ops, _) = assert_opt_transparent(
-        || programs::kconn::program_up_to(2),
-        n,
-        &reqs,
-        &[("connected", &[0, 5])],
-    );
-    assert!(ops > 0, "optimizer found nothing in KCONN");
-}
-
-#[test]
-fn opt_matching() {
-    let n = 6u32;
-    let reqs = edge_requests("E", &churn_stream(n, 25, 0.3, true, &mut rng(103)));
-    let (ops, _) = assert_opt_transparent(
-        programs::matching::program,
-        n,
-        &reqs,
-        &[("matched", &[0, 1]), ("is_matched", &[2])],
-    );
-    assert!(ops > 0, "optimizer found nothing in MATCHING");
-}
-
-#[test]
-fn opt_lca() {
-    let n = 6u32;
-    let reqs = edge_requests("E", &dag_churn_stream(n, 25, 0.3, &mut rng(107)));
-    let (ops, _) = assert_opt_transparent(
-        programs::lca::program,
-        n,
-        &reqs,
-        &[("ancestor", &[0, 5])],
-    );
-    assert!(ops > 0, "optimizer found nothing in LCA");
-}
-
-#[test]
-fn opt_vertex_cover() {
-    let n = 6u32;
-    let reqs = edge_requests("E", &churn_stream(n, 25, 0.3, true, &mut rng(109)));
-    let (ops, _) = assert_opt_transparent(
-        programs::vertex_cover::program,
-        n,
-        &reqs,
-        &[("in_cover", &[0])],
-    );
-    assert!(ops > 0, "optimizer found nothing in VERTEX_COVER");
-}
-
-#[test]
-fn opt_semi_reach_u() {
-    let n = 7u32;
-    let reqs: Vec<Request> =
-        edge_requests("E", &churn_stream(n, 20, 0.0, true, &mut rng(113)));
-    assert_opt_transparent(
-        programs::semi::reach_u_program,
-        n,
-        &reqs,
-        &[("connected", &[0, 6])],
-    );
-}
-
-#[test]
-fn opt_semi_reach() {
-    let n = 7u32;
-    let reqs: Vec<Request> =
-        edge_requests("E", &churn_stream(n, 20, 0.0, false, &mut rng(127)));
-    assert_opt_transparent(
-        programs::semi::reach_program,
-        n,
-        &reqs,
-        &[("reaches", &[0, 6])],
-    );
 }
 
 /// The enumerated synth corpus, machine-free: every corpus formula's

@@ -319,11 +319,6 @@ pub struct Evaluator<'a> {
     params: &'a [Elem],
     stats: EvalStats,
     complement_budget: u128,
-    /// Conjunction-planner short-circuiting (on by default): once the
-    /// accumulated table is empty, remaining conjuncts are skipped.
-    /// Disabled by the pre-delta baseline executor so benchmarks and
-    /// differential tests measure the naive planner.
-    short_circuit: bool,
     /// Memoized results for repeated composite subformulas. Update
     /// programs reuse large subformulas — e.g. Theorem 4.1's `New`
     /// appears four times in one delete — so this saves real work even
@@ -360,7 +355,6 @@ impl<'a> Evaluator<'a> {
             params,
             stats: EvalStats::default(),
             complement_budget: DEFAULT_COMPLEMENT_BUDGET,
-            short_circuit: true,
             cache: CacheSlot::Owned(SubformulaCache::new()),
         }
     }
@@ -379,7 +373,6 @@ impl<'a> Evaluator<'a> {
             params,
             stats: EvalStats::default(),
             complement_budget: DEFAULT_COMPLEMENT_BUDGET,
-            short_circuit: true,
             cache: CacheSlot::Shared(cache),
         }
     }
@@ -404,7 +397,6 @@ impl<'a> Evaluator<'a> {
             params,
             stats: EvalStats::default(),
             complement_budget: DEFAULT_COMPLEMENT_BUDGET,
-            short_circuit: true,
             cache: CacheSlot::Overlay { base, local },
         }
     }
@@ -425,15 +417,6 @@ impl<'a> Evaluator<'a> {
     pub fn with_complement_budget(mut self, budget: u128) -> Evaluator<'a> {
         self.complement_budget = budget;
         self
-    }
-
-    /// Enable or disable conjunction-planner short-circuiting (on by
-    /// default). With it off, every conjunct is evaluated even after
-    /// the accumulated table empties — the pre-delta planner, kept so
-    /// the baseline executor and differential tests measure exactly
-    /// the work the short-circuit removes.
-    pub fn set_short_circuit(&mut self, enabled: bool) {
-        self.short_circuit = enabled;
     }
 
     fn n(&self) -> Elem {
@@ -809,7 +792,7 @@ impl<'a> Evaluator<'a> {
             // closed guards cheap — `γ(?̄) ∧ big-repair` dies at the
             // guard scan when γ is false instead of materializing the
             // repair subformula.
-            if self.short_circuit && table.is_empty() {
+            if table.is_empty() {
                 return Ok(Table::empty(whole_free.iter().copied().collect()));
             }
             let bound: BTreeSet<Sym> = table.vars().iter().copied().collect();

@@ -22,8 +22,7 @@
 //!   per call dominated the per-update cost at realistic n. Pools are
 //!   keyed by size and live for the process (workers block on a shared
 //!   channel between calls), so repeated updates pay only a channel
-//!   send. [`evaluate_parallel_spawn`] keeps the spawn-per-call path for
-//!   comparison benchmarks.
+//!   send.
 //! * **Work stealing + selectivity-based slicing.** Slice values are
 //!   handed out one at a time from a shared atomic counter, so a worker
 //!   that drew cheap slices (e.g. values absent from every relation)
@@ -284,29 +283,6 @@ pub fn evaluate_parallel(
     params: &[Elem],
     threads: usize,
 ) -> Result<Table, EvalError> {
-    let pool = EvalPool::global(threads.max(1).min(st.size().max(1) as usize));
-    evaluate_sliced(f, st, params, threads, Some(&pool))
-}
-
-/// [`evaluate_parallel`], but spawning fresh OS threads for this one
-/// call — the pre-pool behavior, kept so benchmarks can measure what the
-/// pool saves.
-pub fn evaluate_parallel_spawn(
-    f: &Formula,
-    st: &Structure,
-    params: &[Elem],
-    threads: usize,
-) -> Result<Table, EvalError> {
-    evaluate_sliced(f, st, params, threads, None)
-}
-
-fn evaluate_sliced(
-    f: &Formula,
-    st: &Structure,
-    params: &[Elem],
-    threads: usize,
-    pool: Option<&EvalPool>,
-) -> Result<Table, EvalError> {
     let canonical = canonicalize(f);
     let fv: Vec<Sym> = free_vars(&canonical).into_iter().collect();
     if fv.is_empty() || st.size() < 2 {
@@ -319,6 +295,7 @@ fn evaluate_sliced(
     // model pays the same trade: n^k processors, constant depth.)
     let n = st.size();
     let threads = threads.max(1).min(n as usize);
+    let pool = EvalPool::global(threads);
     let slice_var = pick_slice_var(&canonical, &fv, st);
     let mut out_cols: Vec<Sym> = fv.iter().copied().filter(|&v| v != slice_var).collect();
     out_cols.push(slice_var);
@@ -369,26 +346,14 @@ fn evaluate_sliced(
         *slot.lock().unwrap() = Some(result);
     };
 
-    match pool {
-        Some(pool) => {
-            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = slots
-                .iter()
-                .map(|slot| {
-                    let worker = &worker;
-                    Box::new(move || worker(slot)) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            pool.run_scoped(jobs);
-        }
-        None => {
-            std::thread::scope(|scope| {
-                for slot in &slots {
-                    let worker = &worker;
-                    scope.spawn(move || worker(slot));
-                }
-            });
-        }
-    }
+    let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = slots
+        .iter()
+        .map(|slot| {
+            let worker = &worker;
+            Box::new(move || worker(slot)) as Box<dyn FnOnce() + Send + '_>
+        })
+        .collect();
+    pool.run_scoped(jobs);
 
     let mut rows: Vec<Tuple> = Vec::new();
     for slot in slots {
@@ -429,17 +394,6 @@ mod tests {
             let par = evaluate_parallel(&f, &st, &[], threads).unwrap();
             let fv: Vec<_> = seq.vars().to_vec();
             assert_eq!(par.project(&fv).sorted(), seq, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn pooled_matches_spawned() {
-        let st = structure(12, &[(0, 1), (1, 2), (3, 4), (7, 11), (11, 11)]);
-        let f = rel("E", [v("x"), v("y")]) & !rel("E", [v("y"), v("x")]);
-        for threads in [1, 3, 8] {
-            let pooled = evaluate_parallel(&f, &st, &[], threads).unwrap();
-            let spawned = evaluate_parallel_spawn(&f, &st, &[], threads).unwrap();
-            assert_eq!(pooled.sorted(), spawned.sorted(), "threads={threads}");
         }
     }
 

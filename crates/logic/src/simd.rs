@@ -13,17 +13,16 @@
 //!   (LLVM re-vectorizes them at 256 bits with its own unrolling); the
 //!   blocked fold is hand-written intrinsics.
 //! * `Sse2` — the x86_64 baseline, i.e. what the scalar loops already
-//!   auto-vectorize to. A distinct tier so `DYNFO_SIMD=sse2` pins an
-//!   AVX2 machine to 128-bit codegen for comparison.
+//!   auto-vectorize to: the tier x86_64 hosts without AVX2 detect.
 //! * `Neon` — the aarch64 baseline, same story as SSE2 there.
 //! * `Scalar` — unrolled u64 loops with no `target_feature` attributes
 //!   at all — the tier that must (and does) compile on stable with
 //!   `--no-default-features`.
 //!
-//! The tier is resolved once (first use) and cached. `DYNFO_SIMD`
-//! overrides detection (`off`/`scalar`, `sse2`, `avx2`, `neon`, `auto`)
-//! so benches can measure the scalar baseline against the SIMD paths in
-//! one binary; [`force_tier`] does the same programmatically for tests.
+//! The tier is resolved by hardware detection once (first use) and
+//! cached. [`force_tier`] pins another one in-process, so the tier
+//! test and E22 can hold every tier the host runs against the scalar
+//! baseline in one binary.
 //!
 //! Safety note: the `unsafe` in this module is confined to the
 //! `target_feature` functions; each is only reachable after the matching
@@ -53,7 +52,7 @@ pub enum Tier {
 }
 
 impl Tier {
-    /// Short name, as accepted by `DYNFO_SIMD` and printed by benches.
+    /// Short name, as printed by benches.
     pub fn name(self) -> &'static str {
         match self {
             Tier::Scalar => "scalar",
@@ -100,7 +99,7 @@ fn encode(t: Tier) -> u8 {
     }
 }
 
-/// What the hardware supports, ignoring any override.
+/// What the hardware supports.
 fn detect() -> Tier {
     #[cfg(target_arch = "x86_64")]
     {
@@ -132,27 +131,22 @@ fn clamp(requested: Tier) -> Tier {
     }
 }
 
-/// The active tier, resolved once from `DYNFO_SIMD` (or detection) and
-/// cached for the life of the process (unless [`force_tier`] overrides).
+/// The active tier, resolved once by detection and cached for the life
+/// of the process (unless [`force_tier`] overrides).
 pub fn tier() -> Tier {
     let cur = TIER.load(Ordering::Relaxed);
     if cur != T_UNSET {
         return decode(cur);
     }
-    let chosen = match std::env::var("DYNFO_SIMD").ok().as_deref() {
-        Some("off") | Some("scalar") => Tier::Scalar,
-        Some("sse2") => clamp(Tier::Sse2),
-        Some("avx2") => clamp(Tier::Avx2),
-        Some("neon") => clamp(Tier::Neon),
-        _ => detect(),
-    };
+    let chosen = detect();
     TIER.store(encode(chosen), Ordering::Relaxed);
     chosen
 }
 
-/// Pin the dispatch tier (clamped to hardware support); benches use this
-/// to compare scalar vs SIMD passes within one process. Returns the tier
-/// actually installed.
+/// Pin the dispatch tier (clamped to hardware support); the tier test
+/// and E22 use this to compare scalar vs SIMD passes within one
+/// process. Returns the tier actually installed.
+#[doc(hidden)]
 pub fn force_tier(t: Tier) -> Tier {
     let eff = clamp(t);
     TIER.store(encode(eff), Ordering::Relaxed);
@@ -801,9 +795,7 @@ mod x86 {
     // SSE2 is baseline on x86_64, so the compiler already auto-
     // vectorizes the scalar loops with it: this tier is the explicit
     // name for that codegen (selecting it and selecting `scalar`
-    // produce the same passes on this architecture). Kept as a distinct
-    // tier so `DYNFO_SIMD=sse2` pins AVX2 machines to the 128-bit
-    // baseline for comparison.
+    // produce the same passes on this architecture).
 
     pub fn or_assign_sse2(dst: &mut [u64], src: &[u64]) {
         super::scalar::or_assign(dst, src)
@@ -995,77 +987,84 @@ mod tests {
     #[test]
     fn simd_all_tiers_match_scalar_reference() {
         let lens = [0usize, 1, 2, 3, 4, 5, 7, 8, 63, 64, 65, 257];
-        for &len in &lens {
-            let a = words(len, 3);
-            let b = words(len, 17);
-            let v = words(len, 91);
+        // Every operand and destination is a sub-slice starting `off`
+        // words into its allocation (`&a[1..]`, `&a[3..]`): a fresh
+        // `Vec<u64>` starts 16-byte aligned in practice, so the odd
+        // offsets hand each tier addresses no vector width divides.
+        for (len, off) in lens.iter().flat_map(|&len| [0usize, 1, 3].map(|off| (len, off))) {
+            let (a_buf, b_buf, v_buf) =
+                (words(len + off, 3), words(len + off, 17), words(len + off, 91));
+            let (a, b, v) = (&a_buf[off..], &b_buf[off..], &v_buf[off..]);
+            let zeros = || vec![0u64; len + off];
             for t in tiers_under_test() {
                 assert_eq!(force_tier(t), t);
+                let at = format!("tier={t:?} len={len} off={off}");
                 for &and in &[false, true] {
                     for &fa in &[0u64, !0u64] {
                         for &fb in &[0u64, !0u64] {
-                            for valid in [None, Some(v.as_slice())] {
-                                let mut got = vec![0u64; len];
-                                combine2(&mut got, &a, &b, and, fa, fb, valid);
-                                let mut want = vec![0u64; len];
-                                scalar::combine2(&mut want, &a, &b, and, fa, fb, valid);
-                                assert_eq!(got, want, "tier={t:?} len={len} and={and}");
+                            for valid in [None, Some(v)] {
+                                let mut got = zeros();
+                                combine2(&mut got[off..], a, b, and, fa, fb, valid);
+                                let mut want = zeros();
+                                scalar::combine2(&mut want[off..], a, b, and, fa, fb, valid);
+                                assert_eq!(got, want, "combine2 {at} and={and}");
                             }
                         }
                     }
-                    let mut got = a.clone();
-                    fold_assign(&mut got, &b, and);
-                    let mut want = a.clone();
+                    let mut got = a_buf.clone();
+                    fold_assign(&mut got[off..], b, and);
+                    let mut want = a_buf.clone();
                     if and {
-                        scalar::and_assign(&mut want, &b);
+                        scalar::and_assign(&mut want[off..], b);
                     } else {
-                        scalar::or_assign(&mut want, &b);
+                        scalar::or_assign(&mut want[off..], b);
                     }
-                    assert_eq!(got, want, "fold tier={t:?} len={len} and={and}");
+                    assert_eq!(got, want, "fold {at} and={and}");
                 }
-                let mut got = vec![0u64; len];
-                combine1(&mut got, &a, !0, Some(&v));
-                let mut want = vec![0u64; len];
-                scalar::combine1(&mut want, &a, !0, Some(&v));
-                assert_eq!(got, want, "combine1 tier={t:?} len={len}");
+                let mut got = zeros();
+                combine1(&mut got[off..], a, !0, Some(v));
+                let mut want = zeros();
+                scalar::combine1(&mut want[off..], a, !0, Some(v));
+                assert_eq!(got, want, "combine1 {at}");
                 // Fused combine-and-popcount passes, all (and, fb)
                 // shapes, against the scalar reference.
                 for &and in &[false, true] {
                     for &fb in &[0u64, !0u64] {
-                        let mut got = vec![0u64; len];
-                        let gc = combine2_count(&mut got, &a, &b, and, fb);
-                        let mut want = vec![0u64; len];
-                        let wc = scalar::combine2_count(&mut want, &a, &b, and, fb);
-                        assert_eq!((got, gc), (want, wc), "combine2_count tier={t:?} len={len}");
-                        let mut got = a.clone();
-                        let gc = fold_count(&mut got, &b, and, fb);
-                        let mut want = a.clone();
-                        let wc = scalar::fold_count(&mut want, &b, and, fb);
-                        assert_eq!((got, gc), (want, wc), "fold_count tier={t:?} len={len}");
+                        let mut got = zeros();
+                        let gc = combine2_count(&mut got[off..], a, b, and, fb);
+                        let mut want = zeros();
+                        let wc = scalar::combine2_count(&mut want[off..], a, b, and, fb);
+                        assert_eq!((got, gc), (want, wc), "combine2_count {at}");
+                        let mut got = a_buf.clone();
+                        let gc = fold_count(&mut got[off..], b, and, fb);
+                        let mut want = a_buf.clone();
+                        let wc = scalar::fold_count(&mut want[off..], b, and, fb);
+                        assert_eq!((got, gc), (want, wc), "fold_count {at}");
                     }
                 }
                 // Blocked fold over every divisor shape of a 24-block
                 // source, covering the 8-strip, 4-strip, and tail paths.
                 if len > 0 {
-                    let big = words(len * 24, 7);
+                    let big_buf = words(len * 24 + off, 7);
+                    let big = &big_buf[off..];
                     for &and in &[false, true] {
-                        let mut got = a.clone();
-                        fold_blocks(&mut got, &big, and);
-                        let mut want = a.clone();
+                        let mut got = a_buf.clone();
+                        fold_blocks(&mut got[off..], big, and);
+                        let mut want = a_buf.clone();
                         for blk in big.chunks_exact(len) {
                             if and {
-                                scalar::and_assign(&mut want, blk);
+                                scalar::and_assign(&mut want[off..], blk);
                             } else {
-                                scalar::or_assign(&mut want, blk);
+                                scalar::or_assign(&mut want[off..], blk);
                             }
                         }
-                        assert_eq!(got, want, "fold_blocks tier={t:?} len={len} and={and}");
+                        assert_eq!(got, want, "fold_blocks {at} and={and}");
                     }
                 }
-                let mut got = vec![0u64; len];
-                not_masked(&mut got, &a, &v);
+                let mut got = zeros();
+                not_masked(&mut got[off..], a, v);
                 for i in 0..len {
-                    assert_eq!(got[i], !a[i] & v[i]);
+                    assert_eq!(got[off + i], !a[i] & v[i], "not_masked {at}");
                 }
             }
         }

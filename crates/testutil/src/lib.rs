@@ -5,7 +5,9 @@
 //! request stream through several machine configurations
 //! ([`DiffMode`]s) and asserts they are indistinguishable — same
 //! auxiliary state, same boolean query, same named-query answers — at
-//! every aligned step. Also hosts the shared workload builders
+//! every aligned step, with the first of them held to
+//! [`reference_step`], the paper's definition of an update executed
+//! literally. Also hosts the shared workload builders
 //! ([`edge_requests`], [`weighted_stream`]) and the formula-level
 //! plan-vs-interpreter assertion ([`assert_plan_matches`]) used by the
 //! `dynfo-logic` differential suite.
@@ -13,7 +15,7 @@
 use dynfo_core::{DynFoMachine, DynFoProgram, Request};
 use dynfo_logic::analysis::canonicalize;
 use dynfo_logic::formula::Formula;
-use dynfo_logic::{evaluate, Elem, Evaluator, Plan, Structure, Sym};
+use dynfo_logic::{evaluate, Elem, Evaluator, Plan, Relation, Structure, Sym};
 use rand::Rng;
 
 pub mod strings;
@@ -59,6 +61,45 @@ pub fn weighted_stream(n: u32, steps: usize, seed: u64) -> Vec<Request> {
     reqs
 }
 
+/// Definition 3.1 verbatim — the reference every execution route is
+/// held to. After a request, every auxiliary relation with a rule for
+/// the request's kind is redefined *simultaneously* as the set of
+/// tuples satisfying the rule's stored formula over the pre-state;
+/// everything else is copied, and `set(c, a)` rebinds `c`. One plain
+/// [`evaluate`] per rule and a wholesale relation replacement: no
+/// machine, no cache, no plans, no deltas, no rule classification.
+///
+/// # Panics
+/// Panics on a bulk request (not a request of Definition 3.1 — replay
+/// its expanded stream instead) or if a formula fails to evaluate.
+pub fn reference_step(program: &DynFoProgram, pre: &Structure, req: &Request) -> Structure {
+    assert!(!req.is_bulk(), "reference_step takes single-tuple requests: {req}");
+    let n = pre.size();
+    let params = req.params();
+    let mut post = pre.clone();
+    for rule in program.rules_for(req.kind()) {
+        let mut table = evaluate(&rule.formula, pre, &params)
+            .unwrap_or_else(|e| panic!("reference: {} on {req} failed: {e}", rule.target));
+        // The program builder simplifies stored formulas, which can
+        // erase a declared variable (a tautological `x = x`); such a
+        // variable is unconstrained and ranges over the universe.
+        for &v in &rule.vars {
+            if table.col(v).is_none() {
+                table = table.extend(v, n);
+            }
+        }
+        let rows = table.project(&rule.vars).into_rows();
+        let id = pre.vocab().relation(rule.target).expect("rule target in aux vocabulary");
+        post.set_relation(id, Relation::from_tuples_with_universe(rule.vars.len(), n, rows));
+    }
+    if let Request::Set(c, value) = req {
+        if post.vocab().constant(*c).is_some() {
+            post.set_const(c.as_str(), *value);
+        }
+    }
+    post
+}
+
 /// One machine configuration for [`run_differential`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DiffMode {
@@ -66,10 +107,6 @@ pub enum DiffMode {
     Interp,
     /// Compiled bit-parallel plans (the default machine).
     Plans,
-    /// Compiled plans with the algebraic optimizer disabled
-    /// (`with_plan_opt(false)`): the raw syntactic lowering, the
-    /// baseline the optimizer-on modes are held against.
-    PlansNoOpt,
     /// Plans plus the parallel rule scheduler with this many workers.
     Parallel(usize),
     /// Plans, applying requests through `apply_batch` in chunks of
@@ -97,7 +134,6 @@ impl DiffMode {
             DiffMode::Plans | DiffMode::Batch(_) | DiffMode::Bulk => {
                 DynFoMachine::new(program(), n)
             }
-            DiffMode::PlansNoOpt => DynFoMachine::new(program(), n).with_plan_opt(false),
             DiffMode::Parallel(t) => DynFoMachine::new(program(), n).with_parallelism(t),
             DiffMode::Chunked => DynFoMachine::new(program(), n).with_chunked_state(),
         }
@@ -105,11 +141,14 @@ impl DiffMode {
 }
 
 /// Drive `reqs` through one machine per mode and assert every mode is
-/// indistinguishable from `modes[0]` (which must not be a batch mode):
-/// identical auxiliary state, identical boolean query answer, and
-/// identical answers for every `(name, args)` in `queries`, at every
-/// step where the compared machine is aligned (always, except inside a
-/// `Batch` chunk). A definable bulk request is applied natively by
+/// indistinguishable from `modes[0]` (which must step single-tuple
+/// requests: not a batch or bulk mode): identical auxiliary state,
+/// identical boolean query answer, and identical answers for every
+/// `(name, args)` in `queries`, at every step where the compared
+/// machine is aligned (always, except inside a `Batch` chunk).
+/// `modes[0]` itself is held to [`reference_step`] after every
+/// single-tuple request, so every mode is transitively held to
+/// Definition 3.1. A definable bulk request is applied natively by
 /// [`DiffMode::Bulk`] and [`DiffMode::Batch`] machines and replayed as
 /// each machine's own `expand_bulk` tuple stream everywhere else, so
 /// any stream mixing bulk and single-tuple requests doubles as a
@@ -124,8 +163,8 @@ pub fn run_differential(
 ) -> Vec<DynFoMachine> {
     assert!(!modes.is_empty(), "need at least a reference mode");
     assert!(
-        !matches!(modes[0], DiffMode::Batch(_)),
-        "the reference mode must step request-by-request"
+        !matches!(modes[0], DiffMode::Batch(_) | DiffMode::Bulk),
+        "the reference mode must step single-tuple requests"
     );
     let mut machines: Vec<DynFoMachine> =
         modes.iter().map(|m| m.build(program, n)).collect();
@@ -161,9 +200,19 @@ pub fn run_differential(
                         vec![req.clone()]
                     };
                     for r in &expanded {
+                        let expect = (i == 0)
+                            .then(|| reference_step(machines[0].program(), machines[0].state(), r));
                         machines[i]
                             .apply(r)
                             .unwrap_or_else(|e| panic!("step {step} ({r}): apply failed: {e}"));
+                        if let Some(expect) = expect {
+                            assert_eq!(
+                                machines[0].state(),
+                                &expect,
+                                "step {step} ({r}): {:?} diverged from Definition 3.1",
+                                modes[0]
+                            );
+                        }
                     }
                 }
             }
@@ -196,43 +245,6 @@ pub fn run_differential(
         }
     }
     machines
-}
-
-/// The plans-on vs plans-off differential from the PR 4 suite, now a
-/// thin wrapper over [`run_differential`]. `expect_compiled` asserts
-/// the plan path actually ran (guards against silently falling back
-/// everywhere) and that the plans-off machine never ran a plan.
-pub fn assert_plans_transparent(
-    program: impl Fn() -> DynFoProgram,
-    n: u32,
-    reqs: &[Request],
-    queries: &[(&str, &[u32])],
-    expect_compiled: bool,
-) {
-    let machines = run_differential(
-        &program,
-        n,
-        reqs,
-        queries,
-        &[DiffMode::Interp, DiffMode::Plans],
-    );
-    let (off, on) = (&machines[0], &machines[1]);
-    assert!(on.use_plans());
-    if expect_compiled && !reqs.is_empty() {
-        let work = on.stats().update_work;
-        let qwork = on.stats().query_work;
-        assert!(
-            work.plan_compiled + qwork.plan_compiled > 0,
-            "no plan ever executed (update fallbacks: {}, query fallbacks: {})",
-            work.plan_fallback,
-            qwork.plan_fallback
-        );
-        assert_eq!(
-            off.stats().update_work.plan_compiled + off.stats().query_work.plan_compiled,
-            0,
-            "plans-off machine must never run a plan"
-        );
-    }
 }
 
 /// Formula-level differential: compile `f` both with the algebraic
@@ -270,41 +282,4 @@ pub fn assert_plan_matches(f: &Formula, st: &Structure, params: &[Elem]) {
         orders.len() <= 1,
         "optimizer changed the root column order for {canonical}: {orders:?}"
     );
-}
-
-/// The optimizer-on vs optimizer-off machine differential: one stream,
-/// all twelve-program-compatible execution paths — the raw lowering
-/// (reference), the optimized default, the parallel scheduler, and
-/// `apply_batch` — must agree step for step in state and every query
-/// answer. Returns `(ops_removed, kernel_words_saved)` summed over the
-/// optimized machine's plans so callers can assert the optimizer
-/// actually fired (or stayed off) for their program.
-pub fn assert_opt_transparent(
-    program: impl Fn() -> DynFoProgram,
-    n: u32,
-    reqs: &[Request],
-    queries: &[(&str, &[u32])],
-) -> (u64, u64) {
-    let machines = run_differential(
-        &program,
-        n,
-        reqs,
-        queries,
-        &[
-            DiffMode::PlansNoOpt,
-            DiffMode::Plans,
-            DiffMode::Parallel(3),
-            DiffMode::Batch(5),
-        ],
-    );
-    let baseline = &machines[0];
-    assert!(!baseline.plan_opt(), "reference machine must not optimize");
-    assert_eq!(
-        baseline.plan_opt_summary(),
-        (0, 0),
-        "optimizer-off machine reported optimizer savings"
-    );
-    let optimized = &machines[1];
-    assert!(optimized.plan_opt());
-    optimized.plan_opt_summary()
 }

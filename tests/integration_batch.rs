@@ -8,10 +8,12 @@
 //!    fast-op runs, set requests, and parallel general-rule windows)
 //!    reproduces exactly the state, query answers, and request count of
 //!    one-at-a-time `apply` — for **every** program in the library.
-//! 2. **Delta ≡ rebuild.** The default delta-install pipeline matches
-//!    the full re-evaluation baseline (`InstallMode::Rebuild`) on
-//!    REACH_u, PARITY, and MSF, while never materializing a fresh
-//!    `Relation` (`installs.rebuilds == 0`).
+//! 2. **Delta ≡ Definition 3.1.** The default delta-install pipeline
+//!    matches the paper-literal reference executor
+//!    (`dynfo_testutil::reference_step`: every rule's stored formula
+//!    re-evaluated in full, every target replaced wholesale) on
+//!    **every** program, while never materializing a fresh `Relation`
+//!    itself (`installs.rebuilds == 0`).
 //! 3. **Batches are durable.** Streaming batches through a
 //!    `dynfo_serve` session, crashing without shutdown, and recovering
 //!    from journal + snapshots lands on the sequential reference state
@@ -26,8 +28,9 @@ use dynfo_core::programs::{
     bipartite, kconn, lca, matching, msf, parity, reach_acyclic, reach_u, semi, trans_reduction,
     vertex_cover,
 };
-use dynfo_core::{DynFoMachine, DynFoProgram, InstallMode, Request};
+use dynfo_core::{DynFoMachine, DynFoProgram, Request};
 use dynfo_serve::{scratch_dir, SessionStore, StoreConfig};
+use dynfo_testutil::reference_step;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -139,35 +142,29 @@ fn batch_matches_sequential(program: &DynFoProgram, n: u32, len: usize, seed: u6
     prop_assert_eq!(batched.stats().requests, reference.stats().requests);
 }
 
-/// Invariant 2: delta installs equal full re-evaluation, without ever
-/// rebuilding a relation.
-fn delta_matches_rebuild(program: &DynFoProgram, n: u32, len: usize, seed: u64) {
+/// Invariant 2: delta installs equal full re-evaluation with wholesale
+/// replacement, without ever rebuilding a relation.
+fn delta_matches_reference(program: &DynFoProgram, n: u32, len: usize, seed: u64) {
     let stream = random_stream(program, n, len, seed, 0.0);
     let mut delta = DynFoMachine::new(program.clone(), n);
-    let mut rebuild = DynFoMachine::new(program.clone(), n).with_install_mode(InstallMode::Rebuild);
+    let mut reference = program.initial_structure(n);
     for (i, r) in stream.iter().enumerate() {
         delta.apply(r).unwrap();
-        rebuild.apply(r).unwrap();
-        if i % 5 == 4 {
-            prop_assert_eq!(
-                delta.state(),
-                rebuild.state(),
-                "{}: delta diverged at request {}",
-                program.name(),
-                i
-            );
-        }
+        reference = reference_step(program, &reference, r);
+        prop_assert_eq!(
+            delta.state(),
+            &reference,
+            "{}: delta diverged from Definition 3.1 at request {}",
+            program.name(),
+            i
+        );
     }
-    prop_assert_eq!(delta.state(), rebuild.state());
-    prop_assert_eq!(delta.query().unwrap(), rebuild.query().unwrap());
-    let installs = delta.stats().installs;
     prop_assert_eq!(
-        installs.rebuilds,
+        delta.stats().installs.rebuilds,
         0,
-        "{}: delta mode must never materialize a Relation",
+        "{}: the machine must never materialize a Relation",
         program.name()
     );
-    prop_assert!(rebuild.stats().installs.rebuilds > 0 || len == 0);
 }
 
 /// Invariant 3: batches stream through a serve session, the process
@@ -249,17 +246,27 @@ macro_rules! delta_tests {
             #![proptest_config(ProptestConfig::with_cases($cases))]
             #[test]
             fn $test(seed in 0u64..u64::MAX) {
-                delta_matches_rebuild(&$program, $n, $len, seed);
+                delta_matches_reference(&$program, $n, $len, seed);
             }
         }
     )*};
 }
 
-// The acceptance trio: delta installs vs full re-evaluation.
+// All 12 programs: delta installs vs the reference executor, sized as
+// the batch matrix above.
 delta_tests! {
-    reach_u_delta => (reach_u::program(), 8, 24, 10);
     parity_delta => (parity::program(), 16, 30, 12);
+    reach_u_delta => (reach_u::program(), 8, 24, 10);
+    reach_acyclic_delta => (reach_acyclic::program(), 8, 24, 8);
+    trans_reduction_delta => (trans_reduction::program(), 8, 24, 8);
     msf_delta => (msf::program(), 6, 14, 5);
+    bipartite_delta => (bipartite::program(), 7, 18, 5);
+    kconn_delta => (kconn::program(), 6, 14, 4);
+    matching_delta => (matching::program(), 7, 16, 5);
+    lca_delta => (lca::program(), 8, 18, 6);
+    vertex_cover_delta => (vertex_cover::program(), 7, 16, 5);
+    semi_reach_u_delta => (semi::reach_u_program(), 8, 24, 8);
+    semi_reach_delta => (semi::reach_program(), 8, 24, 8);
 }
 
 macro_rules! recovery_tests {
