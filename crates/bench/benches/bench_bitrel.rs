@@ -4,12 +4,10 @@
 //! them into ⌈n²/64⌉ machine words so union/intersection/difference/
 //! complement run word-parallel (64 tuples per instruction) and
 //! membership is one shift and mask. This bench measures those set-
-//! algebra primitives on the btree, dense, and chunked backends at
+//! algebra primitives on the btree and dense backends at
 //! n ∈ {64, 256, 1024, 4096} — through the range the Dyn-FO programs
-//! actually sweep and into the large-n regime where the chunked
-//! backend's per-block containers stop paying dense-universe costs —
-//! on G(n, p) edge sets (expected degree 8, so density 8/n falls as n
-//! grows and large n is exactly the chunked backend's sparse regime).
+//! actually sweep, up to the dense cap — on G(n, p) edge sets (expected
+//! degree 8, so density 8/n falls as n grows).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dynfo_graph::generate::{gnp, rng};
@@ -25,7 +23,6 @@ fn edge_relations(n: u32, backend: &str) -> (Relation, Relation) {
         match backend {
             "btree" => sparse,
             "bitset" => sparse.to_dense(n),
-            "chunked" => sparse.to_chunked(n),
             other => unreachable!("unknown backend {other}"),
         }
     };
@@ -38,7 +35,7 @@ fn bench(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(300));
     group.measurement_time(std::time::Duration::from_secs(2));
     for n in [64u32, 256, 1024, 4096] {
-        for backend in ["btree", "bitset", "chunked"] {
+        for backend in ["btree", "bitset"] {
             let (x, y) = edge_relations(n, backend);
             group.bench_with_input(
                 BenchmarkId::new(format!("union_{backend}"), n),

@@ -69,7 +69,7 @@ fn main() {
         ("e16", e16_parallel),
         ("e20", e20_compiled),
         ("e21", e21_observability),
-        ("e22", e22_simd_chunked),
+        ("e22", e22_simd),
         ("e23", e23_serving_tier),
         ("e24", e24_plan_optimizer),
         ("e25", e25_bulk_changes),
@@ -959,9 +959,9 @@ fn e22_time(mut f: impl FnMut()) -> f64 {
     total * 1e9 / iters as f64
 }
 
-/// E22 — SIMD word kernels and the chunked hybrid backend at large n.
+/// E22 — SIMD word kernels, scalar vs the detected vector tier.
 ///
-/// Part 1 sweeps the production fused word passes over arity-2 buffers
+/// Sweeps the production fused word passes over arity-2 buffers
 /// at n ∈ {64, 256, 1024, 4096}, pinning the dispatch tier to scalar
 /// and then to the detected SIMD tier inside one process
 /// (`simd::force_tier`). The measured shapes are exactly what the
@@ -974,15 +974,8 @@ fn e22_time(mut f: impl FnMut()) -> f64 {
 /// 64-tuples-per-instruction claim scales with lane width: the SIMD
 /// rows must not lose to scalar at n ≥ 1024, where the buffers outgrow
 /// L1 and the passes are stream-bound.
-///
-/// Part 2 compares `Relation` set algebra across the three backends at
-/// n ∈ {1024, 4096} by occupancy: at ≤ 1% density the chunked backend's
-/// block skipping and sparse-container merges must beat the dense
-/// backend's full `S²/64`-word passes, while at 50% dense word passes
-/// stay ahead — the crossover that justifies density-aware routing.
-fn e22_simd_chunked() {
+fn e22_simd() {
     use dynfo_logic::simd::{self, Tier};
-    use dynfo_logic::{Relation, Tuple};
     let mut rows: Vec<E22Row> = Vec::new();
 
     header("E22 SIMD word kernels: scalar vs vector tier, ns/pass");
@@ -1075,84 +1068,6 @@ fn e22_simd_chunked() {
         }
     }
     simd::force_tier(hw);
-
-    header("E22 relation backends by occupancy: ns/op");
-    row(["op", "n", "density", "btree", "dense", "chunked", "dense/chunked"]
-        .map(String::from).as_ref());
-    use rand::Rng;
-    for n in [1024u32, 4096] {
-        for density in [0.001f64, 0.05, 0.5] {
-            let space = (n as u64) * (n as u64);
-            let target = ((space as f64) * density) as u64;
-            let mk_tuples = |seed_off: u32| -> Vec<Tuple> {
-                let mut seen = std::collections::BTreeSet::new();
-                let mut rand = dynfo_graph::generate::rng(171 + seed_off as u64);
-                while (seen.len() as u64) < target {
-                    seen.insert((rand.gen_range(0..n), rand.gen_range(0..n)));
-                }
-                seen.into_iter().map(|(a, b)| Tuple::pair(a, b)).collect()
-            };
-            let ta = mk_tuples(0);
-            let tb = mk_tuples(1);
-            // BTreeSet merges at ≥ 5% of n=4096 (≥ 840k tuples) take
-            // seconds per op; the sparse backend is out of its regime
-            // there, so those cells stay empty rather than dominate the
-            // run time.
-            let btree_ok = target <= 100_000;
-            let (sa, sb) = (
-                Relation::from_tuples(2, ta.iter().cloned()),
-                Relation::from_tuples(2, tb.iter().cloned()),
-            );
-            let (da, db) = (sa.to_dense(n), sb.to_dense(n));
-            let (ca, cb) = (sa.to_chunked(n), sb.to_chunked(n));
-            assert_eq!(ca.backend_kind(), "chunked");
-            for (op, f_btree, f_dense, f_chunked) in [
-                (
-                    "union",
-                    Box::new(|| std::hint::black_box(sa.union(&sb)).len()) as Box<dyn Fn() -> usize>,
-                    Box::new(|| std::hint::black_box(da.union(&db)).len()) as Box<dyn Fn() -> usize>,
-                    Box::new(|| std::hint::black_box(ca.union(&cb)).len()) as Box<dyn Fn() -> usize>,
-                ),
-                (
-                    "difference",
-                    Box::new(|| std::hint::black_box(sa.difference(&sb)).len()),
-                    Box::new(|| std::hint::black_box(da.difference(&db)).len()),
-                    Box::new(|| std::hint::black_box(ca.difference(&cb)).len()),
-                ),
-                (
-                    "intersection",
-                    Box::new(|| std::hint::black_box(sa.intersection(&sb)).len()),
-                    Box::new(|| std::hint::black_box(da.intersection(&db)).len()),
-                    Box::new(|| std::hint::black_box(ca.intersection(&cb)).len()),
-                ),
-            ] {
-                let bt = btree_ok.then(|| e22_time(|| { f_btree(); }));
-                let de = e22_time(|| { f_dense(); });
-                let ch = e22_time(|| { f_chunked(); });
-                row(&[
-                    op.to_string(),
-                    n.to_string(),
-                    format!("{density}"),
-                    bt.map(|v| format!("{v:.0}")).unwrap_or_else(|| "-".into()),
-                    format!("{de:.0}"),
-                    format!("{ch:.0}"),
-                    format!("{:.1}x", de / ch),
-                ]);
-                if let Some(bt) = bt {
-                    rows.push(E22Row { op, n, backend: format!("btree@{density}"), ns_per_op: bt, kernel_words: 0 });
-                }
-                rows.push(E22Row { op, n, backend: format!("dense@{density}"), ns_per_op: de, kernel_words: space / 64 });
-                let kw = if dynfo_obs::ENABLED {
-                    let c = dynfo_logic::obs::eval_obs().chunked_kernel_words.get();
-                    f_chunked();
-                    dynfo_logic::obs::eval_obs().chunked_kernel_words.get() - c
-                } else {
-                    0
-                };
-                rows.push(E22Row { op, n, backend: format!("chunked@{density}"), ns_per_op: ch, kernel_words: kw });
-            }
-        }
-    }
 
     if EMIT_JSON.load(std::sync::atomic::Ordering::Relaxed) {
         let mut out = String::from("[\n");

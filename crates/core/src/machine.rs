@@ -633,18 +633,6 @@ impl DynFoMachine {
         self
     }
 
-    /// Convert every auxiliary relation that fits to the chunked hybrid
-    /// bitmap backend (roaring-style blocks; see
-    /// `dynfo_logic::bitrel::chunked`). Answers are unchanged: compiled
-    /// plans expect the dense layout, bail at runtime against chunked
-    /// state, and fall back to the interpreter, whose relation ops all
-    /// have chunked fast paths. Use for large-n or low-density states
-    /// where `n^k`-bit dense bitmaps stop fitting.
-    pub fn with_chunked_state(mut self) -> DynFoMachine {
-        self.state.force_chunked();
-        self
-    }
-
     /// Select bulk routing ([`BulkRoute::Auto`] is the default). All
     /// three routes produce the same state — the differential suites
     /// hold them against each other — so [`BulkRoute::OneShot`]/

@@ -438,9 +438,9 @@ fn shrink_program_differential_over_random_streams() {
 }
 
 /// Bulk requests compose with every execution mode at once: the native
-/// path, the interpreter, the parallel scheduler, `apply_batch` (which
-/// dispatches bulk natively inside a chunk), and the chunked hybrid
-/// backend all stay aligned on one mixed stream.
+/// path, the interpreter, the parallel scheduler and `apply_batch`
+/// (which dispatches bulk natively inside a chunk) all stay aligned on
+/// one mixed stream.
 #[test]
 fn bulk_composes_with_every_execution_mode() {
     let n = 8u32;
@@ -458,7 +458,6 @@ fn bulk_composes_with_every_execution_mode() {
             DiffMode::Interp,
             DiffMode::Parallel(3),
             DiffMode::Batch(5),
-            DiffMode::Chunked,
         ],
     );
 }

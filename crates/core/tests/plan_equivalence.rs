@@ -234,3 +234,62 @@ fn opt_corpus_formulas_match() {
         }
     }
 }
+
+/// The runtime bail: a plan compiled against the dense layout that
+/// meets a non-dense relation at execution declines (`Plan::load` →
+/// `Ok(None)`) and the rule interprets instead. `recompute()` adopts
+/// its closure's structure verbatim — backends included — without
+/// recompiling, so a closure that hands `TC` back on the sparse backend
+/// forces that route through the public API.
+#[test]
+fn dense_plans_bail_when_state_turns_sparse() {
+    use dynfo_core::RequestKind;
+    use dynfo_logic::formula::{eq, param, rel, v, Term};
+    let program = DynFoProgram::builder("bail")
+        .input_relation("E", 2)
+        .aux_relation("TC", 2)
+        .on(
+            RequestKind::ins("E"),
+            "E",
+            &["x", "y"],
+            rel("E", [v("x"), v("y")]) | (eq(v("x"), param(0)) & eq(v("y"), param(1))),
+        )
+        .on(
+            RequestKind::ins("E"),
+            "TC",
+            &["x", "y"],
+            rel("TC", [v("x"), v("y")])
+                | ((eq(v("x"), param(0)) | rel("TC", [v("x"), param(0)]))
+                    & (eq(v("y"), param(1)) | rel("TC", [param(1), v("y")]))),
+        )
+        .recompute(|st| {
+            let mut fresh = st.clone();
+            let id = fresh.vocab().relation(dynfo_logic::Sym::new("TC")).expect("TC in vocab");
+            *fresh.relation_mut(id) = st.relation(id).to_sparse();
+            fresh
+        })
+        .query(rel("TC", [Term::Min, Term::Max]))
+        .build();
+    let mut m = DynFoMachine::new(program.clone(), 8);
+    let step = |m: &mut DynFoMachine, a: u32, b: u32| {
+        let req = Request::ins("E", [a, b]);
+        let pre = m.state().clone();
+        m.apply(&req).unwrap();
+        assert_eq!(m.state(), &dynfo_testutil::reference_step(&program, &pre, &req));
+    };
+
+    step(&mut m, 0, 1);
+    step(&mut m, 1, 2);
+    let dense = m.stats().update_work;
+    assert!(dense.plan_compiled > 0 && dense.plan_fallback == 0, "{dense:?}");
+
+    assert!(m.recompute().unwrap());
+    assert_eq!(m.state().rel("TC").backend_kind(), "sparse");
+    step(&mut m, 2, 7);
+    step(&mut m, 5, 0);
+    let work = m.stats().update_work;
+    assert_eq!(work.plan_compiled, dense.plan_compiled, "a plan ran against sparse TC");
+    assert_eq!(work.plan_fallback, 2, "the TC rule must bail on both inserts");
+    assert!(m.query().unwrap(), "0 →* 7 through the sparse TC");
+    assert_eq!(m.state().rel("TC").backend_kind(), "sparse");
+}

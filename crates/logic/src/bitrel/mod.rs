@@ -18,9 +18,6 @@
 use crate::tuple::{Elem, Tuple};
 use std::fmt;
 
-pub mod chunked;
-pub use chunked::ChunkedRel;
-
 /// A dense bitset relation of fixed arity over universe `{0..n}`.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct BitRel {

@@ -1119,6 +1119,7 @@ mod tests {
         let mut s = Structure::empty(vocab, 9);
         s.insert("W", Tuple::from_slice(&[0, 1, 2, 3, 4, 5, 0, 1]));
         s.insert("M", [2]);
+        assert_eq!(s.rel("W").backend_kind(), "sparse", "test premise");
         let atom = rel(
             "W",
             [v("a"), v("b"), v("c"), v("d"), v("e"), v("f"), v("g"), v("h")],
@@ -1131,6 +1132,30 @@ mod tests {
             and([atom, rel("M", [v("c")])]),
         ) & rel("M", [v("x")]);
         check(&f, &s, &[]);
+    }
+
+    #[test]
+    fn dense_plan_bails_when_relation_turns_sparse() {
+        // A plan compiled against the dense layout that meets a sparse
+        // relation at execution must decline (`Ok(None)`), not misread
+        // it; the interpreter's answer does not depend on the backend.
+        let mut s = st(6, &[(0, 1), (1, 2), (4, 5)]);
+        let f = crate::analysis::canonicalize(&exists(
+            ["z"],
+            and([rel("E", [v("x"), v("z")]), rel("E", [v("z"), v("y")])]),
+        ));
+        let plan = Plan::compile(&f, &s).expect("dense structure compiles");
+        let mut arena = plan.arena();
+        let before = crate::eval::evaluate(&f, &s, &[]).unwrap().sorted();
+        assert!(plan.execute(&mut Evaluator::new(&s, &[]), &mut arena, None).unwrap().is_some());
+
+        let id = s.vocab().relation(Sym::new("E")).unwrap();
+        // Not `set_relation`: that converts back to the slot's backend.
+        *s.relation_mut(id) = s.relation(id).to_sparse();
+        assert_eq!(s.rel("E").backend_kind(), "sparse");
+        let bailed = plan.execute(&mut Evaluator::new(&s, &[]), &mut arena, None);
+        assert!(matches!(bailed, Ok(None)), "plan ran against a sparse relation");
+        assert_eq!(crate::eval::evaluate(&f, &s, &[]).unwrap().sorted(), before);
     }
 
     #[test]

@@ -49,12 +49,6 @@ pub struct EvalObs {
     /// `eval.simd_lanes` — u64 words that went through a ≥128-bit
     /// vector path in [`crate::simd`] (0 when the scalar tier runs).
     pub simd_lanes: Arc<Counter>,
-    /// `chunked.kernel_words` — 64-bit words touched by chunked-backend
-    /// container ops.
-    pub chunked_kernel_words: Arc<Counter>,
-    /// `chunked.blocks_skipped` — 2^16-bit blocks short-circuited by
-    /// Empty/Full fast paths instead of being materialized.
-    pub chunked_blocks_skipped: Arc<Counter>,
     /// `pool.jobs` — jobs submitted to [`crate::parallel::EvalPool`]s.
     pub pool_jobs: Arc<Counter>,
     /// `pool.queue_depth` — submitted-but-not-started jobs, now.
@@ -81,8 +75,6 @@ pub fn eval_obs() -> &'static EvalObs {
             plan_opt_ops_removed: reg.counter("plan.opt_ops_removed"),
             plan_opt_kernel_words_saved: reg.counter("plan.opt_kernel_words_saved"),
             simd_lanes: reg.counter("eval.simd_lanes"),
-            chunked_kernel_words: reg.counter("chunked.kernel_words"),
-            chunked_blocks_skipped: reg.counter("chunked.blocks_skipped"),
             pool_jobs: reg.counter("pool.jobs"),
             pool_queue_depth: reg.gauge("pool.queue_depth"),
             pool_steal_draws: reg.counter("pool.steal_draws"),

@@ -1,6 +1,6 @@
 //! Finite relations: sets of [`Tuple`]s of a fixed arity.
 //!
-//! Relations are the stored state of a structure. Three interchangeable
+//! Relations are the stored state of a structure. Two interchangeable
 //! backends sit behind one value type:
 //!
 //! * **Sparse** — a `BTreeSet<Tuple>`: no universe bound, memory
@@ -11,19 +11,13 @@
 //!   64 tuples per instruction, and membership is O(1). Chosen per relation
 //!   by the `arity × n` threshold [`fits_dense`] when the universe is known
 //!   (see [`Relation::with_universe`]).
-//! * **Chunked** — a [`ChunkedRel`] roaring-style hybrid bitmap: the same
-//!   base-`n` index space as Dense, split into 2^16-bit blocks stored in
-//!   occupancy-chosen containers, so sparse relations over big universes
-//!   get O(1) membership and block-skipping set algebra without paying
-//!   the full `n^arity` bitmap. Chosen when the tuple space exceeds
-//!   [`DENSE_BITS_CAP`] but fits [`CHUNKED_BITS_CAP`].
 //!
-//! All backends iterate in lexicographic tuple order, so benchmarks,
+//! Both backends iterate in lexicographic tuple order, so benchmarks,
 //! printed tables, and memorylessness checks (which compare whole
 //! structures) are deterministic and backend-independent; `PartialEq`
 //! compares tuple *sets*, never representations.
 
-use crate::bitrel::{capacity_bits, BitRel, ChunkedRel};
+use crate::bitrel::{capacity_bits, BitRel};
 use crate::tuple::{all_tuples, Elem, Tuple};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -39,23 +33,10 @@ pub fn fits_dense(arity: usize, n: Elem) -> bool {
     capacity_bits(n, arity) <= DENSE_BITS_CAP
 }
 
-/// Largest tuple-space a relation maps with the chunked hybrid backend:
-/// `n^arity` bits ≤ 2^32 (65 536 blocks of block-vec overhead, ~2 MiB
-/// even when empty; occupied blocks cost what their occupancy demands).
-/// Covers binary relations to n = 65 536 and ternary to n = 1625.
-pub const CHUNKED_BITS_CAP: u128 = 1 << 32;
-
-/// True iff an arity-`arity` relation over `{0..n}` is allowed the
-/// chunked backend under [`CHUNKED_BITS_CAP`].
-pub fn fits_chunked(arity: usize, n: Elem) -> bool {
-    capacity_bits(n, arity) <= CHUNKED_BITS_CAP
-}
-
 #[derive(Clone, Eq, PartialEq, Debug)]
 enum Repr {
     Sparse(BTreeSet<Tuple>),
     Dense(BitRel),
-    Chunked(ChunkedRel),
 }
 
 /// A finite relation of fixed arity over universe elements.
@@ -91,25 +72,12 @@ impl Relation {
         }
     }
 
-    /// The empty chunked relation of the given arity over `{0..n}`.
-    ///
-    /// # Panics
-    /// Panics if `n^arity` overflows `usize`; gate with [`fits_chunked`].
-    pub fn chunked(arity: usize, n: Elem) -> Relation {
-        Relation {
-            arity,
-            repr: Repr::Chunked(ChunkedRel::new(arity, n)),
-        }
-    }
-
     /// The empty relation of the given arity, dense over `{0..n}` when the
-    /// tuple space fits [`DENSE_BITS_CAP`], chunked when it fits
-    /// [`CHUNKED_BITS_CAP`], sparse otherwise.
+    /// tuple space fits [`DENSE_BITS_CAP`], sparse otherwise. This is the
+    /// one place a backend is chosen.
     pub fn with_universe(arity: usize, n: Elem) -> Relation {
         if fits_dense(arity, n) {
             Relation::dense(arity, n)
-        } else if fits_chunked(arity, n) {
-            Relation::chunked(arity, n)
         } else {
             Relation::new(arity)
         }
@@ -144,26 +112,16 @@ impl Relation {
     /// `Some(n)` iff this relation is densely mapped over `{0..n}`.
     pub fn dense_universe(&self) -> Option<Elem> {
         match &self.repr {
-            Repr::Sparse(_) | Repr::Chunked(_) => None,
+            Repr::Sparse(_) => None,
             Repr::Dense(b) => Some(b.universe()),
         }
     }
 
-    /// `Some(n)` iff this relation is chunked-mapped over `{0..n}`.
-    pub fn chunked_universe(&self) -> Option<Elem> {
-        match &self.repr {
-            Repr::Chunked(c) => Some(c.universe()),
-            _ => None,
-        }
-    }
-
-    /// Backend name, for benches and tables: `"sparse"`, `"dense"`, or
-    /// `"chunked"`.
+    /// Backend name, for benches and tables: `"sparse"` or `"dense"`.
     pub fn backend_kind(&self) -> &'static str {
         match &self.repr {
             Repr::Sparse(_) => "sparse",
             Repr::Dense(_) => "dense",
-            Repr::Chunked(_) => "chunked",
         }
     }
 
@@ -199,40 +157,12 @@ impl Relation {
         }
     }
 
-    /// The same tuple set on the chunked backend over `{0..n}`.
-    ///
-    /// # Panics
-    /// Panics (in debug) if a tuple lies outside `{0..n}`, or if the
-    /// block vector would overflow `usize`.
-    pub fn to_chunked(&self, n: Elem) -> Relation {
-        match &self.repr {
-            Repr::Chunked(c) if c.universe() == n => self.clone(),
-            Repr::Dense(b) if b.universe() == n => Relation {
-                arity: self.arity,
-                repr: Repr::Chunked(ChunkedRel::from_bitrel(b)),
-            },
-            _ => {
-                let mut c = ChunkedRel::new(self.arity, n);
-                for t in self.iter() {
-                    c.insert(t);
-                }
-                Relation {
-                    arity: self.arity,
-                    repr: Repr::Chunked(c),
-                }
-            }
-        }
-    }
-
-    /// The same tuple set on the backend of `template` (dense/chunked
-    /// over the same universe iff `template` is).
+    /// The same tuple set on the backend of `template` (dense over the
+    /// same universe iff `template` is).
     pub fn to_backend_of(&self, template: &Relation) -> Relation {
         match &template.repr {
             Repr::Dense(b) if self.dense_universe() != Some(b.universe()) => {
                 self.to_dense(b.universe())
-            }
-            Repr::Chunked(c) if self.chunked_universe() != Some(c.universe()) => {
-                self.to_chunked(c.universe())
             }
             Repr::Sparse(_) if !matches!(self.repr, Repr::Sparse(_)) => self.to_sparse(),
             _ => self.clone(),
@@ -243,7 +173,7 @@ impl Relation {
     /// same-crate kernels that re-stride or scatter the bits wholesale.
     pub(crate) fn dense_bits(&self) -> Option<&[u64]> {
         match &self.repr {
-            Repr::Sparse(_) | Repr::Chunked(_) => None,
+            Repr::Sparse(_) => None,
             Repr::Dense(b) => Some(b.words()),
         }
     }
@@ -258,7 +188,6 @@ impl Relation {
         match &self.repr {
             Repr::Sparse(s) => s.len(),
             Repr::Dense(b) => b.len(),
-            Repr::Chunked(c) => c.len(),
         }
     }
 
@@ -273,7 +202,6 @@ impl Relation {
         match &self.repr {
             Repr::Sparse(s) => s.contains(t),
             Repr::Dense(b) => b.contains(t),
-            Repr::Chunked(c) => c.contains(t),
         }
     }
 
@@ -292,7 +220,6 @@ impl Relation {
         match &mut self.repr {
             Repr::Sparse(s) => s.insert(t),
             Repr::Dense(b) => b.insert(t),
-            Repr::Chunked(c) => c.insert(t),
         }
     }
 
@@ -302,7 +229,6 @@ impl Relation {
         match &mut self.repr {
             Repr::Sparse(s) => s.remove(t),
             Repr::Dense(b) => b.remove(t),
-            Repr::Chunked(c) => c.remove(t),
         }
     }
 
@@ -325,7 +251,6 @@ impl Relation {
         match &mut self.repr {
             Repr::Sparse(s) => s.clear(),
             Repr::Dense(b) => b.clear(),
-            Repr::Chunked(c) => c.clear(),
         }
     }
 
@@ -334,7 +259,6 @@ impl Relation {
         match &self.repr {
             Repr::Sparse(s) => RelIter::Sparse(s.iter()),
             Repr::Dense(b) => RelIter::Dense(b.iter()),
-            Repr::Chunked(c) => RelIter::Chunked(c.iter()),
         }
     }
 
@@ -360,7 +284,6 @@ impl Relation {
                 PrefixIter::Sparse(s.range(lo..=hi))
             }
             Repr::Dense(b) => PrefixIter::Dense(b.iter_prefix(prefix)),
-            Repr::Chunked(c) => PrefixIter::Chunked(c.iter_prefix(prefix)),
         }
     }
 
@@ -375,10 +298,6 @@ impl Relation {
                 arity: self.arity,
                 repr: Repr::Dense(b.complement()),
             },
-            Repr::Chunked(c) if c.universe() == n => Relation {
-                arity: self.arity,
-                repr: Repr::Chunked(c.complement()),
-            },
             _ => {
                 let mut out = Relation::with_universe(self.arity, n);
                 for t in all_tuples(n, self.arity) {
@@ -391,14 +310,12 @@ impl Relation {
         }
     }
 
-    /// Word-op when both sides are dense (or both chunked) over the same
-    /// universe; otherwise merge by (sorted) iteration onto `self`'s
-    /// backend.
+    /// Word-op when both sides are dense over the same universe;
+    /// otherwise merge by (sorted) iteration onto `self`'s backend.
     fn zip(
         &self,
         other: &Relation,
         word_op: impl Fn(&BitRel, &BitRel) -> BitRel,
-        chunk_op: impl Fn(&ChunkedRel, &ChunkedRel) -> ChunkedRel,
         keep: impl Fn(bool, bool) -> bool,
     ) -> Relation {
         assert_eq!(self.arity, other.arity);
@@ -409,12 +326,6 @@ impl Relation {
                     repr: Repr::Dense(word_op(a, b)),
                 };
             }
-            (Repr::Chunked(a), Repr::Chunked(b)) if a.universe() == b.universe() => {
-                return Relation {
-                    arity: self.arity,
-                    repr: Repr::Chunked(chunk_op(a, b)),
-                };
-            }
             _ => {}
         }
         let mut out = Relation {
@@ -422,7 +333,6 @@ impl Relation {
             repr: match &self.repr {
                 Repr::Sparse(_) => Repr::Sparse(BTreeSet::new()),
                 Repr::Dense(b) => Repr::Dense(BitRel::new(self.arity, b.universe())),
-                Repr::Chunked(c) => Repr::Chunked(ChunkedRel::new(self.arity, c.universe())),
             },
         };
         for t in self.iter() {
@@ -440,17 +350,17 @@ impl Relation {
 
     /// Set union. Panics if arities differ.
     pub fn union(&self, other: &Relation) -> Relation {
-        self.zip(other, BitRel::union, ChunkedRel::union, |a, b| a || b)
+        self.zip(other, BitRel::union, |a, b| a || b)
     }
 
     /// Set intersection. Panics if arities differ.
     pub fn intersection(&self, other: &Relation) -> Relation {
-        self.zip(other, BitRel::intersection, ChunkedRel::intersection, |a, b| a && b)
+        self.zip(other, BitRel::intersection, |a, b| a && b)
     }
 
     /// Set difference. Panics if arities differ.
     pub fn difference(&self, other: &Relation) -> Relation {
-        self.zip(other, BitRel::difference, ChunkedRel::difference, |a, b| a && !b)
+        self.zip(other, BitRel::difference, |a, b| a && !b)
     }
 
     /// In-place union: `self ← self ∪ other`. Word-parallel when both
@@ -460,10 +370,6 @@ impl Relation {
         assert_eq!(self.arity, other.arity);
         match (&mut self.repr, &other.repr) {
             (Repr::Dense(a), Repr::Dense(b)) if a.universe() == b.universe() => {
-                a.union_assign(b);
-                return;
-            }
-            (Repr::Chunked(a), Repr::Chunked(b)) if a.universe() == b.universe() => {
                 a.union_assign(b);
                 return;
             }
@@ -483,10 +389,6 @@ impl Relation {
                 a.intersection_assign(b);
                 return;
             }
-            (Repr::Chunked(a), Repr::Chunked(b)) if a.universe() == b.universe() => {
-                a.intersection_assign(b);
-                return;
-            }
             _ => {}
         }
         let gone: Vec<Tuple> = self.iter().filter(|t| !other.contains(t)).collect();
@@ -501,10 +403,6 @@ impl Relation {
         assert_eq!(self.arity, other.arity);
         match (&mut self.repr, &other.repr) {
             (Repr::Dense(a), Repr::Dense(b)) if a.universe() == b.universe() => {
-                a.difference_assign(b);
-                return;
-            }
-            (Repr::Chunked(a), Repr::Chunked(b)) if a.universe() == b.universe() => {
                 a.difference_assign(b);
                 return;
             }
@@ -527,9 +425,6 @@ impl Relation {
             (Repr::Dense(a), Repr::Dense(b)) if a.universe() == b.universe() => {
                 return a.hamming(b);
             }
-            (Repr::Chunked(a), Repr::Chunked(b)) if a.universe() == b.universe() => {
-                return a.hamming(b);
-            }
             _ => {}
         }
         let in_self_only = self.iter().filter(|t| !other.contains(t)).count();
@@ -541,7 +436,6 @@ impl Relation {
 enum RelIter<'a> {
     Sparse(std::collections::btree_set::Iter<'a, Tuple>),
     Dense(crate::bitrel::BitRelIter<'a>),
-    Chunked(crate::bitrel::chunked::ChunkedIter<'a>),
 }
 
 impl Iterator for RelIter<'_> {
@@ -551,7 +445,6 @@ impl Iterator for RelIter<'_> {
         match self {
             RelIter::Sparse(it) => it.next().copied(),
             RelIter::Dense(it) => it.next(),
-            RelIter::Chunked(it) => it.next(),
         }
     }
 }
@@ -559,7 +452,6 @@ impl Iterator for RelIter<'_> {
 enum PrefixIter<'a> {
     Sparse(std::collections::btree_set::Range<'a, Tuple>),
     Dense(crate::bitrel::BitRelIter<'a>),
-    Chunked(crate::bitrel::chunked::ChunkedIter<'a>),
 }
 
 impl Iterator for PrefixIter<'_> {
@@ -569,7 +461,6 @@ impl Iterator for PrefixIter<'_> {
         match self {
             PrefixIter::Sparse(it) => it.next().copied(),
             PrefixIter::Dense(it) => it.next(),
-            PrefixIter::Chunked(it) => it.next(),
         }
     }
 }
@@ -581,9 +472,6 @@ impl PartialEq for Relation {
         match (&self.repr, &other.repr) {
             (Repr::Sparse(a), Repr::Sparse(b)) => self.arity == other.arity && a == b,
             (Repr::Dense(a), Repr::Dense(b)) if a.universe() == b.universe() => {
-                self.arity == other.arity && a == b
-            }
-            (Repr::Chunked(a), Repr::Chunked(b)) if a.universe() == b.universe() => {
                 self.arity == other.arity && a == b
             }
             _ => {
@@ -624,12 +512,42 @@ impl fmt::Display for Relation {
 mod tests {
     use super::*;
 
+    type Pairs = Vec<(Elem, Elem)>;
+
     fn rel(pairs: &[(Elem, Elem)]) -> Relation {
         Relation::from_tuples(2, pairs.iter().map(|&(a, b)| Tuple::pair(a, b)))
     }
 
     fn drel(n: Elem, pairs: &[(Elem, Elem)]) -> Relation {
         Relation::from_tuples_with_universe(2, n, pairs.iter().map(|&(a, b)| Tuple::pair(a, b)))
+    }
+
+    /// ~`density·n²` distinct pairs over `{0..n}`.
+    fn sample(n: Elem, density: f64, seed: u64) -> Pairs {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let space = n * n;
+        let target = (f64::from(space) * density).round() as usize;
+        let mut picked = BTreeSet::new();
+        if target >= space as usize {
+            picked.extend(0..space);
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        while picked.len() < target {
+            picked.insert(rng.gen_range(0..space));
+        }
+        picked.into_iter().map(|i| (i / n, i % n)).collect()
+    }
+
+    /// Operand pairs `(n, a, b)` every dense-vs-sparse check runs over:
+    /// one hand-written case, then n = 300 (90 000 bits, so the last
+    /// bitmap word is partial) at occupancies from empty through 0.1 %,
+    /// 5 %, 50 % to full.
+    fn operand_pairs() -> Vec<(Elem, Pairs, Pairs)> {
+        let mut out = vec![(5, vec![(0, 1), (1, 2), (4, 4)], vec![(1, 2), (2, 3)])];
+        for d in [0.0, 0.001, 0.05, 0.5, 1.0] {
+            out.push((300, sample(300, d, 31), sample(300, d * 0.7, 32)));
+        }
+        out
     }
 
     #[test]
@@ -672,28 +590,35 @@ mod tests {
 
     #[test]
     fn assign_ops_match_allocating_ops() {
-        let mk = |dense: bool, pairs: &[(Elem, Elem)]| {
-            if dense {
-                drel(5, pairs)
-            } else {
-                rel(pairs)
-            }
-        };
-        for &da in &[false, true] {
-            for &db in &[false, true] {
-                let a = mk(da, &[(0, 1), (1, 2), (4, 4)]);
-                let b = mk(db, &[(1, 2), (2, 3)]);
-                let mut u = a.clone();
-                u.union_assign(&b);
-                assert_eq!(u, a.union(&b));
-                let mut i = a.clone();
-                i.intersection_assign(&b);
-                assert_eq!(i, a.intersection(&b));
-                let mut d = a.clone();
-                d.difference_assign(&b);
-                assert_eq!(d, a.difference(&b));
-                // Backend of the mutated side is preserved.
-                assert_eq!(u.dense_universe().is_some(), da);
+        for (n, pa, pb) in operand_pairs() {
+            let mk = |dense: bool, pairs: &[(Elem, Elem)]| {
+                if dense {
+                    drel(n, pairs)
+                } else {
+                    rel(pairs)
+                }
+            };
+            // The sparse-only answers every backend mix must reproduce.
+            let (sa, sb) = (rel(&pa), rel(&pb));
+            let (su, si, sd) = (sa.union(&sb), sa.intersection(&sb), sa.difference(&sb));
+            for &da in &[false, true] {
+                for &db in &[false, true] {
+                    let a = mk(da, &pa);
+                    let b = mk(db, &pb);
+                    let mut u = a.clone();
+                    u.union_assign(&b);
+                    assert_eq!(u, su);
+                    let mut i = a.clone();
+                    i.intersection_assign(&b);
+                    assert_eq!(i, si);
+                    let mut d = a.clone();
+                    d.difference_assign(&b);
+                    assert_eq!(d, sd);
+                    // Backend of the mutated side is preserved.
+                    for r in [&u, &i, &d] {
+                        assert_eq!(r.backend_kind(), if da { "dense" } else { "sparse" });
+                    }
+                }
             }
         }
     }
@@ -718,13 +643,18 @@ mod tests {
 
     #[test]
     fn backend_selection_respects_cap() {
-        assert!(Relation::with_universe(2, 64).dense_universe().is_some());
+        assert_eq!(Relation::with_universe(2, 64).backend_kind(), "dense");
         // 4096^2 = 2^24 bits: exactly at the cap, still dense.
-        assert_eq!(Relation::with_universe(2, 4096).dense_universe(), Some(4096));
-        // 4097^2 > 2^24: sparse.
-        assert_eq!(Relation::with_universe(2, 4097).dense_universe(), None);
-        // Arity 8 blows past the cap for any n ≥ 2.
-        assert_eq!(Relation::with_universe(8, 16).dense_universe(), None);
+        let at_cap = Relation::with_universe(2, 4096);
+        assert_eq!(at_cap.backend_kind(), "dense");
+        assert_eq!(at_cap.dense_universe(), Some(4096));
+        // Anything past the cap is sparse, however far past: 4097^2 is
+        // just over, 16^8 = 2^32 and 4096^3 = 2^36 are far over.
+        for (arity, n) in [(2, 4097), (3, 1024), (4, 128), (8, 16), (3, 4096)] {
+            let r = Relation::with_universe(arity, n);
+            assert_eq!(r.backend_kind(), "sparse", "arity {arity}, n {n}");
+            assert_eq!(r.dense_universe(), None);
+        }
     }
 
     #[test]
@@ -757,6 +687,34 @@ mod tests {
         // Result backend follows the left operand.
         assert!(s.union(&d).dense_universe().is_none());
         assert_eq!(d.union(&s).dense_universe(), Some(6));
+
+        // Every op, same- and mixed-backend, against the sparse answer.
+        for (n, pa, pb) in operand_pairs() {
+            let (sa, sb) = (rel(&pa), rel(&pb));
+            let (da, db) = (sa.to_dense(n), sb.to_dense(n));
+            assert_eq!(da.backend_kind(), "dense");
+            assert_eq!(da.len(), sa.len());
+            assert_eq!(da, sa);
+            assert!(da.iter().eq(sa.iter()), "iteration order (n {n})");
+            let (su, si, sd) = (sa.union(&sb), sa.intersection(&sb), sa.difference(&sb));
+            for (name, got, want) in [
+                ("union", da.union(&db), &su),
+                ("intersection", da.intersection(&db), &si),
+                ("difference", da.difference(&db), &sd),
+                ("union mixed", da.union(&sb), &su),
+                ("intersection mixed", sa.intersection(&db), &si),
+                ("difference mixed", da.difference(&sb), &sd),
+            ] {
+                assert_eq!(&got, want, "{name} (n {n}, |a| {})", sa.len());
+            }
+            for (x, y) in [(&da, &db), (&da, &sb), (&sa, &db)] {
+                assert_eq!(x.hamming(y), sa.hamming(&sb), "hamming (n {n})");
+            }
+            assert_eq!(da.complement(n), sa.complement(n), "complement (n {n})");
+            let back = da.to_sparse().to_dense(n);
+            assert_eq!(back.backend_kind(), "dense");
+            assert_eq!(back, sa, "round trip (n {n})");
+        }
     }
 
     #[test]
@@ -782,14 +740,17 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
-        const N: Elem = 6;
+        /// Universes the streams are folded onto: a handful of words,
+        /// and n = 300 whose last bitmap word is partial. Both divide
+        /// [`op_stream`]'s element range, so `%` keeps it uniform.
+        const UNIVERSES: [Elem; 2] = [6, 300];
 
         /// Apply the same insert/remove stream to both backends.
-        fn mirrored(ops: &[(Elem, Elem, bool)]) -> (Relation, Relation) {
+        fn mirrored(n: Elem, ops: &[(Elem, Elem, bool)]) -> (Relation, Relation) {
             let mut sparse = Relation::new(2);
-            let mut dense = Relation::dense(2, N);
+            let mut dense = Relation::dense(2, n);
             for &(a, b, ins) in ops {
-                let t = Tuple::pair(a % N, b % N);
+                let t = Tuple::pair(a % n, b % n);
                 if ins {
                     sparse.insert(t);
                     dense.insert(t);
@@ -802,7 +763,7 @@ mod tests {
         }
 
         fn op_stream() -> impl Strategy<Value = Vec<(Elem, Elem, bool)>> {
-            proptest::collection::vec((0u32..N, 0u32..N, proptest::bool::ANY), 0..40)
+            proptest::collection::vec((0u32..300, 0u32..300, proptest::bool::ANY), 0..120)
         }
 
         proptest! {
@@ -812,14 +773,18 @@ mod tests {
             /// same (lexicographic) iteration order, equal relations.
             #[test]
             fn backends_agree_under_churn(ops in op_stream()) {
-                let (sparse, dense) = mirrored(&ops);
-                prop_assert_eq!(sparse.len(), dense.len());
-                let s: Vec<Tuple> = sparse.iter().collect();
-                let d: Vec<Tuple> = dense.iter().collect();
-                prop_assert_eq!(s, d);
-                prop_assert_eq!(&sparse, &dense);
-                for a in 0..N {
-                    for b in 0..N {
+                for n in UNIVERSES {
+                    let (sparse, dense) = mirrored(n, &ops);
+                    prop_assert_eq!(sparse.len(), dense.len());
+                    let s: Vec<Tuple> = sparse.iter().collect();
+                    let d: Vec<Tuple> = dense.iter().collect();
+                    prop_assert_eq!(s, d);
+                    prop_assert_eq!(&sparse, &dense);
+                    // Every touched tuple, plus an even spread of the rest
+                    // (all of them at n = 6).
+                    let touched = ops.iter().map(|&(a, b, _)| (a % n, b % n));
+                    let spread = (0..n * n).step_by((n * n / 64).max(1) as usize);
+                    for (a, b) in touched.chain(spread.map(|i| (i / n, i % n))) {
                         let t = Tuple::pair(a, b);
                         prop_assert_eq!(sparse.contains(&t), dense.contains(&t));
                     }
@@ -830,16 +795,18 @@ mod tests {
             /// BTreeSet implementation on the same inputs.
             #[test]
             fn set_algebra_agrees(xs in op_stream(), ys in op_stream()) {
-                let (sx, dx) = mirrored(&xs);
-                let (sy, dy) = mirrored(&ys);
-                prop_assert_eq!(sx.union(&sy), dx.union(&dy));
-                prop_assert_eq!(sx.intersection(&sy), dx.intersection(&dy));
-                prop_assert_eq!(sx.difference(&sy), dx.difference(&dy));
-                prop_assert_eq!(sx.complement(N), dx.complement(N));
-                prop_assert_eq!(sx.hamming(&sy), dx.hamming(&dy));
-                // Mixed-backend calls agree too (iteration fallback).
-                prop_assert_eq!(sx.union(&dy), dx.union(&sy));
-                prop_assert_eq!(sx.difference(&dy), dx.difference(&sy));
+                for n in UNIVERSES {
+                    let (sx, dx) = mirrored(n, &xs);
+                    let (sy, dy) = mirrored(n, &ys);
+                    prop_assert_eq!(sx.union(&sy), dx.union(&dy));
+                    prop_assert_eq!(sx.intersection(&sy), dx.intersection(&dy));
+                    prop_assert_eq!(sx.difference(&sy), dx.difference(&dy));
+                    prop_assert_eq!(sx.complement(n), dx.complement(n));
+                    prop_assert_eq!(sx.hamming(&sy), dx.hamming(&dy));
+                    // Mixed-backend calls agree too (iteration fallback).
+                    prop_assert_eq!(sx.union(&dy), dx.union(&sy));
+                    prop_assert_eq!(sx.difference(&dy), dx.difference(&sy));
+                }
             }
         }
     }

@@ -1,11 +1,11 @@
 //! Runtime-dispatched SIMD word passes for the bit-parallel kernels.
 //!
-//! Every hot loop in [`eval::kernels`](crate::eval::kernels) and the
-//! chunked bitmap backend ([`bitrel::chunked`](crate::bitrel::chunked))
-//! reduces to one of a handful of word-pass shapes: a fused binary
-//! combine (`dst = (a ^ fa) op (b ^ fb) [& valid]`), an accumulating
-//! fold (`dst op= src`), or a masked complement. This module provides
-//! those shapes once, behind a **runtime-selected tier**:
+//! Every hot loop in [`eval::kernels`](crate::eval::kernels) and
+//! [`bitrel`](crate::bitrel) reduces to one of a handful of word-pass
+//! shapes: a fused binary combine
+//! (`dst = (a ^ fa) op (b ^ fb) [& valid]`), an accumulating fold
+//! (`dst op= src`), or a masked complement. This module provides those
+//! shapes once, behind a **runtime-selected tier**:
 //!
 //! * `Avx2` — 256-bit passes, picked on x86_64 when
 //!   `is_x86_feature_detected!("avx2")`. The elementwise passes are the
@@ -166,8 +166,7 @@ fn note_lanes(words: usize) {
 // ---------------------------------------------------------------------------
 
 /// `dst[i] op= src[i]` where `op` is OR (`and = false`) or AND (`true`).
-/// The accumulate step of the ∃/∀ axis folds and the chunked backend's
-/// dense-block unions/intersections.
+/// The accumulate step of the ∃/∀ axis folds.
 #[inline]
 pub fn fold_assign(dst: &mut [u64], src: &[u64], and: bool) {
     debug_assert_eq!(dst.len(), src.len());

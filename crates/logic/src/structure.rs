@@ -49,20 +49,6 @@ impl Structure {
         }
     }
 
-    /// Convert every relation whose tuple space fits
-    /// [`crate::relation::CHUNKED_BITS_CAP`] to the chunked hybrid
-    /// backend, preserving contents. Relations too large even for the
-    /// chunked block vector stay on their current backend. Used by the
-    /// differential suites to run whole machines chunked-backed.
-    pub fn force_chunked(&mut self) {
-        let n = self.size;
-        for rel in &mut self.relations {
-            if crate::relation::fits_chunked(rel.arity(), n) {
-                *rel = rel.to_chunked(n);
-            }
-        }
-    }
-
     /// The vocabulary.
     pub fn vocab(&self) -> &Arc<Vocabulary> {
         &self.vocab

@@ -312,8 +312,9 @@ mod tests {
         for t in [[1, 2, 3, 4], [127, 126, 125, 124], [0, 0, 0, 0]] {
             state.insert("Big", t);
         }
-        assert!(
-            state.rel("Big").dense_universe().is_none(),
+        assert_eq!(
+            state.rel("Big").backend_kind(),
+            "sparse",
             "test premise: Big must be sparse"
         );
         let m = DynFoMachine::from_state(program.clone(), state).unwrap();
@@ -321,7 +322,7 @@ mod tests {
         let (restored, seq) = decode_snapshot(&bytes, &program).unwrap();
         assert_eq!(seq, 9);
         assert_eq!(restored.state(), m.state());
-        assert!(restored.state().rel("Big").dense_universe().is_none());
+        assert_eq!(restored.state().rel("Big").backend_kind(), "sparse");
     }
 
     #[test]

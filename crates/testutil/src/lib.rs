@@ -112,10 +112,6 @@ pub enum DiffMode {
     /// Plans, applying requests through `apply_batch` in chunks of
     /// this size; state is compared at chunk boundaries only.
     Batch(usize),
-    /// Auxiliary state held on the chunked hybrid bitmap backend
-    /// (`with_chunked_state`); plans bail against it, so every rule
-    /// interprets through the chunked relation ops.
-    Chunked,
     /// Definable bulk changes applied natively through the machine's
     /// bulk-maintenance path (one-shot Δ-fixpoint or internal
     /// fallback). Every *other* non-batch mode replays the equivalent
@@ -135,7 +131,6 @@ impl DiffMode {
                 DynFoMachine::new(program(), n)
             }
             DiffMode::Parallel(t) => DynFoMachine::new(program(), n).with_parallelism(t),
-            DiffMode::Chunked => DynFoMachine::new(program(), n).with_chunked_state(),
         }
     }
 }
