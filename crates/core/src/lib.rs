@@ -5,6 +5,7 @@
 //! first-order update programs from Section 4.
 
 pub mod machine;
+mod rules;
 pub mod native;
 pub mod programs;
 pub mod program;

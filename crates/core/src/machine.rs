@@ -9,12 +9,18 @@
 
 use crate::program::{DynFoProgram, UpdateRule};
 use crate::request::{apply_to_input, delta_rows, Op, Request, RequestError, RequestKind};
-use dynfo_logic::analysis::{canonicalize, positive_in};
+use crate::rules::{
+    compile_tables, rules_for, BitPlan, Body, CompiledRule, GeneralPlan, KindTable, Lowered, Part,
+    Residual, RulePlan, Witness, WitnessRows, BULK_DELTA_REL, PLAN_WORDS_PER_ROW,
+};
+use dynfo_logic::analysis::canonicalize;
 use dynfo_logic::eval::delta::{install_plan, DeltaMode, InstallPlan};
-use dynfo_logic::eval::{Evaluator, SubformulaCache};
+use dynfo_logic::eval::{probe, Evaluator, SubformulaCache};
 use dynfo_logic::formula::{Formula, Term};
 use dynfo_logic::parallel::EvalPool;
-use dynfo_logic::{Elem, EvalError, EvalStats, Plan, PlanArena, RelId, Relation, Structure, Sym, Tuple};
+use dynfo_logic::{
+    Elem, EvalError, EvalStats, RelId, Relation, Structure, Sym, Tuple, MAX_ARITY,
+};
 use dynfo_obs::{Counter, Histogram, ObsHandle};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -37,6 +43,19 @@ struct MachineObs {
     /// `machine.guard.{noop,grow,shrink,full}` — guard-refinement
     /// outcomes: which install strategy the surviving disjuncts chose.
     guard: [Arc<Counter>; 4],
+    /// `machine.bind_join.{bound,unbound}` — residuals with a bind join,
+    /// by the route the request's witness count chose: once per witness
+    /// with the witness as extra parameters, or unbound on the
+    /// interpreter.
+    bind_join: [Arc<Counter>; 2],
+    /// `machine.bind_join.witnesses` — tuples in the witness relation
+    /// each of those decisions was taken from.
+    bind_witnesses: Arc<Histogram>,
+    /// `machine.install.{bitmap,tuples}` — general-rule results that
+    /// reached their target as a counted bitmap pass, or as a decoded,
+    /// diffed tuple list (sparse target, interpreter, or a plan that
+    /// bailed).
+    install_route: [Arc<Counter>; 2],
     /// `machine.batch_size` — requests per `apply_batch` call.
     batch_size: Arc<Histogram>,
     /// `machine.batch_fast_runs` — coalesced fast-only runs executed.
@@ -66,6 +85,12 @@ const GUARD_GROW: usize = 1;
 const GUARD_SHRINK: usize = 2;
 const GUARD_FULL: usize = 3;
 
+const BIND_BOUND: usize = 0;
+const BIND_UNBOUND: usize = 1;
+
+const INSTALL_BITMAP: usize = 0;
+const INSTALL_TUPLES: usize = 1;
+
 impl MachineObs {
     fn new(handle: &ObsHandle) -> MachineObs {
         MachineObs {
@@ -74,6 +99,11 @@ impl MachineObs {
                 .map(|k| handle.histogram(&format!("machine.rule_update_ns.{k}"))),
             guard: ["noop", "grow", "shrink", "full"]
                 .map(|o| handle.counter(&format!("machine.guard.{o}"))),
+            bind_join: ["bound", "unbound"]
+                .map(|r| handle.counter(&format!("machine.bind_join.{r}"))),
+            bind_witnesses: handle.histogram("machine.bind_join.witnesses"),
+            install_route: ["bitmap", "tuples"]
+                .map(|r| handle.counter(&format!("machine.install.{r}"))),
             batch_size: handle.histogram("machine.batch_size"),
             batch_fast_runs: handle.counter("machine.batch_fast_runs"),
             batch_coalesced: handle.counter("machine.batch_coalesced"),
@@ -89,7 +119,7 @@ impl MachineObs {
         match plan {
             GeneralPlan::Grow(_) => 1,
             GeneralPlan::Shrink(_) => 2,
-            GeneralPlan::Guarded(_) => 3,
+            GeneralPlan::Guarded => 3,
             GeneralPlan::Full => 4,
         }
     }
@@ -219,188 +249,6 @@ pub struct InstallStats {
     pub full_evals: usize,
 }
 
-/// How one update rule is executed (compiled once per machine).
-#[derive(Clone, Debug)]
-enum RulePlan {
-    /// The rule is the standard insert copy `R(x̄) ∨ x̄ = ?̄`: the new
-    /// relation is the old plus the request tuple — an O(1) mutation,
-    /// no formula evaluation at all.
-    InsertCopy,
-    /// The standard delete copy `R(x̄) ∧ x̄ ≠ ?̄`: old minus the tuple.
-    DeleteCopy,
-    /// Evaluation through the (cached) evaluator, with the install
-    /// strategy the rule's shape admits.
-    General(GeneralPlan),
-}
-
-/// The delta strategy compiled for a general rule (see
-/// [`dynfo_logic::eval::delta`]). Detection is purely syntactic on the
-/// canonical stored formula, so a plan is a *guarantee*, never a guess:
-///
-/// * `Grow(ψ)` — the formula is `T(x̄) ∨ ψ` with `T` the rule's own
-///   target read back exactly (declared variables, declared order, all
-///   distinct). The target only grows, so only `ψ` is evaluated and the
-///   old relation is never rescanned.
-/// * `Shrink(ψ)` — the formula is `T(x̄) ∧ ψ` with the same exact
-///   self-atom. The new value is a subset of the old; one sorted merge
-///   yields the removals. The stored formula is what evaluates; the
-///   residual ψ is kept for the bulk fixpoint's closure.
-/// * `Guarded` — the formula is a disjunction whose disjuncts carry
-///   *closed* guards (conjuncts with no free variables — only request
-///   params and constants, e.g. `F(?0,?1)` in REACH_u's PV-delete).
-///   Guards are evaluated first, per request; disjuncts whose guard
-///   fails are dropped, and the plan for the *surviving* disjuncts is
-///   chosen at runtime: all-identity → no-op without scanning the
-///   target, identity + ψ → grow, self-restrictions only → shrink,
-///   anything else → full diff of the pruned disjunction. This is the
-///   delta pipeline's parameter restriction: the common REACH_u delete
-///   of a non-forest edge costs one `F(?0,?1)` probe instead of an
-///   O(n³) PV copy.
-/// * `Full` — anything else: evaluate the whole formula and diff by
-///   sorted merge. Still installs in place; "full" refers to the
-///   evaluation, not to any relation rebuild.
-#[derive(Clone, Debug)]
-enum GeneralPlan {
-    Grow(Formula),
-    Shrink(Formula),
-    Guarded(GuardedPlan),
-    Full,
-}
-
-/// A disjunction compiled for per-request guard refinement.
-#[derive(Clone, Debug)]
-struct GuardedPlan {
-    disjuncts: Vec<GuardedDisjunct>,
-}
-
-/// One disjunct of a [`GuardedPlan`]: `γ₁ ∧ … ∧ γ_g ∧ body`, with every
-/// `γᵢ` closed. The disjunct contributes nothing to the request's result
-/// unless all its guards hold (γ ∧ body ≡ body when γ is true, ≡ ⊥ when
-/// false).
-#[derive(Clone, Debug)]
-struct GuardedDisjunct {
-    /// Closed conjuncts (no free variables; params and constants only).
-    guards: Vec<Formula>,
-    body: DisjunctBody,
-}
-
-/// What a guarded disjunct contributes once its guards hold.
-#[derive(Clone, Debug)]
-enum DisjunctBody {
-    /// Exactly the rule's self-atom `T(x̄)`: every old tuple survives.
-    /// No evaluation, no scan.
-    SelfIdentity,
-    /// A conjunction containing the self-atom positively (`T(x̄) ∧ ρ`,
-    /// guards stripped): contributes a *subset* of the old target.
-    SelfRestrict(Formula),
-    /// Any other residual ψ (guards stripped; `True` if the disjunct
-    /// was pure guard).
-    Other(Formula),
-}
-
-/// A rule or query formula lowered to a bit-parallel kernel plan
-/// ([`dynfo_logic::Plan`]), paired with its reusable slot arena.
-/// Compiled once per machine; execution falls back to the interpreter
-/// when compilation declined, the plan bails at runtime (a relation's
-/// backend no longer matches the compiled layout), or the live budget
-/// rules the plan unprofitable ([`BitPlan::profitable`]).
-#[derive(Debug)]
-struct BitPlan {
-    plan: Arc<Plan>,
-    /// Fixed kernel work per execution (`Plan::work_words`), cached for
-    /// the profitability check on every request.
-    work_words: u64,
-    /// Relations the formula reads, resolved against the structure's
-    /// vocabulary at compile time. Their maintained populations are the
-    /// live side of the density-aware budget.
-    reads: Arc<[RelId]>,
-    /// Slot buffers reused across requests. A mutex rather than a cell
-    /// because the parallel scheduler executes rule plans from pool
-    /// workers; each rule's plan is used by at most one job per request,
-    /// so the lock is never contended.
-    arena: Mutex<PlanArena>,
-}
-
-/// Base work budget for machine-installed plans, in 64-bit
-/// words per execution (`Plan::work_words`). A compiled plan always
-/// pays its full `S^k`-shaped traversal, while the interpreter's delta
-/// pipeline often resolves the same rule from a guard probe or a
-/// restricted scan (REACH_a's shrink-shaped delete is microseconds
-/// interpreted but megabits as bit-vectors). Below this budget the
-/// plan always runs. 2^16 words = 4 Mbit ≈ tens of microseconds of
-/// kernel passes — comfortably above every binary-aux program at
-/// n ≤ 256. Above it, [`BitPlan::profitable`] consults the read
-/// relations' live populations: dense state means the interpreter
-/// would scan comparable volume anyway, so the plan still pays;
-/// sparse state keeps the adaptive interpreter.
-const PLAN_WORK_WORDS_CAP: u64 = 1 << 16;
-
-/// Hard ceiling on compiled-plan size, independent of density. Slot
-/// buffers and arity valid-masks materialize at `work_words` scale, so
-/// this bounds per-plan memory (2^22 words = 32 MiB) no matter what
-/// the live budget would admit.
-const PLAN_COMPILE_WORDS_CAP: u64 = 1 << 22;
-
-/// Interpreter cost proxy: kernel words one maintained row is worth.
-/// The delta pipeline touches each live row a handful of times per
-/// evaluation (probe, scan, diff, install); 8 words/row keeps the
-/// estimate conservative — the plan must still be within an order of
-/// magnitude of the scan volume its reads imply.
-const PLAN_WORDS_PER_ROW: u64 = 8;
-
-impl BitPlan {
-    fn compile(f: &Formula, st: &Structure) -> Option<BitPlan> {
-        let plan = Plan::compile(f, st)?;
-        let work_words = plan.work_words();
-        if work_words > PLAN_COMPILE_WORDS_CAP {
-            return None;
-        }
-        let reads: Arc<[RelId]> = dynfo_logic::analysis::relation_symbols(f)
-            .into_iter()
-            .filter_map(|name| st.vocab().relation(name))
-            .collect();
-        let arena = Mutex::new(plan.arena());
-        Some(BitPlan {
-            plan: Arc::new(plan),
-            work_words,
-            reads,
-            arena,
-        })
-    }
-
-    /// Density-aware routing: run the plan when its fixed work is
-    /// within the base budget, or when the read relations' maintained
-    /// populations say the interpreter would scan comparable volume
-    /// anyway (`rows × PLAN_WORDS_PER_ROW`). Monotone over the old
-    /// fixed cap — everything it admitted still runs — while plans
-    /// over sparsely populated reads (REACH_a's shrink-shaped delete
-    /// against a thin path relation) keep the interpreter.
-    fn profitable(&self, st: &Structure) -> bool {
-        if self.work_words <= PLAN_WORK_WORDS_CAP {
-            return true;
-        }
-        let rows: u64 = self
-            .reads
-            .iter()
-            .map(|&id| st.relation(id).len() as u64)
-            .sum();
-        self.work_words <= rows.saturating_mul(PLAN_WORDS_PER_ROW)
-    }
-}
-
-impl Clone for BitPlan {
-    fn clone(&self) -> BitPlan {
-        // Fresh arena: buffers re-grow lazily and stable slots recompute
-        // once; cloned machines share only the immutable plan.
-        BitPlan {
-            plan: Arc::clone(&self.plan),
-            work_words: self.work_words,
-            reads: Arc::clone(&self.reads),
-            arena: Mutex::new(self.plan.arena()),
-        }
-    }
-}
-
 /// How a definable bulk change reaches the state (ROADMAP item 1's
 /// small-Δ headroom). Routing never affects the final state — both
 /// paths land on the expanded stream's result — only which pipeline
@@ -420,40 +268,40 @@ pub enum BulkRoute {
     Fallback,
 }
 
-/// Reusable per-request buffers (satellite of the batched pipeline:
-/// `apply` allocates nothing for bookkeeping on the hot path).
+/// How one general rule's result reaches its target relation.
+#[derive(Clone, Debug)]
+enum Install {
+    /// The guards alone decided the target is already correct.
+    Noop,
+    /// The new value (for [`DeltaMode::Grow`]: the additions) sits in
+    /// the rule's [`CompiledRule::out`] bitmap.
+    Bits(DeltaMode),
+    /// Decoded, diffed tuple lists.
+    Tuples(InstallPlan),
+}
+
+/// What guard refinement left of a general rule for one request: the
+/// install mode the surviving disjuncts admit and which of them must be
+/// evaluated (bit `i` = `disjuncts[i]`); `None` when they are all the
+/// identity and the target stands as it is.
+type Selected = Option<(DeltaMode, u64)>;
+
+/// Reusable per-request buffers: `apply` allocates nothing for
+/// bookkeeping, so a request the guards and a few small plans resolve
+/// (REACH_u's within-tree insert, its non-forest delete, any `set`)
+/// does not touch the allocator at all.
 #[derive(Clone, Debug, Default)]
 struct Scratch {
     params: Vec<Elem>,
-    installs: Vec<(RelId, Sym, InstallPlan)>,
+    /// Per general rule of the kind, in rule order.
+    selected: Vec<Selected>,
+    /// Per witness of the kind.
+    witnesses: Vec<WitnessRows>,
+    /// `(index into the kind's rules, how to install)`.
+    installs: Vec<(usize, Install)>,
     fast_ops: Vec<(RelId, Sym, bool)>,
-}
-
-/// One update rule compiled for execution: everything the update path
-/// needs, resolved once at construction.
-#[derive(Clone, Debug)]
-struct CompiledRule {
-    /// The target relation's slot in the auxiliary structure.
-    target: RelId,
-    /// The program's rule: target symbol, declared variables, stored
-    /// formula.
-    rule: UpdateRule,
-    /// How the rule executes.
-    route: RulePlan,
-    /// The bit-parallel plan for what the interpreter would evaluate
-    /// (`None` where compilation declined: input copies, guarded rules,
-    /// formulas over sparse-only relations, plans past the size cap).
-    bits: Option<BitPlan>,
-}
-
-/// The compiled rules of one request kind, in program order.
-#[derive(Clone, Debug, Default)]
-struct KindTable {
-    rules: Vec<CompiledRule>,
-    /// Whether a bulk change of this kind may run the one-shot
-    /// Δ-fixpoint (see [`bulk_one_shot_eligible`]). Depends only on the
-    /// program and the kind, so it is decided here, not per request.
-    bulk_one_shot: bool,
+    /// Targets the install phase changed.
+    changed: Vec<Sym>,
 }
 
 /// A running instance of a Dyn-FO program.
@@ -589,7 +437,10 @@ impl DynFoMachine {
     fn bit_plans(&self) -> impl Iterator<Item = &BitPlan> {
         self.tables
             .values()
-            .flat_map(|t| t.rules.iter().filter_map(|r| r.bits.as_ref()))
+            .flat_map(|t| {
+                let rules = t.rules.iter().flat_map(CompiledRule::plans);
+                rules.chain(t.witnesses.iter().map(|w| &w.bits))
+            })
             .chain(&self.query_plan)
             .chain(self.named_plans.values().flatten())
     }
@@ -616,6 +467,14 @@ impl DynFoMachine {
     /// plan-for-plan off one machine.
     pub fn plan_static_words(&self) -> u64 {
         self.bit_plans().map(|bp| bp.work_words).sum()
+    }
+
+    /// Interpreter islands across every currently compiled plan: the
+    /// subtrees some plan still hands to the interpreter on every
+    /// execution. Zero means whatever runs compiled runs on kernels
+    /// alone.
+    pub fn plan_interp_islands(&self) -> usize {
+        self.bit_plans().map(|bp| bp.plan.interp_islands()).sum()
     }
 
     /// Worker threads used to schedule general rules within one request.
@@ -743,12 +602,11 @@ impl DynFoMachine {
         // Scratch buffers are owned by the machine and reused across
         // requests; take them out for the duration of this update and
         // put them back (cleared, capacity intact) on every exit path.
-        let mut installs = std::mem::take(&mut self.scratch.installs);
-        let mut fast_ops = std::mem::take(&mut self.scratch.fast_ops);
-        let evaled = self.eval_rules(req.kind(), params, &mut installs, &mut fast_ops);
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let evaled = self.eval_rules(req.kind(), params, &mut scratch);
         let out = match evaled {
             Ok(work) => {
-                self.install(req, params, &mut installs, &fast_ops);
+                self.install(req, params, &mut scratch);
                 self.stats.requests += 1;
                 self.obs.requests.inc();
                 self.stats.update_work.absorb(&work);
@@ -756,10 +614,11 @@ impl DynFoMachine {
             }
             Err(e) => Err(e),
         };
-        installs.clear();
-        fast_ops.clear();
-        self.scratch.installs = installs;
-        self.scratch.fast_ops = fast_ops;
+        scratch.selected.clear();
+        scratch.installs.clear();
+        scratch.fast_ops.clear();
+        scratch.changed.clear();
+        self.scratch = scratch;
         out
     }
 
@@ -767,54 +626,105 @@ impl DynFoMachine {
     /// Fast-path rules only *read* their own target, so their in-place
     /// mutation is deferred to the install phase together with the
     /// general results (simultaneous semantics).
+    ///
+    /// Three steps: probe every general rule's guards (which decides,
+    /// per rule, the install mode and the bodies still to evaluate);
+    /// run each witness relation some surviving body binds against,
+    /// once, for all rules of the kind; then evaluate the rules — one
+    /// after another, or one pool job each.
     fn eval_rules(
         &mut self,
         kind: RequestKind,
         params: &[Elem],
-        installs: &mut Vec<(RelId, Sym, InstallPlan)>,
-        fast_ops: &mut Vec<(RelId, Sym, bool)>,
+        scratch: &mut Scratch,
     ) -> Result<EvalStats, MachineError> {
-        let rules = rules_for(&self.tables, kind);
+        let Some(table) = self.tables.get(&kind) else {
+            return Ok(EvalStats::default());
+        };
+        let rules = &table.rules;
         let use_plans = self.use_plans;
-        for cr in rules {
-            match &cr.route {
-                RulePlan::InsertCopy => fast_ops.push((cr.target, cr.rule.target, true)),
-                RulePlan::DeleteCopy => fast_ops.push((cr.target, cr.rule.target, false)),
-                RulePlan::General(_) => {}
-            }
-        }
         let generals = || {
-            rules.iter().filter_map(|cr| match &cr.route {
-                RulePlan::General(g) => Some((cr, g)),
+            rules.iter().enumerate().filter_map(|(i, cr)| match &cr.route {
+                RulePlan::General(g) => Some((i, cr, g)),
                 _ => None,
             })
         };
+        for cr in rules {
+            match &cr.route {
+                RulePlan::InsertCopy => scratch.fast_ops.push((cr.target, cr.rule.target, true)),
+                RulePlan::DeleteCopy => scratch.fast_ops.push((cr.target, cr.rule.target, false)),
+                RulePlan::General(_) => {}
+            }
+        }
+        for (_, cr, gplan) in generals() {
+            scratch
+                .selected
+                .push(select(&self.state, cr, gplan, params, &self.obs)?);
+        }
 
+        // Each witness relation some selected body reads is computed
+        // once, here, for every rule of the kind — before the per-rule
+        // jobs, which only read it.
         let mut work = EvalStats::default();
+        scratch.witnesses.resize_with(table.witnesses.len(), WitnessRows::default);
+        let selected = || {
+            generals()
+                .zip(&scratch.selected)
+                .flat_map(|((_, cr, _), sel)| selected_residuals(cr, sel))
+        };
+        for (w, witness) in table.witnesses.iter().enumerate() {
+            let read = use_plans && selected().any(|r| r.witnesses().any(|x| x == w));
+            let mut ev = Evaluator::with_cache(&self.state, params, &mut self.cache);
+            run_witness(witness, read, &mut scratch.witnesses[w], &mut ev)?;
+            work.absorb(&ev.stats());
+        }
+        // Its tuples are decoded only if a bind join is going to walk
+        // them — a decision that takes every witness's count.
+        for (w, witness) in table.witnesses.iter().enumerate() {
+            let walked = selected().any(|r| {
+                r.route(&scratch.witnesses).is_some_and(|parts| {
+                    parts
+                        .iter()
+                        .any(|p| matches!(p, Part::Bound { witness, .. } if *witness == w))
+                })
+            });
+            if walked {
+                let arena = witness.bits.arena.lock().expect("witness arena lock");
+                witness.bits.plan.root_rows(&arena, &mut scratch.witnesses[w].rows);
+            }
+        }
+        let ctx = RuleCtx {
+            st: &self.state,
+            params,
+            use_plans,
+            obs: &self.obs,
+            kind_witnesses: &table.witnesses,
+            witnesses: &scratch.witnesses,
+        };
+
         if self.parallelism > 1 && generals().nth(1).is_some() {
             // One job per general rule. The program builder rejects two
             // rules with the same (kind, target), so rules write
-            // disjoint targets; all of them read the shared pre-state
-            // and the shared cache read-only. Each worker fills a
-            // result slot plus a private overlay cache, and the host
-            // merges slots *in rule order*, so stats, cache contents,
-            // and installs are identical to the serial schedule.
-            type WorkerOut = (Result<InstallPlan, EvalError>, EvalStats, SubformulaCache);
+            // disjoint targets; all of them read the shared pre-state,
+            // the shared cache and the request's witness relations
+            // read-only. Each worker fills a result slot plus a private
+            // overlay cache, and the host merges slots *in rule order*,
+            // so stats, cache contents, and installs are identical to
+            // the serial schedule.
+            type WorkerOut = (Result<Install, EvalError>, EvalStats, SubformulaCache);
             let pool = EvalPool::global(self.parallelism);
             let slots: Vec<Mutex<Option<WorkerOut>>> =
                 generals().map(|_| Mutex::new(None)).collect();
             {
-                let state = &self.state;
-                let base = &self.cache;
-                let obs = &self.obs;
+                let (state, base, obs, ctx) = (&self.state, &self.cache, &self.obs, &ctx);
                 let mut jobs: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(slots.len());
-                for ((cr, gplan), slot) in generals().zip(&slots) {
+                for (((_, cr, gplan), sel), slot) in generals().zip(&scratch.selected).zip(&slots) {
                     jobs.push(Box::new(move || {
                         let started = dynfo_obs::clock();
                         let mut local = SubformulaCache::new();
                         let mut ev =
                             Evaluator::with_overlay_cache(state, params, base, &mut local);
-                        let res = eval_general(state, cr, gplan, use_plans, obs, &mut ev);
+                        let res = eval_general(ctx, cr, sel, &mut ev);
                         let stats = ev.stats();
                         drop(ev);
                         obs.rule_ns[MachineObs::kind_index(gplan)].observe_since(started);
@@ -823,27 +733,27 @@ impl DynFoMachine {
                 }
                 pool.run_scoped(jobs);
             }
-            for ((cr, gplan), slot) in generals().zip(slots) {
+            for ((i, _, gplan), slot) in generals().zip(slots) {
                 let (res, stats, local) = slot
                     .into_inner()
                     .unwrap()
                     .expect("eval worker filled its slot");
                 work.absorb(&stats);
                 self.cache.absorb(local);
-                let plan = res?;
+                let install = res?;
                 self.stats.installs.note_eval(gplan);
-                installs.push((cr.target, cr.rule.target, plan));
+                scratch.installs.push((i, install));
             }
         } else {
-            for (cr, gplan) in generals() {
+            for ((i, cr, gplan), sel) in generals().zip(&scratch.selected) {
                 let started = dynfo_obs::clock();
                 let mut ev = Evaluator::with_cache(&self.state, params, &mut self.cache);
-                let res = eval_general(&self.state, cr, gplan, use_plans, &self.obs, &mut ev);
+                let res = eval_general(&ctx, cr, sel, &mut ev);
                 work.absorb(&ev.stats());
                 self.obs.rule_ns[MachineObs::kind_index(gplan)].observe_since(started);
-                let plan = res?;
+                let install = res?;
                 self.stats.installs.note_eval(gplan);
-                installs.push((cr.target, cr.rule.target, plan));
+                scratch.installs.push((i, install));
             }
         }
         Ok(work)
@@ -851,31 +761,40 @@ impl DynFoMachine {
 
     /// Install evaluated results and fast ops simultaneously, then
     /// bring the cache (and, for `set`, the constant copy) up to date.
-    fn install(
-        &mut self,
-        req: &Request,
-        params: &[Elem],
-        installs: &mut Vec<(RelId, Sym, InstallPlan)>,
-        fast_ops: &[(RelId, Sym, bool)],
-    ) {
-        let mut changed: BTreeSet<Sym> = BTreeSet::new();
-        for (id, target, plan) in installs.drain(..) {
-            if plan.is_noop() {
+    fn install(&mut self, req: &Request, params: &[Elem], scratch: &mut Scratch) {
+        let rules = rules_for(&self.tables, req.kind());
+        let installs = &mut self.stats.installs;
+        for (i, install) in scratch.installs.drain(..) {
+            let cr = &rules[i];
+            let (added, removed) = match install {
                 // The evaluation confirmed the target: no write, no
                 // allocation, no cache eviction.
-                self.stats.installs.unchanged += 1;
+                Install::Noop => (0, 0),
+                Install::Bits(mode) => {
+                    let bits = cr.out.0.lock().expect("out bitmap lock");
+                    self.state
+                        .relation_mut(cr.target)
+                        .install_bits(mode, &bits)
+                        .expect("bitmap install planned against a dense target")
+                }
+                Install::Tuples(plan) => {
+                    self.state.apply_delta(cr.target, &plan.added, &plan.removed);
+                    (plan.added.len(), plan.removed.len())
+                }
+            };
+            if added + removed == 0 {
+                installs.unchanged += 1;
             } else {
-                self.stats.installs.delta += 1;
-                self.stats.installs.tuples_added += plan.added.len();
-                self.stats.installs.tuples_removed += plan.removed.len();
-                self.state.apply_delta(id, &plan.added, &plan.removed);
-                changed.insert(target);
+                installs.delta += 1;
+                installs.tuples_added += added;
+                installs.tuples_removed += removed;
+                scratch.changed.push(cr.rule.target);
             }
         }
-        if !fast_ops.is_empty() {
+        if !scratch.fast_ops.is_empty() {
             let started = dynfo_obs::clock();
             let tuple = Tuple::from_slice(params);
-            for &(id, target, is_insert) in fast_ops {
+            for &(id, target, is_insert) in &scratch.fast_ops {
                 let rel = self.state.relation_mut(id);
                 let did = if is_insert {
                     rel.insert(tuple)
@@ -883,7 +802,7 @@ impl DynFoMachine {
                     rel.remove(&tuple)
                 };
                 if did {
-                    changed.insert(target);
+                    scratch.changed.push(target);
                 }
             }
             self.obs.rule_ns[0].observe_since(started);
@@ -899,12 +818,16 @@ impl DynFoMachine {
             if self.state.vocab().constant(*sym).is_some() {
                 self.state.set_const(sym.as_str(), *value);
             }
-            let mut consts = BTreeSet::new();
-            consts.insert(*sym);
-            self.cache.invalidate_consts(&consts);
+            if !self.cache.is_empty() {
+                self.cache.invalidate_consts(&BTreeSet::from([*sym]));
+            }
         }
-        if !changed.is_empty() {
-            self.cache.invalidate_reads(&changed);
+        // The cache only ever holds what the interpreter put there; a
+        // machine whose requests all ran compiled has nothing to evict
+        // and builds no read set.
+        if !scratch.changed.is_empty() && !self.cache.is_empty() {
+            self.cache
+                .invalidate_reads(&scratch.changed.iter().copied().collect());
         }
     }
 
@@ -1171,8 +1094,8 @@ impl DynFoMachine {
                             .saturating_mul(n)
                             .saturating_mul(BULK_ROUNDS_FLOOR),
                     );
-                    let compiled = cr.bits.as_ref().filter(|_| self.use_plans);
-                    let cost = compiled.map(|bp| bp.work_words).unwrap_or_else(|| {
+                    let compiled = cr.compiled_words().filter(|_| self.use_plans);
+                    let cost = compiled.unwrap_or_else(|| {
                         let rows: u64 = dynfo_logic::analysis::relation_symbols(&cr.rule.formula)
                             .into_iter()
                             .filter_map(|s| self.state.vocab().relation(s))
@@ -1460,8 +1383,8 @@ impl DynFoMachine {
         // passes may slice across the pool.
         let pool = (self.parallelism > 1).then(|| EvalPool::global(self.parallelism));
         let mut ev = Evaluator::with_cache(&self.state, &[], &mut self.cache);
-        let plan = self.query_plan.as_ref();
-        let ans = match run_plan(&self.state, plan, self.use_plans, pool.as_deref(), &mut ev)? {
+        let plan = self.query_plan.as_ref().filter(|bp| bp.profitable(&self.state));
+        let ans = match run_plan(plan, self.use_plans, pool.as_deref(), &mut ev)? {
             Some(t) => t.as_bool(),
             None => ev.eval(self.program.query())?.as_bool(),
         };
@@ -1490,7 +1413,8 @@ impl DynFoMachine {
         let pool = (self.parallelism > 1).then(|| EvalPool::global(self.parallelism));
         let mut ev = Evaluator::with_cache(&self.state, args, &mut self.cache);
         let plan = self.named_plans.get(&sym).and_then(|o| o.as_ref());
-        let ans = match run_plan(&self.state, plan, self.use_plans, pool.as_deref(), &mut ev)? {
+        let plan = plan.filter(|bp| bp.profitable(&self.state));
+        let ans = match run_plan(plan, self.use_plans, pool.as_deref(), &mut ev)? {
             Some(t) => t.as_bool(),
             None => ev.eval(&f)?.as_bool(),
         };
@@ -1511,233 +1435,27 @@ impl DynFoMachine {
     }
 }
 
-/// The compiled rules for `kind` (none for a kind the program has no
-/// rules for). A free function over the table map, not a method, so
-/// callers keep mutating the machine's other fields while they hold
-/// the slice.
-fn rules_for(tables: &BTreeMap<RequestKind, KindTable>, kind: RequestKind) -> &[CompiledRule] {
-    tables.get(&kind).map_or(&[], |t| &t.rules)
-}
-
-/// Compile every rule of `program` for execution against `st`'s
-/// layout: resolve its target slot, classify its shape, and lower what
-/// the interpreter would evaluate — a Grow rule's ψ, otherwise the
-/// stored formula — to a bit-parallel plan where the lowering succeeds.
-/// Guarded rules get no plan: guard refinement already beats
-/// whole-formula evaluation, and its surviving disjuncts vary per
-/// request, so there is no single formula to compile.
-fn compile_tables(program: &DynFoProgram, st: &Structure) -> BTreeMap<RequestKind, KindTable> {
-    let mut tables: BTreeMap<RequestKind, KindTable> = BTreeMap::new();
-    // A bulk change may target an input relation the program has no
-    // rules for (the one-shot splice is then a no-op counted as one
-    // request), so every such kind gets its verdict too.
-    for (_, rel) in program.input_vocab().relations() {
-        for op in [Op::Ins, Op::Del] {
-            tables.entry(RequestKind { op, sym: rel.name }).or_default();
-        }
-    }
-    for (&kind, rule) in program.rules() {
-        let route = classify_rule(rule);
-        let compiled = match &route {
-            RulePlan::General(GeneralPlan::Grow(psi)) => Some(psi),
-            RulePlan::General(GeneralPlan::Shrink(_) | GeneralPlan::Full) => Some(&rule.formula),
-            RulePlan::General(GeneralPlan::Guarded(_))
-            | RulePlan::InsertCopy
-            | RulePlan::DeleteCopy => None,
-        };
-        tables.entry(kind).or_default().rules.push(CompiledRule {
-            target: st
-                .vocab()
-                .relation(rule.target)
-                .expect("rule target exists in aux vocab"),
-            bits: compiled.and_then(|f| BitPlan::compile(f, st)),
-            rule: rule.clone(),
-            route,
-        });
-    }
-    // The fixpoint extends the state with a scratch Δ relation; a
-    // program using the reserved name itself takes the fallback.
-    let may_close = program.claims_memoryless()
-        && st.vocab().relation(Sym::new(BULK_DELTA_REL)).is_none();
-    for (kind, table) in &mut tables {
-        table.bulk_one_shot = may_close && bulk_one_shot_eligible(&table.rules, kind.op == Op::Ins);
-    }
-    tables
-}
-
-/// Can these rules — all the rules of one `ins` (`is_ins`) or `del`
-/// kind — run the one-shot bulk fixpoint? On top of the program-wide
-/// precondition checked by the caller (the program claims
-/// memorylessness (§3): the auxiliary structure is a function of the
-/// input alone, so any interleaving of Δ's requests — including the
-/// simultaneous closure the fixpoint computes — converges to the
-/// stream's final state), two conditions, each load-bearing for stream
-/// equivalence:
-///
-/// 1. Every rule is an insert copy or `Grow` (bulk insert), or a delete
-///    copy or `Shrink` (bulk delete): the per-request change is a union
-///    with (intersection against) a definable set.
-/// 2. Every residual ψ mentions the kind's rule targets only at even
-///    negation depth, so the per-round operator is monotone and its
-///    least (greatest) fixpoint from the pre-state is well-defined.
-///    ψ(x;ā) = R(x) with target R shows monotonicity cannot be dropped
-///    silently — hence the syntactic check, with the differential
-///    suites as the empirical backstop.
-fn bulk_one_shot_eligible(rules: &[CompiledRule], is_ins: bool) -> bool {
-    let targets: BTreeSet<Sym> = rules.iter().map(|cr| cr.rule.target).collect();
-    rules.iter().all(|cr| {
-        let monotone = match &cr.route {
-            RulePlan::InsertCopy => is_ins,
-            RulePlan::DeleteCopy => !is_ins,
-            RulePlan::General(GeneralPlan::Grow(psi)) => is_ins && positive_in(psi, &targets),
-            RulePlan::General(GeneralPlan::Shrink(psi)) => !is_ins && positive_in(psi, &targets),
-            RulePlan::General(_) => false,
-        };
-        // The fixpoint rewrites params to fresh `__`-prefixed
-        // variables; a rule using the reserved prefix itself takes the
-        // fallback.
-        monotone && !format!("{}", cr.rule.formula).contains("__")
-    })
-}
-
-/// Decide how an update rule executes: detect the two canonical
-/// input-copy shapes (what [`crate::program::input_copy_rules`] produces,
-/// after simplification and canonicalization) and compile them to O(1)
-/// tuple mutations; detect grow-/shrink-only shapes for the delta
-/// planner; everything else evaluates in full.
-///
-/// * insert: `R(x₀,…,x_{k−1}) ∨ ⋀ᵢ xᵢ = ?ᵢ`
-/// * delete: `R(x₀,…,x_{k−1}) ∧ (⋁ᵢ xᵢ ≠ ?ᵢ … negation pushed inward)`
-/// * grow:   `T(x̄) ∨ ψ` — target can only gain tuples (see [`GeneralPlan`])
-/// * shrink: `T(x̄) ∧ ψ` — target can only lose tuples
-fn classify_rule(rule: &UpdateRule) -> RulePlan {
-    // Every special shape computes a set operation on the rule's own
-    // target; the atom must read exactly the target with the declared
-    // variables in declared order, each distinct.
-    let k = rule.vars.len();
-    let distinct: BTreeSet<Sym> = rule.vars.iter().copied().collect();
-    if k == 0 || distinct.len() != k {
-        return RulePlan::General(GeneralPlan::Full);
-    }
-    let is_target_atom = |f: &Formula| -> bool {
-        matches!(f, Formula::Rel { name, args }
-            if *name == rule.target
-                && args.len() == k
-                && args.iter().zip(&rule.vars).all(|(a, v)| *a == Term::Var(*v)))
-    };
-    match &rule.formula {
-        Formula::Or(parts) => {
-            let Some(self_at) = parts.iter().position(is_target_atom) else {
-                return RulePlan::General(classify_guarded(parts, &is_target_atom));
-            };
-            if parts.len() == 2 && eq_conjunction_matches(&parts[1 - self_at], &rule.vars, false) {
-                return RulePlan::InsertCopy;
-            }
-            // `T(x̄) ∨ ψ`: evaluate only ψ; the old target survives.
-            RulePlan::General(GeneralPlan::Grow(without(parts, self_at, Formula::Or)))
-        }
-        Formula::And(parts) => {
-            let Some(self_at) = parts.iter().position(is_target_atom) else {
-                return RulePlan::General(GeneralPlan::Full);
-            };
-            if parts.len() == 2 && eq_conjunction_matches(&parts[1 - self_at], &rule.vars, true) {
-                return RulePlan::DeleteCopy;
-            }
-            // `T(x̄) ∧ ψ`: the result is a subset of the old target.
-            RulePlan::General(GeneralPlan::Shrink(without(parts, self_at, Formula::And)))
-        }
-        _ => RulePlan::General(GeneralPlan::Full),
-    }
-}
-
-/// Scratch relation name the bulk fixpoint extends the state with —
-/// reserved, so programs using a `__`-prefixed symbol take the
-/// per-tuple fallback instead.
-const BULK_DELTA_REL: &str = "__DELTA";
-
-/// `parts` minus the one at `skip`, rejoined by `join` — the residual ψ
-/// of `T(x̄) ∨ ψ` / `T(x̄) ∧ ψ`. The program builder's simplifier
-/// collapses singleton connectives, so the rest is never empty.
-fn without(parts: &[Formula], skip: usize, join: fn(Vec<Formula>) -> Formula) -> Formula {
-    let mut rest: Vec<Formula> = parts.to_vec();
-    rest.remove(skip);
-    if rest.len() == 1 {
-        rest.remove(0)
-    } else {
-        join(rest)
-    }
-}
-
 impl InstallStats {
     /// Count which evaluation mode a general rule took.
     fn note_eval(&mut self, plan: &GeneralPlan) {
         match plan {
             GeneralPlan::Grow(_) => self.grow_evals += 1,
             GeneralPlan::Shrink(_) => self.shrink_evals += 1,
-            GeneralPlan::Guarded(_) => self.guarded_evals += 1,
+            GeneralPlan::Guarded => self.guarded_evals += 1,
             GeneralPlan::Full => self.full_evals += 1,
         }
     }
 }
 
-/// Try to compile a self-atom-free disjunction into a [`GuardedPlan`]:
-/// split each disjunct into closed guards (no free variables) and a
-/// body, and classify the body against the rule's target. Worth doing
-/// only when at least one disjunct actually has a guard *and* at least
-/// one body reads the target back (identity or restriction) — otherwise
-/// runtime refinement can never beat plain full evaluation.
-fn classify_guarded(parts: &[Formula], is_target_atom: &dyn Fn(&Formula) -> bool) -> GeneralPlan {
-    use dynfo_logic::analysis::free_vars;
-    let mut disjuncts = Vec::with_capacity(parts.len());
-    let mut any_guard = false;
-    let mut any_self = false;
-    for part in parts {
-        let conjuncts: Vec<&Formula> = match part {
-            Formula::And(fs) => fs.iter().collect(),
-            single => vec![single],
-        };
-        let (guards, rest): (Vec<&Formula>, Vec<&Formula>) = conjuncts
-            .into_iter()
-            .partition(|f| free_vars(f).is_empty());
-        any_guard |= !guards.is_empty();
-        let body = if rest.len() == 1 && is_target_atom(rest[0]) {
-            any_self = true;
-            DisjunctBody::SelfIdentity
-        } else if rest.iter().any(|f| is_target_atom(f)) {
-            // The self-atom is a positive conjunct, so the body denotes
-            // a subset of the old target.
-            any_self = true;
-            DisjunctBody::SelfRestrict(Formula::And(rest.into_iter().cloned().collect()))
-        } else {
-            DisjunctBody::Other(match rest.len() {
-                0 => Formula::True, // pure guard: contributes all tuples
-                1 => rest[0].clone(),
-                _ => Formula::And(rest.into_iter().cloned().collect()),
-            })
-        };
-        disjuncts.push(GuardedDisjunct {
-            guards: guards.into_iter().cloned().collect(),
-            body,
-        });
-    }
-    if any_guard && any_self {
-        GeneralPlan::Guarded(GuardedPlan { disjuncts })
-    } else {
-        GeneralPlan::Full
-    }
-}
-
 /// Execute a rule's or query's compiled plan over the dense backends,
-/// provided plans are enabled and the live budget says the fixed
-/// kernel work beats the interpreter at the current occupancy
-/// ([`BitPlan::profitable`]). `Ok(None)` means the caller interprets
-/// instead — plans disabled, compilation or the budget declined, or
-/// the plan bailed at runtime (a relation's backend or universe no
-/// longer matches the compiled layout) — with `plan_fallback` counted
-/// whenever plans were enabled. Real evaluation errors surface exactly
-/// like the interpreter's.
+/// provided plans are enabled and the caller's gate admitted it (for
+/// queries and unguarded rules, [`BitPlan::profitable`]). `Ok(None)`
+/// means the caller interprets instead — plans disabled, compilation or
+/// the gate declined, or the plan bailed at runtime (a relation's
+/// backend or universe no longer matches the compiled layout) — with
+/// `plan_fallback` counted whenever plans were enabled. Real evaluation
+/// errors surface exactly like the interpreter's.
 fn run_plan(
-    st: &Structure,
     plan: Option<&BitPlan>,
     use_plans: bool,
     pool: Option<&EvalPool>,
@@ -1746,7 +1464,7 @@ fn run_plan(
     if !use_plans {
         return Ok(None);
     }
-    if let Some(bp) = plan.filter(|bp| bp.profitable(st)) {
+    if let Some(bp) = plan {
         let mut arena = bp.arena.lock().unwrap();
         if let Some(t) = bp.plan.execute(ev, &mut arena, pool)? {
             return Ok(Some(t));
@@ -1759,33 +1477,227 @@ fn run_plan(
     Ok(None)
 }
 
-/// Evaluate one general rule against the pre-state and plan its
-/// install. Shared verbatim between the serial loop and the parallel
-/// scheduler (which passes an overlay-cache evaluator).
-fn eval_general(
+/// Guard refinement: probe each disjunct's ground guards against the
+/// pre-state, drop the disjuncts whose guard fails, and pick the
+/// cheapest sound install strategy for the survivors. No evaluator, no
+/// cache, no table — a guard is a handful of membership tests.
+fn select(
     st: &Structure,
     cr: &CompiledRule,
     plan: &GeneralPlan,
-    use_plans: bool,
+    params: &[Elem],
     obs: &MachineObs,
+) -> Result<Selected, EvalError> {
+    let (mut live, mut identity, mut restricts, mut others) = (0u64, false, 0u64, 0u64);
+    'disjuncts: for (i, d) in cr.disjuncts.iter().enumerate() {
+        for g in &d.guards {
+            if !probe(g, st, params)? {
+                continue 'disjuncts;
+            }
+        }
+        live |= 1 << i;
+        match d.body {
+            Body::SelfIdentity => identity = true,
+            Body::SelfRestrict(_) => restricts |= 1 << i,
+            Body::Other(_) => others |= 1 << i,
+        }
+    }
+    let (outcome, selected) = if identity {
+        // A live identity disjunct keeps every old tuple, so the target
+        // can only grow; restriction bodies (subsets of the old target)
+        // are subsumed and skipped entirely.
+        if others == 0 {
+            // Every surviving disjunct re-reads the target: T′ = T,
+            // decided without scanning a single tuple.
+            (GUARD_NOOP, None)
+        } else {
+            (GUARD_GROW, Some((DeltaMode::Grow, others)))
+        }
+    } else if live != 0 && live == restricts {
+        (GUARD_SHRINK, Some((DeltaMode::Shrink, live)))
+    } else {
+        // Anything else — including every guard failing, T′ = ∅.
+        (GUARD_FULL, Some((DeltaMode::Full, live)))
+    };
+    if let GeneralPlan::Guarded = plan {
+        obs.guard[outcome].inc();
+    }
+    Ok(selected)
+}
+
+/// The residuals guard refinement left to evaluate.
+fn selected_residuals<'a>(
+    cr: &'a CompiledRule,
+    sel: &Selected,
+) -> impl Iterator<Item = &'a Residual> {
+    let bodies = sel.map_or(0, |(_, bodies)| bodies);
+    cr.disjuncts
+        .iter()
+        .enumerate()
+        .filter(move |(i, _)| bodies >> i & 1 == 1)
+        .filter_map(|(_, d)| d.body.residual())
+}
+
+/// Compute one witness relation for this request (or mark it absent).
+fn run_witness(
+    witness: &Witness,
+    read: bool,
+    rows: &mut WitnessRows,
     ev: &mut Evaluator<'_>,
-) -> Result<InstallPlan, EvalError> {
-    // A Grow rule evaluates only its ψ; Shrink and Full evaluate the
-    // stored formula.
-    let (formula, delta_mode) = match plan {
-        GeneralPlan::Guarded(gp) => return eval_guarded(st, cr, gp, obs, ev),
-        GeneralPlan::Grow(psi) => (psi, DeltaMode::Grow),
-        GeneralPlan::Shrink(_) => (&cr.rule.formula, DeltaMode::Shrink),
-        GeneralPlan::Full => (&cr.rule.formula, DeltaMode::Full),
+) -> Result<(), EvalError> {
+    rows.rows.clear();
+    rows.count = 0;
+    rows.ran = false;
+    if read {
+        let mut arena = witness.bits.arena.lock().expect("witness arena lock");
+        rows.ran = witness.bits.plan.run(ev, &mut arena, None)?;
+        if rows.ran {
+            rows.count = witness.bits.plan.root_count(&arena);
+        }
+    }
+    Ok(())
+}
+
+/// What a rule evaluation reads besides its own rule: shared verbatim
+/// between the serial loop and the parallel scheduler's jobs.
+struct RuleCtx<'a> {
+    st: &'a Structure,
+    params: &'a [Elem],
+    use_plans: bool,
+    obs: &'a MachineObs,
+    /// The kind's witness plans (their arenas hold this request's
+    /// witness bitmaps) …
+    kind_witnesses: &'a [Witness],
+    /// … and what this request found in them.
+    witnesses: &'a [WitnessRows],
+}
+
+/// Evaluate one general rule's selected bodies against the pre-state
+/// and say how to install the result: as a bitmap when every body ran
+/// compiled against a dense target, as diffed tuples otherwise.
+fn eval_general(
+    ctx: &RuleCtx<'_>,
+    cr: &CompiledRule,
+    sel: &Selected,
+    ev: &mut Evaluator<'_>,
+) -> Result<Install, EvalError> {
+    let Some((mode, _)) = *sel else {
+        return Ok(Install::Noop);
     };
-    // Compiled path first. No pool: rule plans may already be running
-    // on pool workers, and pools must not nest.
-    let table = match run_plan(st, cr.bits.as_ref(), use_plans, None, ev)? {
-        Some(table) => table,
-        None => ev.eval(formula)?,
+    if ctx.use_plans && eval_bits(ctx, cr, sel, ev)? {
+        ctx.obs.install_route[INSTALL_BITMAP].inc();
+        return Ok(Install::Bits(mode));
+    }
+    ctx.obs.install_route[INSTALL_TUPLES].inc();
+    let mut rows: Vec<Tuple> = Vec::new();
+    for r in selected_residuals(cr, sel) {
+        // A residual that is one plain plan can still run compiled and
+        // be decoded; bind joins install from bits or not at all.
+        let plan = match &r.parts[..] {
+            [Part::Plain(l)] => Some(&l.bits),
+            _ => None,
+        };
+        let admitted = plan.filter(|bp| cr.guarded || bp.profitable(ctx.st));
+        // No pool: rule plans may already be running on pool workers,
+        // and pools must not nest.
+        let table = match run_plan(admitted, ctx.use_plans, None, ev)? {
+            Some(table) => table,
+            None => ev.eval(&r.formula)?,
+        };
+        rows.extend(align_to_rule(table, &cr.rule, ctx.st.size()));
+    }
+    rows.sort_unstable();
+    rows.dedup();
+    Ok(Install::Tuples(install_plan(mode, ctx.st.relation(cr.target), &rows)))
+}
+
+/// Run every selected body compiled and OR the roots into the rule's
+/// `out` bitmap, in the target's own layout. `Ok(false)` — nothing
+/// usable in `out` — when the target is not densely backed, some body
+/// has no compiled route this request admits (decided before anything
+/// runs, so declining costs no kernel work), or a plan bailed.
+fn eval_bits(
+    ctx: &RuleCtx<'_>,
+    cr: &CompiledRule,
+    sel: &Selected,
+    ev: &mut Evaluator<'_>,
+) -> Result<bool, EvalError> {
+    let st = ctx.st;
+    let target = st.relation(cr.target);
+    let Some(words) = target.dense_words().filter(|_| target.dense_universe() == Some(st.size()))
+    else {
+        return Ok(false);
     };
-    let rows = align_to_rule(table, &cr.rule, st.size());
-    Ok(install_plan(delta_mode, st.relation(cr.target), &rows))
+    let admitted = |bp: &BitPlan| cr.guarded || bp.profitable(st);
+    let mut compiled = true;
+    for r in selected_residuals(cr, sel) {
+        let route = r.route(ctx.witnesses);
+        if let Some(w) = r.parts.iter().find_map(|p| match p {
+            Part::Bound { witness, .. } => Some(*witness),
+            _ => None,
+        }) {
+            ctx.obs.bind_join[if route.is_some() { BIND_BOUND } else { BIND_UNBOUND }].inc();
+            ctx.obs.bind_witnesses.observe(ctx.witnesses[w].count as u64);
+        }
+        compiled &= route.is_some_and(|parts| {
+            parts.iter().all(|p| match p {
+                Part::Plain(l) | Part::Bound { body: l, .. } => admitted(&l.bits),
+                Part::Witness { .. } => true,
+            })
+        });
+    }
+    if !compiled {
+        return Ok(false);
+    }
+    let mut out = cr.out.0.lock().expect("out bitmap lock");
+    out.clear();
+    out.resize(words, 0);
+    let run = |l: &Lowered, ev: &mut Evaluator<'_>, out: &mut [u64]| -> Result<bool, EvalError> {
+        let mut arena = l.bits.arena.lock().expect("plan arena lock");
+        // No pool: rule plans may already be running on pool workers,
+        // and pools must not nest.
+        let ran = l.bits.plan.run(ev, &mut arena, None)?;
+        if ran {
+            l.bits.plan.or_root_into(&arena, &l.axes, out, ev.stats_mut());
+        }
+        Ok(ran)
+    };
+    for r in selected_residuals(cr, sel) {
+        let parts = r
+            .route(ctx.witnesses)
+            .expect("every selected body has a compiled route");
+        for part in parts {
+            match part {
+                Part::Plain(l) => {
+                    if !run(l, ev, &mut out)? {
+                        return Ok(false);
+                    }
+                }
+                Part::Witness { witness, axes } => {
+                    let bits = &ctx.kind_witnesses[*witness].bits;
+                    let arena = bits.arena.lock().expect("witness arena lock");
+                    bits.plan.or_root_into(&arena, axes, &mut out, ev.stats_mut());
+                }
+                Part::Bound { witness, body } => {
+                    // The witness tuple rides behind the request's own
+                    // parameters: `?p…` in the bound body.
+                    let p = ctx.params.len();
+                    let mut bound = [0 as Elem; 2 * MAX_ARITY];
+                    bound[..p].copy_from_slice(ctx.params);
+                    for row in &ctx.witnesses[*witness].rows {
+                        bound[p..p + row.len()].copy_from_slice(row.as_slice());
+                        let mut inner = Evaluator::new(st, &bound[..p + row.len()]);
+                        let ran = run(body, &mut inner, &mut out)?;
+                        ev.stats_mut().absorb(&inner.stats());
+                        if !ran {
+                            return Ok(false);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    Ok(true)
 }
 
 /// Project an evaluated table to the rule's declared variables and
@@ -1812,123 +1724,6 @@ fn align_to_rule(table: dynfo_logic::Table, rule: &UpdateRule, n: Elem) -> Vec<T
     rows.sort_unstable();
     rows.dedup();
     rows
-}
-
-/// Execute a [`GuardedPlan`]: evaluate each disjunct's closed guards
-/// against the pre-state (params bound, results cached like any other
-/// subformula), drop the disjuncts whose guard fails, and pick the
-/// cheapest sound install strategy for the survivors.
-fn eval_guarded(
-    st: &Structure,
-    cr: &CompiledRule,
-    gp: &GuardedPlan,
-    obs: &MachineObs,
-    ev: &mut Evaluator<'_>,
-) -> Result<InstallPlan, EvalError> {
-    let n = st.size();
-    let (rule, id) = (&cr.rule, cr.target);
-    let mut live: Vec<&DisjunctBody> = Vec::with_capacity(gp.disjuncts.len());
-    'disjuncts: for d in &gp.disjuncts {
-        for g in &d.guards {
-            if !ev.eval(g)?.as_bool() {
-                continue 'disjuncts;
-            }
-        }
-        live.push(&d.body);
-    }
-    let any_identity = live
-        .iter()
-        .any(|b| matches!(b, DisjunctBody::SelfIdentity));
-    let (formulas, delta_mode): (Vec<&Formula>, DeltaMode) = if any_identity {
-        // A live identity disjunct keeps every old tuple, so the target
-        // can only grow; restriction bodies (subsets of the old target)
-        // are subsumed and skipped entirely.
-        let others: Vec<&Formula> = live
-            .iter()
-            .filter_map(|b| match b {
-                DisjunctBody::Other(f) => Some(f),
-                _ => None,
-            })
-            .collect();
-        if others.is_empty() {
-            // Every surviving disjunct re-reads the target: T′ = T,
-            // decided without scanning a single tuple.
-            obs.guard[GUARD_NOOP].inc();
-            return Ok(InstallPlan::default());
-        }
-        obs.guard[GUARD_GROW].inc();
-        (others, DeltaMode::Grow)
-    } else {
-        let all_restrict = live
-            .iter()
-            .all(|b| matches!(b, DisjunctBody::SelfRestrict(_)));
-        let fs: Vec<&Formula> = live
-            .iter()
-            .map(|b| match b {
-                DisjunctBody::SelfRestrict(f) | DisjunctBody::Other(f) => f,
-                DisjunctBody::SelfIdentity => unreachable!("identity handled above"),
-            })
-            .collect();
-        if fs.is_empty() {
-            // Every guard failed: T′ = ∅.
-            obs.guard[GUARD_FULL].inc();
-            return Ok(install_plan(DeltaMode::Full, st.relation(id), &[]));
-        }
-        obs.guard[if all_restrict { GUARD_SHRINK } else { GUARD_FULL }].inc();
-        (fs, if all_restrict { DeltaMode::Shrink } else { DeltaMode::Full })
-    };
-    let mut rows: Vec<Tuple> = Vec::new();
-    for f in formulas {
-        rows.extend(align_to_rule(ev.eval(f)?, rule, n));
-    }
-    rows.sort_unstable();
-    rows.dedup();
-    Ok(install_plan(delta_mode, st.relation(id), &rows))
-}
-
-/// Does `f` say `⋀ᵢ xᵢ = ?ᵢ` over exactly `vars` (or, for
-/// `negated = true`, its canonical negation `⋁ᵢ ¬(xᵢ = ?ᵢ)`)?
-fn eq_conjunction_matches(f: &Formula, vars: &[Sym], negated: bool) -> bool {
-    // Accept `x = ?i` with the variable on either side.
-    let eq_index = |g: &Formula| -> Option<(Sym, usize)> {
-        if let Formula::Eq(a, b) = g {
-            match (a, b) {
-                (Term::Var(v), Term::Param(i)) | (Term::Param(i), Term::Var(v)) => {
-                    Some((*v, *i))
-                }
-                _ => None,
-            }
-        } else {
-            None
-        }
-    };
-    let leaf = |g: &Formula| -> Option<(Sym, usize)> {
-        if negated {
-            if let Formula::Not(inner) = g {
-                eq_index(inner)
-            } else {
-                None
-            }
-        } else {
-            eq_index(g)
-        }
-    };
-    let parts: Vec<&Formula> = match f {
-        Formula::And(fs) if !negated => fs.iter().collect(),
-        Formula::Or(fs) if negated => fs.iter().collect(),
-        single => vec![single],
-    };
-    if parts.len() != vars.len() {
-        return false;
-    }
-    let mut seen = vec![false; vars.len()];
-    for g in parts {
-        match leaf(g) {
-            Some((v, i)) if i < vars.len() && vars[i] == v && !seen[i] => seen[i] = true,
-            _ => return false,
-        }
-    }
-    seen.iter().all(|&s| s)
 }
 
 /// Run the machine and an input-structure replay side by side over a
@@ -2410,7 +2205,7 @@ mod tests {
         // that is *not* in the spanning forest must resolve to a no-op
         // install from the guard probes alone, never materializing the
         // O(n³) path-segment repair.
-        let mut m = DynFoMachine::new(crate::programs::reach_u::program(), 12);
+        let mut m = DynFoMachine::new(crate::programs::reach_u::program(), 64);
         for (a, b) in [(0, 1), (1, 2), (0, 2)] {
             m.apply(&Request::ins("E", [a, b])).unwrap();
         }
@@ -2421,8 +2216,7 @@ mod tests {
             .find(|&(a, b)| !m.holds("F", [a, b]) && !m.holds("F", [b, a]))
             .expect("a triangle has a non-forest edge");
         let installs_before = m.stats().installs;
-        let rows_before = m.stats().update_work.rows_built;
-        m.apply(&Request::del("E", [a, b])).unwrap();
+        let work = m.apply(&Request::del("E", [a, b])).unwrap();
         let installs = m.stats().installs;
         assert!(
             installs.guarded_evals >= installs_before.guarded_evals + 2,
@@ -2432,11 +2226,28 @@ mod tests {
             installs.unchanged > installs_before.unchanged,
             "PV survives a non-forest delete as a guard-decided no-op"
         );
-        let rows = m.stats().update_work.rows_built - rows_before;
+        // What is left runs compiled, on the arity-2 rules alone: less
+        // than one PV-shaped (S³/64-word) pass, of which the repair
+        // makes dozens.
+        let s = u64::from(m.n().next_power_of_two());
+        assert_eq!(work.rows_built, 0, "the interpreter ran");
         assert!(
-            rows < 500,
-            "non-forest delete must not evaluate the repair (rows_built = {rows})"
+            work.kernel_words < s.pow(3) / 64,
+            "non-forest delete must not evaluate the repair ({} kernel words)",
+            work.kernel_words
         );
+        let (c, d) = [(0, 1), (1, 2), (0, 2)]
+            .into_iter()
+            .find(|&(c, d)| m.holds("F", [c, d]))
+            .expect("two forest edges remain");
+        let repair = m.apply(&Request::del("E", [c, d])).unwrap();
+        assert!(
+            repair.kernel_words > 8 * work.kernel_words,
+            "a forest delete does evaluate it ({} vs {} kernel words)",
+            repair.kernel_words,
+            work.kernel_words
+        );
+        m.apply(&Request::ins("E", [c, d])).unwrap();
         // Connectivity is untouched: the forest did not contain the edge.
         assert!(m.query_named("connected", &[0, 2]).unwrap());
         assert!(m.query_named("connected", &[1, 2]).unwrap());
@@ -2478,6 +2289,32 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn parallel_scheduler_shares_one_witness_evaluation() {
+        // Bipartiteness has three delete rules (F, PV, Odd) binding
+        // against the same witness relation `New`: it is computed once
+        // per request, before the per-rule jobs, which only read it —
+        // so the parallel schedule runs exactly the plans the serial
+        // one runs and installs the same bits.
+        let mut reqs: Vec<Request> = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 6), (2, 5)]
+            .into_iter()
+            .map(|(a, b)| Request::ins("E", [a, b]))
+            .collect();
+        reqs.extend([(1, 2), (2, 5), (3, 4), (0, 1)].map(|(a, b)| Request::del("E", [a, b])));
+        let mut serial = DynFoMachine::new(crate::programs::bipartite::program(), 8);
+        let mut parallel =
+            DynFoMachine::new(crate::programs::bipartite::program(), 8).with_parallelism(2);
+        for r in &reqs {
+            let s = serial.apply(r).unwrap();
+            let p = parallel.apply(r).unwrap();
+            assert_eq!(serial.state(), parallel.state(), "after {r}");
+            assert_eq!(s, p, "{r}: the schedules did different work");
+            assert_eq!(s.rows_built, 0, "{r}: the interpreter ran");
+        }
+        assert_eq!(serial.stats().installs, parallel.stats().installs);
+        assert!(serial.stats().installs.tuples_removed > 0, "no forest delete happened");
     }
 
     #[test]

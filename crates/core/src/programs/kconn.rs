@@ -23,7 +23,9 @@
 //! is provided.
 
 use crate::program::DynFoProgram;
-use crate::programs::reach_u::{forest_formulas, same_tree};
+use crate::programs::reach_u::{
+    forest_formulas, forest_formulas_with, new_edge_one_block, same_tree,
+};
 use crate::request::RequestKind;
 use dynfo_logic::formula::{param, rel, Formula, Term};
 use dynfo_logic::subst::{substitute_relations, RelDef};
@@ -41,7 +43,10 @@ struct Level {
 /// Compose the single-deletion update `levels` times. Level 0 is the
 /// identity (plain atoms).
 fn compose(levels: usize) -> Vec<Level> {
-    let ff = forest_formulas();
+    // Composed, not executed per update: the compact statement of `New`
+    // (see [`new_edge_one_block`]) keeps the geometric growth where the
+    // paper's construction puts it.
+    let ff = forest_formulas_with(new_edge_one_block);
     let mut out = vec![Level {
         e: rel("E", [dynfo_logic::formula::v("x"), dynfo_logic::formula::v("y")]),
         f: rel("F", [dynfo_logic::formula::v("x"), dynfo_logic::formula::v("y")]),

@@ -40,7 +40,7 @@ pub mod strings;
 pub mod trans_reduction;
 pub mod vertex_cover;
 
-use dynfo_logic::formula::{eq, param, v, Formula, Term};
+use dynfo_logic::formula::{eq, param, v, Formula};
 
 /// `Eq(x, y, a, b) ≡ (x=a ∧ y=b) ∨ (x=b ∧ y=a)` — the paper's
 /// unordered-pair abbreviation, with `a = ?0`, `b = ?1`.
@@ -56,11 +56,4 @@ pub(crate) fn tuple_is_params(vars: &[&str]) -> Formula {
             .map(|(i, x)| eq(v(x), param(i)))
             .collect(),
     )
-}
-
-/// Lexicographic "(x, y) ≤ (u, v)" on pairs — used to pick minimum
-/// replacement edges deterministically (and hence memorylessly).
-pub(crate) fn lex_le(x: Term, y: Term, u: Term, z: Term) -> Formula {
-    use dynfo_logic::formula::{le, lt};
-    lt(x, u) | (eq(x, u) & le(y, z))
 }

@@ -31,9 +31,11 @@
 //! `{a,b}` — and reconnects via `New` exactly as Theorem 4.1 describes.
 
 use crate::program::DynFoProgram;
-use crate::programs::{eq_pair, lex_le};
+use crate::programs::eq_pair;
 use crate::request::RequestKind;
-use dynfo_logic::formula::{eq, exists, forall, implies, not, param, rel, v, Formula, Term};
+use dynfo_logic::formula::{
+    eq, exists, forall, implies, le, lt, not, param, rel, v, Formula, Term,
+};
 
 /// `P(s, t) ≡ s = t ∨ PV(s, t, s)` for arbitrary terms.
 pub(crate) fn same_tree(s: Term, t: Term) -> Formula {
@@ -88,13 +90,28 @@ fn cand(x: Term, y: Term) -> Formula {
         & conn_t(y, param(1))
 }
 
-/// `New(x, y)`: the lexicographically least candidate edge.
+/// `New(x, y)`: the lexicographically least candidate edge, stated as
+/// two successive minima — no candidate starts below `x`, and none from
+/// `x` ends below `y`. Each minimum mentions one of `x`, `y` beside its
+/// bound variables, so the formula lowers to slots of arity ≤ 3 (the
+/// single block of [`new_edge_one_block`] is 4-ary in `(x, y, p, q)`).
 pub(crate) fn new_edge(x: &str, y: &str) -> Formula {
     cand(v(x), v(y))
         & forall(
             ["p", "q"],
-            implies(cand(v("p"), v("q")), lex_le(v(x), v(y), v("p"), v("q"))),
+            implies(lt(v("p"), v(x)), not(cand(v("p"), v("q")))),
         )
+        & forall(["q"], implies(lt(v("q"), v(y)), not(cand(v(x), v("q")))))
+}
+
+/// The same minimum as one 4-ary block comparing `(x, y)` against every
+/// candidate pair lexicographically: two copies of `Cand` where
+/// [`new_edge`] has three. k-edge connectivity composes the delete
+/// formulas into themselves, where every copy compounds and nothing is
+/// lowered per update, so its query keeps this statement.
+pub(crate) fn new_edge_one_block(x: &str, y: &str) -> Formula {
+    let lex_le = lt(v(x), v("p")) | (eq(v(x), v("p")) & le(v(y), v("q")));
+    cand(v(x), v(y)) & forall(["p", "q"], implies(cand(v("p"), v("q")), lex_le))
 }
 
 /// The six update formulas of Theorem 4.1, shared with the programs that
@@ -111,6 +128,11 @@ pub(crate) struct ForestFormulas {
 
 /// Build the Theorem 4.1 update formulas.
 pub(crate) fn forest_formulas() -> ForestFormulas {
+    forest_formulas_with(new_edge)
+}
+
+/// The update formulas over a given statement of `New`.
+pub(crate) fn forest_formulas_with(new_edge: fn(&str, &str) -> Formula) -> ForestFormulas {
     let a = param(0);
     let b = param(1);
 
@@ -314,6 +336,29 @@ mod tests {
             let graph = graph_of(input);
             check_invariants(machine, &graph, step);
         }).unwrap();
+    }
+
+    #[test]
+    fn two_minima_pick_the_lexicographically_least_candidate() {
+        // On forests the machine itself maintains, for every forest edge
+        // as the cut: both statements of `New` select the same pairs.
+        for (n, seed) in [(5u32, 1u64), (9, 2), (16, 3)] {
+            let ops = churn_stream(n, 3 * n as usize, 0.2, true, &mut rng(seed));
+            let mut m = DynFoMachine::new(program(), n);
+            m.apply_all(&to_requests(&ops)).unwrap();
+            let cuts: Vec<_> = m.state().rel("F").iter().collect();
+            assert!(!cuts.is_empty(), "n={n}: no forest edge to cut");
+            let mut replaced = 0;
+            for cut in cuts {
+                let params = [cut[0], cut[1]];
+                let new = m.evaluate(&new_edge("x", "y"), &params).unwrap().sorted();
+                let old = m.evaluate(&new_edge_one_block("x", "y"), &params).unwrap();
+                assert_eq!(new, old.sorted(), "n={n}, cut {cut}");
+                assert!(new.len() <= 1, "n={n}, cut {cut}: {} minima", new.len());
+                replaced += new.len();
+            }
+            assert!(replaced > 0, "n={n}: no cut edge had a replacement");
+        }
     }
 
     #[test]

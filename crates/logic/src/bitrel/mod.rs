@@ -239,6 +239,27 @@ impl BitRel {
         }
     }
 
+    /// Counted bitmap install: make this relation `self ∪ new` (`grow`)
+    /// or exactly `new`, where `new` is a bitmap in this relation's own
+    /// base-`n` layout with no bit past `n^arity` set. Returns
+    /// `(added, removed)` — the sizes of `new ∖ old` and `old ∖ new` —
+    /// read off the fused combine-and-popcount passes, so a whole-
+    /// relation install costs one or two word sweeps and no per-tuple
+    /// work.
+    pub(crate) fn install_words(&mut self, new: &[u64], grow: bool) -> (usize, usize) {
+        assert_eq!(new.len(), self.words.len(), "bitmap length mismatch");
+        let old = self.len;
+        if grow {
+            self.len = crate::simd::fold_count(&mut self.words, new, false, 0) as usize;
+            return (self.len - old, 0);
+        }
+        // old ∩ new survives; OR-ing `new` back in then leaves exactly
+        // `new`, and the two counts give both sides of the difference.
+        let kept = crate::simd::fold_count(&mut self.words, new, true, 0) as usize;
+        self.len = crate::simd::fold_count(&mut self.words, new, false, 0) as usize;
+        (self.len - kept, old - kept)
+    }
+
     /// Word slice access for same-crate kernels: when the universe is a
     /// power of two the base-`n` layout coincides with the compiled
     /// plans' padded power-of-two layout, so atom loads become straight

@@ -26,8 +26,8 @@
 //! Every kernel returns the number of words it touched; the plan executor
 //! accumulates that into `EvalStats::kernel_words`.
 
-use crate::bitrel::read_bits;
-use crate::tuple::Elem;
+use crate::bitrel::{read_bits, span_op};
+use crate::tuple::{Elem, MAX_ARITY};
 
 /// The padded power-of-two geometry shared by all slots of one plan.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -83,40 +83,46 @@ impl Layout {
 }
 
 /// Fused n-ary boolean combine: `dst[w] = op(src₀', src₁', …)` where each
-/// `srcᵢ'` is `srcᵢ` or its complement, `op` is AND or OR, and `valid`
-/// (when given) re-zeroes garbage bits that complementing set. One
-/// traversal regardless of operand count. All operands share `dst`'s
-/// arity; the plan compiler broadcasts narrower ones first.
-pub(crate) fn combine(
+/// `srcᵢ'` is `bufs[srcs[i].0]` or (flag set) its complement, `op` is
+/// AND or OR, and `valid` (when given) re-zeroes garbage bits that
+/// complementing set. One traversal regardless of operand count. All
+/// operands share `dst`'s arity; the plan compiler broadcasts narrower
+/// ones first. Operands are named by index into `bufs` — the plan's own
+/// slot table — so the executor builds no operand list per request.
+pub(crate) fn combine<B: AsRef<[u64]>>(
     dst: &mut [u64],
-    srcs: &[(&[u64], bool)],
+    bufs: &[B],
+    srcs: &[(usize, bool)],
     and: bool,
     valid: Option<&[u64]>,
 ) -> u64 {
     debug_assert!(!srcs.is_empty());
-    debug_assert!(srcs.iter().all(|(s, _)| s.len() == dst.len()));
+    debug_assert!(srcs.iter().all(|&(s, _)| bufs[s].as_ref().len() == dst.len()));
     let vmask = |w: usize| valid.map(|v| v[w]).unwrap_or(!0u64);
+    let flip = |neg: bool| if neg { !0u64 } else { 0 };
     // The 1- and 2-source widths (the overwhelming majority after the
     // compiler's connective fusion) go through the runtime-dispatched
     // SIMD passes; wider combines keep the scalar loop, which the
     // compiler autovectorizes.
-    match srcs {
-        [(a, na)] => {
-            let fa = if *na { !0 } else { 0 };
-            crate::simd::combine1(dst, a, fa, valid);
-        }
-        [(a, na), (b, nb)] => {
-            let (fa, fb) = (if *na { !0 } else { 0 }, if *nb { !0 } else { 0 });
-            crate::simd::combine2(dst, a, b, and, fa, fb, valid);
-        }
+    match *srcs {
+        [(a, na)] => crate::simd::combine1(dst, bufs[a].as_ref(), flip(na), valid),
+        [(a, na), (b, nb)] => crate::simd::combine2(
+            dst,
+            bufs[a].as_ref(),
+            bufs[b].as_ref(),
+            and,
+            flip(na),
+            flip(nb),
+            valid,
+        ),
         _ => {
-            for w in 0..dst.len() {
+            for (w, d) in dst.iter_mut().enumerate() {
                 let mut acc = if and { !0u64 } else { 0u64 };
-                for (s, neg) in srcs {
-                    let x = if *neg { !s[w] } else { s[w] };
+                for &(s, neg) in srcs {
+                    let x = bufs[s].as_ref()[w] ^ flip(neg);
                     acc = if and { acc & x } else { acc | x };
                 }
-                dst[w] = acc & vmask(w);
+                *d = acc & vmask(w);
             }
         }
     }
@@ -411,6 +417,87 @@ pub(crate) fn broadcast_rep(lay: &Layout, k_src: usize, axis: usize) -> Vec<u64>
     }
 }
 
+/// One side of a [`gather`]: where the all-zero digit assignment lives
+/// and how far each axis's digit moves the bit index. A step of 0 makes
+/// the axis a broadcast on that side; a step that sums several column
+/// strides reads a repeated variable's diagonal.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Strides {
+    pub base: usize,
+    pub step: [usize; MAX_ARITY],
+}
+
+/// Strided bit move between two layouts of the same digit space: for
+/// every assignment of the `k` axes (each `0..n`, axis 0 outermost),
+/// `dst[d.base + Σ digit·d.step] |= src[s.base + Σ digit·s.step]`.
+///
+/// This is both directions of the padded ↔ base-`n` conversion: an atom
+/// load whose columns are ground terms, repeats or a permutation (source
+/// = the relation's bitmap, ground columns folded into `s.base`), and
+/// the restride of a plan's root slot back to its target relation's
+/// layout. Work is O(n^k) bit probes — or O(n^{k−1}) word-parallel
+/// `n`-bit runs when the innermost axis is contiguous on both sides —
+/// independent of how many tuples the source holds.
+///
+/// ORs into `dst`; callers wanting a copy zero it first. Returns the
+/// words touched.
+pub(crate) fn gather(
+    dst: &mut [u64],
+    d: &Strides,
+    src: &[u64],
+    s: &Strides,
+    n: usize,
+    k: usize,
+) -> u64 {
+    let runs = moves_runs(d, s, k);
+    let outer = if runs { k - 1 } else { k };
+    let mut digits = [0usize; MAX_ARITY];
+    let (mut dpos, mut spos) = (d.base, s.base);
+    let mut touched = 0u64;
+    loop {
+        if runs {
+            span_op(dst, dpos, src, spos, n, false);
+            touched += 2 * n.div_ceil(64) as u64;
+        } else {
+            let bit = src[spos / 64] >> (spos % 64) & 1;
+            dst[dpos / 64] |= bit << (dpos % 64);
+            touched += 1;
+        }
+        let mut a = outer;
+        loop {
+            if a == 0 {
+                return touched;
+            }
+            a -= 1;
+            digits[a] += 1;
+            dpos += d.step[a];
+            spos += s.step[a];
+            if digits[a] < n {
+                break;
+            }
+            digits[a] = 0;
+            dpos -= n * d.step[a];
+            spos -= n * s.step[a];
+        }
+    }
+}
+
+/// The innermost axis is contiguous on both sides: [`gather`] moves
+/// whole `n`-bit runs instead of probing bit by bit.
+fn moves_runs(d: &Strides, s: &Strides, k: usize) -> bool {
+    k > 0 && d.step[k - 1] == 1 && s.step[k - 1] == 1
+}
+
+/// Work [`gather`] will report for this geometry, known before running
+/// it — what the load path weighs against a relation's popcount.
+pub(crate) fn gather_cost(d: &Strides, s: &Strides, n: usize, k: usize) -> u64 {
+    if moves_runs(d, s, k) {
+        (n as u64).pow(k as u32 - 1) * 2 * n.div_ceil(64) as u64
+    } else {
+        (n as u64).pow(k as u32)
+    }
+}
+
 /// The arity-`k` valid mask: ones exactly where every digit is `< n`.
 /// Built by repeatedly broadcasting the unit slot through its own last
 /// axis — each step stamps the previous mask across one more digit.
@@ -428,7 +515,6 @@ pub(crate) fn valid_mask(lay: &Layout, k: usize) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tuple::MAX_ARITY;
 
     /// Reference model: a slot as a set of digit vectors.
     fn bits_of(lay: &Layout, k: usize, tuples: &[&[Elem]]) -> Vec<u64> {
@@ -516,19 +602,19 @@ mod tests {
             let valid = valid_mask(&lay, k);
             let mut dst = vec![0u64; lay.words(k)];
             // a ∧ ¬b ∧ c
-            combine(&mut dst, &[(&a, false), (&b, true), (&c, false)], true, Some(&valid));
+            combine(&mut dst, &[&a, &b, &c], &[(0, false), (1, true), (2, false)], true, Some(&valid));
             for w in 0..dst.len() {
                 assert_eq!(dst[w], a[w] & !b[w] & c[w] & valid[w]);
             }
             // ¬a ∨ b (garbage must stay zero)
-            combine(&mut dst, &[(&a, true), (&b, false)], false, Some(&valid));
+            combine(&mut dst, &[&a, &b], &[(0, true), (1, false)], false, Some(&valid));
             for w in 0..dst.len() {
                 assert_eq!(dst[w], (!a[w] | b[w]) & valid[w]);
             }
             // NOT kernel agrees with single-source negated combine.
             let mut nd = vec![0u64; lay.words(k)];
             not(&mut nd, &a, &valid);
-            combine(&mut dst, &[(&a, true)], true, Some(&valid));
+            combine(&mut dst, &[&a], &[(0, true)], true, Some(&valid));
             assert_eq!(nd, dst);
         }
     }

@@ -21,9 +21,11 @@ pub(crate) mod kernels;
 pub mod naive;
 pub mod opt;
 pub mod plan;
+pub mod probe;
 mod table;
 
 pub use delta::{install_plan, DeltaMode, InstallPlan};
+pub use probe::{is_ground, probe};
 pub use table::Table;
 
 use crate::analysis::{
@@ -151,7 +153,7 @@ fn slot_index(s: Sym) -> Option<usize> {
 /// formula and the original variables in slot order; `None` when the
 /// formula has more free variables than a table can hold (never true for
 /// paper programs).
-fn alpha_normalize(f: &Formula) -> Option<(Formula, Vec<Sym>)> {
+pub fn alpha_normalize(f: &Formula) -> Option<(Formula, Vec<Sym>)> {
     let mut fv = Vec::new();
     let mut bound = Vec::new();
     free_vars_in_order(f, &mut bound, &mut fv);

@@ -69,7 +69,9 @@ use std::sync::OnceLock;
 /// The propositional rules are executed verbatim by the peephole
 /// matcher; the quantifier rules are executed by [`miniscope`], which
 /// generalizes them to n-ary connectives by partitioning operands on
-/// whether they mention the folded variable.
+/// whether they mention the folded variable, and by [`one_point`], which
+/// performs the substitution the one-point entries spell with a shared
+/// metavariable (`A(u,y)` ↦ `A(t,y)`).
 pub const VETTED_RULES: &[(&str, &str)] = &[
     // Idempotence and absorption.
     ("A(x,y) & A(x,y)", "A(x,y)"),
@@ -87,6 +89,11 @@ pub const VETTED_RULES: &[(&str, &str)] = &[
     ("exists x (A(x,y) | B(y))", "(exists x (A(x,y))) | B(y)"),
     // Unused quantifier elimination.
     ("exists x (B(y))", "B(y)"),
+    // One-point rule: a bound variable pinned by an equality is that
+    // term (the universe is non-empty and every term denotes an element
+    // of it), directly or under a disjunction of pins.
+    ("exists u (u = t & A(u,y))", "A(t,y)"),
+    ("exists u ((u = s | u = t) & A(u,y))", "A(s,y) | A(t,y)"),
 ];
 
 /// The table parsed into formula patterns, once per process.
@@ -248,11 +255,13 @@ fn apply_rules(mut f: Formula) -> Formula {
 /// that does not strictly shrink `work_words`.
 fn miniscope(f: Formula) -> Formula {
     use Formula::*;
+    let tighten =
+        |vs: &[Sym], body: Formula| one_point(vs, &body).unwrap_or_else(|| push_exists(vs, body));
     match f {
-        Exists(vs, body) => push_exists(&vs, *body),
+        Exists(vs, body) => tighten(&vs, *body),
         Not(g) => match *g {
             Exists(vs, body) => {
-                let pushed = push_exists(&vs, (*body).clone());
+                let pushed = tighten(&vs, (*body).clone());
                 if matches!(&pushed, Exists(pvs, pbody) if *pvs == vs && **pbody == *body) {
                     Not(Box::new(Exists(vs, body)))
                 } else {
@@ -264,6 +273,93 @@ fn miniscope(f: Formula) -> Formula {
             g => Not(Box::new(g)),
         },
         f => f,
+    }
+}
+
+/// The one-point rule at one `∃v̄ body` node. A conjunct `u = t` with
+/// `u ∈ v̄` pins `u`: the conjunct and the quantifier go, and `t` takes
+/// `u`'s place in the rest (`∃u (u = t ∧ φ) ≡ φ[t/u]`). A conjunct that
+/// is a disjunction *every* arm of which pins some bound variable is
+/// distributed first — `∃v̄ ((α ∨ β) ∧ φ) ≡ ∃v̄ (α ∧ φ) ∨ ∃v̄ (β ∧ φ)` —
+/// so each copy of `φ` loses a quantifier on the next round. That is
+/// what turns Theorem 4.1's `∃u,w (Eq(u,w,?0,?1) ∧ …)` from a 5-ary
+/// block into two 3-ary ones: request parameters are constants, and a
+/// variable equal to a constant needs no axis. `None` when nothing is
+/// pinned.
+fn one_point(vs: &[Sym], body: &Formula) -> Option<Formula> {
+    use crate::formula::Term;
+    use Formula::*;
+    // `u = t` (either way round) with `u` bound here and `t` another
+    // term that denotes a universe element. A literal may not (`Lit(e)`
+    // with `e ≥ n`): then `∃u (u = e ∧ ¬R(u))` is false but `¬R(e)` true,
+    // so literals never pin. Request parameters are validated against
+    // the universe before any rule runs.
+    let pin = |g: &Formula| -> Option<(Sym, Term)> {
+        let Eq(a, b) = g else { return None };
+        match (a, b) {
+            (Term::Var(u), t) | (t, Term::Var(u))
+                if vs.contains(u) && t != &Term::Var(*u) && !matches!(t, Term::Lit(_)) =>
+            {
+                Some((*u, *t))
+            }
+            _ => None,
+        }
+    };
+    let conjuncts: Vec<&Formula> = match body {
+        And(fs) => fs.iter().collect(),
+        single => vec![single],
+    };
+    let without = |skip: usize| {
+        conjuncts.iter().enumerate().filter(move |&(j, _)| j != skip).map(|(_, g)| *g)
+    };
+    for (i, c) in conjuncts.iter().enumerate() {
+        let Some((u, t)) = pin(c) else { continue };
+        // `Formula::substitute` does not rename: a variable term must
+        // not be captured by a quantifier inside what it is put into.
+        if let Term::Var(w) = t {
+            if without(i).any(|g| binds(g, w)) {
+                continue;
+            }
+        }
+        let rest: Vec<Formula> = without(i).map(|g| g.substitute(u, t)).collect();
+        let kept: Vec<Sym> = vs.iter().copied().filter(|&v| v != u).collect();
+        let inner = fold_connective(rest, true);
+        return Some(if kept.is_empty() {
+            inner
+        } else {
+            Exists(kept, Box::new(inner))
+        });
+    }
+    for (i, c) in conjuncts.iter().enumerate() {
+        let Or(arms) = c else { continue };
+        let pins = |arm: &Formula| match arm {
+            And(fs) => fs.iter().any(|g| pin(g).is_some()),
+            g => pin(g).is_some(),
+        };
+        if !arms.iter().all(pins) {
+            continue;
+        }
+        return Some(Or(arms
+            .iter()
+            .map(|arm| {
+                let mut fs = vec![arm.clone()];
+                fs.extend(without(i).cloned());
+                Exists(vs.to_vec(), Box::new(fold_connective(fs, true)))
+            })
+            .collect()));
+    }
+    None
+}
+
+/// Does `f` contain a quantifier binding `v`?
+fn binds(f: &Formula, v: Sym) -> bool {
+    use Formula::*;
+    match f {
+        Not(g) => binds(g, v),
+        And(fs) | Or(fs) => fs.iter().any(|g| binds(g, v)),
+        Implies(a, b) | Iff(a, b) => binds(a, v) || binds(b, v),
+        Exists(vs, g) | Forall(vs, g) => vs.contains(&v) || binds(g, v),
+        _ => false,
     }
 }
 
@@ -938,6 +1034,82 @@ mod tests {
             and([rel("E", [v("z"), v("w")]), rel("E", [v("w"), v("z")])]),
         );
         assert_eq!(optimize_formula(&f), None);
+    }
+
+    #[test]
+    fn one_point_rule_substitutes_pinned_variables() {
+        use crate::formula::{lit, param};
+        // ∃z (z = ?0 ∧ E(x,z)) → E(x,?0).
+        let f = exists(["z"], and([eq(v("z"), param(0)), rel("E", [v("x"), v("z")])]));
+        assert_eq!(optimize_formula(&f).expect("pin"), rel("E", [v("x"), param(0)]));
+        // Pinned to a free variable, either way round.
+        let g = exists(["z"], and([eq(v("y"), v("z")), rel("E", [v("x"), v("z")])]));
+        assert_eq!(optimize_formula(&g).expect("pin"), rel("E", [v("x"), v("y")]));
+        // A disjunction of pins distributes, then each arm substitutes:
+        // Theorem 4.1's ∃u,w (Eq(u,w,?0,?1) ∧ …) loses both axes.
+        let pair = or([
+            and([eq(v("u"), param(0)), eq(v("w"), param(1))]),
+            and([eq(v("u"), param(1)), eq(v("w"), param(0))]),
+        ]);
+        let h = exists(
+            ["u", "w"],
+            and([pair, rel("E", [v("x"), v("u")]), rel("E", [v("w"), v("y")])]),
+        );
+        let want = or([
+            and([rel("E", [v("x"), param(0)]), rel("E", [param(1), v("y")])]),
+            and([rel("E", [v("x"), param(1)]), rel("E", [param(0), v("y")])]),
+        ]);
+        assert_eq!(optimize_formula(&h).expect("distribute and pin"), want);
+        // A literal may lie outside the universe, where `z = 9` has no
+        // witness but `¬E(x,9)` holds of every x: no pin, and at n below
+        // the literal the plan keeps the Tarskian reading (held to the
+        // naive evaluator; the interpreter's planner binds `z := 9`
+        // itself, so `evaluate` is no oracle for this formula).
+        let l = exists(["z"], and([eq(v("z"), lit(9)), not(rel("E", [v("x"), v("z")]))]));
+        assert_eq!(optimize_formula(&l), None);
+        let s = st(5, &[(0, 1)]);
+        let plan = Plan::compile(&l, &s).expect("lowers");
+        let got = plan.execute(&mut Evaluator::new(&s, &[]), &mut plan.arena(), None);
+        let want = crate::eval::naive::naive_evaluate(&l, &s, &[]).unwrap();
+        assert!(want.is_empty());
+        assert_eq!(got.unwrap().unwrap().sorted(), want.sorted());
+        // No capture: y is bound again inside, so z := y must not fire.
+        let inner = exists(["y"], rel("E", [v("z"), v("y")]));
+        let k = exists(["z"], and([eq(v("z"), v("y")), inner.clone()]));
+        let out = optimize_formula(&k).unwrap_or(k.clone());
+        let reads_z = |f: &Formula| free_vars(f).contains(&crate::sym("z"));
+        assert!(
+            matches!(&out, Formula::Exists(vs, body) if vs == &[crate::sym("z")] && reads_z(body)),
+            "captured: {out}"
+        );
+    }
+
+    #[test]
+    fn one_point_rule_lowers_past_the_slot_cap() {
+        // n = 33 pads to S = 64: the 5-ary block is over the slot cap and
+        // the direct lowering has nothing to offer; pinned, the same
+        // formula is two 3-ary conjunctions with no island.
+        use crate::formula::param;
+        let vocab = Arc::new(Vocabulary::new().with_relation("T", 3));
+        let mut s = Structure::empty(vocab, 33);
+        s.insert("T", [1, 2, 3]);
+        s.insert("T", [4, 2, 9]);
+        let pair = or([
+            and([eq(v("u"), param(0)), eq(v("w"), param(1))]),
+            and([eq(v("u"), param(1)), eq(v("w"), param(0))]),
+        ]);
+        let f = canonicalize(&exists(
+            ["u", "w"],
+            and([pair, rel("T", [v("x"), v("u"), v("z")]), rel("T", [v("w"), v("y"), v("z")])]),
+        ));
+        assert!(Plan::compile_with(&f, &s, false).is_none(), "test premise: raw lowering declines");
+        let plan = Plan::compile(&f, &s).expect("one-point rewrite lowers");
+        assert_eq!(plan.interp_islands(), 0);
+        let mut ev = Evaluator::new(&s, &[2, 4]);
+        let got = plan.execute(&mut ev, &mut plan.arena(), None).unwrap().unwrap();
+        let expect = crate::eval::evaluate(&f, &s, &[2, 4]).unwrap();
+        assert_eq!(got.clone().sorted(), expect.project(got.vars()).sorted());
+        assert!(!got.is_empty());
     }
 
     #[test]

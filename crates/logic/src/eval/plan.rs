@@ -33,10 +33,9 @@
 //! cannot change between requests (no relation, parameter, or constant
 //! reads — e.g. a `x < y` mask) are computed once and kept.
 
-use super::kernels::{self, Layout};
+use super::kernels::{self, Layout, Strides};
 use super::{numeric_pred, numeric_terms, EvalError, Evaluator, Table};
 use crate::analysis::{free_vars, is_canonical, mentions_param_or_const};
-use crate::bitrel::span_copy;
 use crate::formula::{Formula, Term};
 use crate::intern::Sym;
 use crate::parallel::EvalPool;
@@ -89,19 +88,21 @@ pub(crate) enum LoadPath {
     /// `n == S`, arguments are the slot variables in order: the base-`n`
     /// and padded layouts coincide — straight word copy.
     WordCopy,
-    /// Arguments in order but `n < S`: copy each innermost `n`-bit run
-    /// into its padded position (word-parallel spans).
-    Restride,
     /// Arguments are a (non-identity) permutation of distinct variables
     /// and `n == S ≥ 64`: per-word bit-scatter — `t_hi[w]` maps source
     /// word `w`'s base index to its destination index, and the low 6
     /// source bits land `b << tshift` above it. `tshift == 0` degrades
     /// to whole-word moves.
     Scatter { t_hi: Vec<usize>, tshift: u32 },
-    /// Everything else (repeats, grounds, unaligned permutations):
-    /// iterate set tuples with prefix pushdown and set bits one by one —
-    /// O(popcount), the dense-relation analogue of a scan.
-    Tuples,
+    /// Everything else (ground terms, repeats, unaligned permutations,
+    /// in-order arguments with `n < S`): a strided [`kernels::gather`]
+    /// over the dense bitmap — `step[a]` is how far slot axis `a`'s
+    /// digit moves the base-`n` source index (the sum of the strides of
+    /// every column carrying that variable), ground columns offset the
+    /// base at execution. O(n^{free axes}) whatever the relation holds;
+    /// a relation whose maintained popcount is below that cost is
+    /// scanned instead (set tuples with prefix pushdown, O(popcount)).
+    Gather { step: [usize; MAX_ARITY] },
 }
 
 #[derive(Clone, Debug)]
@@ -183,11 +184,16 @@ impl Plan {
     /// `optimize = false` emits the direct syntactic lowering (the
     /// differential baseline for the optimizer-off/on suites).
     pub fn compile_with(f: &Formula, st: &Structure, optimize: bool) -> Option<Plan> {
-        if is_canonical(f) {
-            Plan::compile_canonical(f, st, optimize)
-        } else {
-            Plan::compile_canonical(&crate::analysis::canonicalize(f), st, optimize)
-        }
+        compile_any(f, st, optimize, u64::MAX)
+    }
+
+    /// [`Plan::compile`] refusing plans whose [`Plan::work_words`]
+    /// exceed `max_words`. The refusal comes before the per-arity valid
+    /// masks are built — they materialize at slot scale, so a caller
+    /// probing whether a wide formula fits its budget never pays for
+    /// (or holds, even briefly) the masks of a plan it will not keep.
+    pub fn compile_capped(f: &Formula, st: &Structure, max_words: u64) -> Option<Plan> {
+        compile_any(f, st, true, max_words)
     }
 
     /// [`Plan::compile_with`] minus the `is_canonical` walk: the caller
@@ -195,54 +201,7 @@ impl Plan {
     /// and query formulas are canonicalized once at program build, so
     /// install-time compilation skips the re-check).
     pub fn compile_canonical(f: &Formula, st: &Structure, optimize: bool) -> Option<Plan> {
-        debug_assert!(
-            is_canonical(f),
-            "compile_canonical caller contract violated: {f}"
-        );
-        let (mut c, mut root) = lower(f, st)?;
-        if !optimize {
-            return finish(c, root, 0, 0);
-        }
-        let base_ops = c.ops.len() as u64;
-        let base_words: u64 = c.slots.iter().map(|s| s.words as u64).sum();
-        let orig_vars = c.slots[root].vars.clone();
-        // Formula stage: vetted rewrite rules + quantifier pushing. The
-        // rewritten formula is re-lowered; if its lowering declines
-        // (shouldn't happen — rewrites stay in the canonical fragment),
-        // the baseline lowering stands.
-        if let Some(g) = super::opt::optimize_formula(f) {
-            if let Some((c2, root2)) = lower(&g, st) {
-                (c, root) = (c2, root2);
-            }
-        }
-        // Op stage: CSE, NOT fusion, combine flattening, broadcast/fold
-        // cancellation, constant propagation, dead-slot elimination.
-        super::opt::optimize_ops(&mut c.slots, &mut c.ops, &mut root);
-        // Rewrites may drop variables the result table is still expected
-        // to carry (e.g. a conjunct collapsing to `true`); broadcast the
-        // root back to the original column set so `Plan::vars()` — and
-        // every decoded table — is identical optimizer-on and -off.
-        root = c.broadcast_to(root, &orig_vars);
-        let final_words: u64 = c.slots.iter().map(|s| s.words as u64).sum();
-        // The optimizer must never ship a costlier plan: a formula-stage
-        // rewrite can lower into *larger* intermediates than the direct
-        // emission (whose peepholes see the original shape), and
-        // work_words is the cost model every profitability gate reads.
-        // Anything not strictly cheaper falls back to the baseline.
-        if final_words > base_words
-            || (final_words == base_words && c.ops.len() as u64 >= base_ops)
-        {
-            let (c0, root0) = lower(f, st)?;
-            return finish(c0, root0, 0, 0);
-        }
-        let removed = base_ops.saturating_sub(c.ops.len() as u64);
-        let saved = base_words.saturating_sub(final_words);
-        if dynfo_obs::ENABLED && (removed > 0 || saved > 0) {
-            let obs = crate::obs::eval_obs();
-            obs.plan_opt_ops_removed.add(removed);
-            obs.plan_opt_kernel_words_saved.add(saved);
-        }
-        finish(c, root, removed, saved)
+        compile_within(f, st, optimize, u64::MAX)
     }
 
     /// The variables of the result table, in slot (sorted) order.
@@ -290,9 +249,17 @@ impl Plan {
         }
     }
 
-    /// Execute against the evaluator's structure and parameters; `ev`
-    /// also serves interpreter islands (sharing its subformula cache) and
-    /// accumulates `kernel_words`/`plan_compiled` counters.
+    /// Interpreter islands ([`Op::Interp`]) in this plan: subtrees the
+    /// compiler could not lower, evaluated by the [`Evaluator`] on every
+    /// execution. Zero means the plan runs on kernels alone.
+    pub fn interp_islands(&self) -> usize {
+        islands(&self.ops)
+    }
+
+    /// Execute against the evaluator's structure and parameters and
+    /// decode the result; `ev` also serves interpreter islands (sharing
+    /// its subformula cache) and accumulates `kernel_words`/
+    /// `plan_compiled` counters. [`Plan::run`] plus [`Plan::decode_root`].
     ///
     /// Returns `Ok(None)` when the plan no longer matches the structure
     /// (universe resized, relation backend changed) — the caller falls
@@ -309,8 +276,48 @@ impl Plan {
         arena: &mut PlanArena,
         pool: Option<&EvalPool>,
     ) -> Result<Option<Table>, EvalError> {
+        Ok(self.run(ev, arena, pool)?.then(|| self.decode_root(arena)))
+    }
+
+    /// Execute and leave the result in the arena's root buffer, where
+    /// [`Plan::decode_root`], [`Plan::root_count`] and
+    /// [`Plan::or_root_into`] read it — the update path installs from
+    /// the bits and never materializes a [`Table`]. `Ok(false)` is
+    /// [`Plan::execute`]'s `Ok(None)`: the plan no longer matches the
+    /// structure and nothing usable was computed.
+    pub fn run(
+        &self,
+        ev: &mut Evaluator<'_>,
+        arena: &mut PlanArena,
+        pool: Option<&EvalPool>,
+    ) -> Result<bool, EvalError> {
+        self.run_choosing(ev, arena, pool, None)
+    }
+
+    /// [`Plan::run`] with every [`LoadPath::Gather`] load pinned to the
+    /// gather (`true`) or the scan (`false`) instead of choosing by
+    /// popcount. Both produce the same bits; this exists so the
+    /// equivalence suites can hold each against the other, like
+    /// [`crate::simd::force_tier`].
+    #[doc(hidden)]
+    pub fn run_with_loads(
+        &self,
+        ev: &mut Evaluator<'_>,
+        arena: &mut PlanArena,
+        gather: bool,
+    ) -> Result<bool, EvalError> {
+        self.run_choosing(ev, arena, None, Some(gather))
+    }
+
+    fn run_choosing(
+        &self,
+        ev: &mut Evaluator<'_>,
+        arena: &mut PlanArena,
+        pool: Option<&EvalPool>,
+        gather: Option<bool>,
+    ) -> Result<bool, EvalError> {
         if Layout::new(ev.st.size()) != self.lay {
-            return Ok(None);
+            return Ok(false);
         }
         if arena.bufs.len() != self.slots.len() {
             *arena = self.arena();
@@ -337,24 +344,22 @@ impl Plan {
                     kw += buf.len() as u64;
                 }
                 Op::Load { rel, cols, path, .. } => {
-                    match self.load(ev, buf, &self.slots[dst], *rel, cols, path)? {
+                    match self.load(ev, buf, &self.slots[dst], *rel, cols, path, gather)? {
                         Some(words) => kw += words,
-                        None => return Ok(None),
+                        None => return Ok(false),
                     }
                 }
                 Op::Numeric { atom, negated, .. } => {
                     kw += self.numeric(ev, buf, &self.slots[dst], atom, *negated)?;
                 }
                 Op::Combine { srcs, and, masked, .. } => {
-                    let operands: Vec<(&[u64], bool)> =
-                        srcs.iter().map(|&(s, neg)| (lo[s].as_slice(), neg)).collect();
                     let k = self.slots[dst].vars.len();
                     let valid = masked.then(|| self.valids[k].as_ref().unwrap().as_slice());
                     kw += match pool {
                         Some(p) if buf.len() >= PARALLEL_MIN_WORDS && p.size() > 1 => {
-                            combine_pooled(p, buf, &operands, *and, valid)
+                            combine_pooled(p, buf, lo, srcs, *and, valid)
                         }
-                        _ => kernels::combine(buf, &operands, *and, valid),
+                        _ => kernels::combine(buf, lo, srcs, *and, valid),
                     };
                 }
                 Op::Not { src, .. } => {
@@ -400,17 +405,24 @@ impl Plan {
             obs.kernel_words.add(kw);
             obs.plan_compiled.inc();
         }
-        Ok(Some(self.decode(&arena.bufs[self.root], self.root)))
+        Ok(true)
     }
 
-    /// Decode a slot's set bits into a sorted, duplicate-free table.
-    fn decode(&self, buf: &[u64], slot: SlotId) -> Table {
-        let info = &self.slots[slot];
-        let k = info.vars.len();
+    /// Decode the root slot the last [`Plan::run`] on `arena` left
+    /// behind into a sorted, duplicate-free table over [`Plan::vars`].
+    pub fn decode_root(&self, arena: &PlanArena) -> Table {
+        let mut rows = Vec::new();
+        self.root_rows(arena, &mut rows);
+        Table::new(self.vars().to_vec(), rows)
+    }
+
+    /// Append the root slot's tuples (columns in [`Plan::vars`] order,
+    /// ascending) to `rows`.
+    pub fn root_rows(&self, arena: &PlanArena, rows: &mut Vec<Tuple>) {
+        let k = self.vars().len();
         let shift = self.lay.shift as usize;
         let smask = (self.lay.stride() - 1) as Elem;
-        let mut rows = Vec::new();
-        for (w, &word) in buf.iter().enumerate() {
+        for (w, &word) in arena.bufs[self.root].iter().enumerate() {
             let mut bits = word;
             while bits != 0 {
                 let idx = w * 64 + bits.trailing_zeros() as usize;
@@ -422,10 +434,61 @@ impl Plan {
                 rows.push(Tuple::from_slice(&items[..k]));
             }
         }
-        Table::new(info.vars.clone(), rows)
+    }
+
+    /// How many tuples the root slot of the last [`Plan::run`] holds.
+    pub fn root_count(&self, arena: &PlanArena) -> usize {
+        arena.bufs[self.root].iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// OR the root slot of the last [`Plan::run`] into `out`, a bitmap
+    /// in a dense relation's base-`n` layout: column `c` of the relation
+    /// is root axis `axes[c]` (an index into [`Plan::vars`]), or, for
+    /// `None`, a column the root does not constrain — it ranges over the
+    /// universe. Every root axis must feed exactly one column. The
+    /// padding the slot layout carries when `n` is not a power of two
+    /// is dropped: only digits below `n` are visited.
+    ///
+    /// This is the install half of a compiled update: word-wise OR when
+    /// the two layouts coincide, `n`-bit runs when the innermost column
+    /// is the root's innermost axis, bit probes otherwise. The words
+    /// touched are added to `stats.kernel_words`.
+    pub fn or_root_into(
+        &self,
+        arena: &PlanArena,
+        axes: &[Option<usize>],
+        out: &mut [u64],
+        stats: &mut super::EvalStats,
+    ) {
+        let root = &arena.bufs[self.root];
+        let kr = self.slots[self.root].vars.len();
+        let k = axes.len();
+        debug_assert!(
+            (0..kr).all(|a| axes.iter().filter(|&&x| x == Some(a)).count() == 1),
+            "root axes {axes:?} do not cover a {kr}-ary root exactly once"
+        );
+        let n = self.lay.n as usize;
+        let aligned = n == self.lay.stride();
+        let words = if aligned && kr == k && axes.iter().enumerate().all(|(c, &a)| a == Some(c)) {
+            crate::simd::fold_assign(out, root, false);
+            2 * out.len() as u64
+        } else {
+            let shift = self.lay.shift as usize;
+            let (mut d, mut s) = (Strides::default(), Strides::default());
+            for (c, axis) in axes.iter().enumerate() {
+                d.step[c] = n.pow((k - 1 - c) as u32);
+                s.step[c] = axis.map_or(0, |a| 1usize << (shift * (kr - 1 - a)));
+            }
+            kernels::gather(out, &d, root, &s, n, k)
+        };
+        stats.kernel_words += words;
+        if dynfo_obs::ENABLED {
+            crate::obs::eval_obs().kernel_words.add(words);
+        }
     }
 
     /// Execute one atom load. `Ok(None)` = backend mismatch, fall back.
+    #[allow(clippy::too_many_arguments)]
     fn load(
         &self,
         ev: &Evaluator<'_>,
@@ -434,6 +497,7 @@ impl Plan {
         name: Sym,
         cols: &[ColSpec],
         path: &LoadPath,
+        gather: Option<bool>,
     ) -> Result<Option<u64>, EvalError> {
         let id = ev
             .st
@@ -455,30 +519,6 @@ impl Plan {
                 buf.copy_from_slice(bits);
                 2 * buf.len() as u64
             }
-            LoadPath::Restride => {
-                buf.fill(0);
-                if k == 0 {
-                    buf[0] = bits[0] & 1;
-                } else {
-                    let prefixes = n.pow((k - 1) as u32);
-                    let mut digits = [0usize; MAX_ARITY];
-                    for r in 0..prefixes {
-                        let mut padded = 0usize;
-                        for &d in digits.iter().take(k - 1) {
-                            padded = (padded << shift) | d;
-                        }
-                        span_copy(buf, padded << shift, bits, r * n, n);
-                        for j in (0..k - 1).rev() {
-                            digits[j] += 1;
-                            if digits[j] < n {
-                                break;
-                            }
-                            digits[j] = 0;
-                        }
-                    }
-                }
-                (buf.len() + bits.len()) as u64
-            }
             LoadPath::Scatter { t_hi, tshift } => {
                 buf.fill(0);
                 for (w, &word) in bits.iter().enumerate() {
@@ -499,46 +539,68 @@ impl Plan {
                 }
                 (buf.len() + bits.len()) as u64
             }
-            LoadPath::Tuples => {
+            LoadPath::Gather { step } => {
                 buf.fill(0);
-                // Leading ground columns push down as a prefix range.
-                let mut prefix: Vec<Elem> = Vec::new();
-                for c in cols {
-                    match c {
-                        ColSpec::Ground(t) => prefix.push(resolve(ev, t)?),
-                        _ => break,
+                // Ground columns resolve once per execution into a fixed
+                // array: they offset the gather's source index and are
+                // the scan's prefix and filters.
+                let arity = cols.len();
+                let mut grounds = [0 as Elem; MAX_ARITY];
+                let mut s = Strides { base: 0, step: *step };
+                for (i, c) in cols.iter().enumerate() {
+                    if let ColSpec::Ground(t) = c {
+                        grounds[i] = resolve(ev, t)?;
+                        if grounds[i] as usize >= n {
+                            // A literal outside the universe matches nothing.
+                            return Ok(Some(buf.len() as u64));
+                        }
+                        s.base += grounds[i] as usize * n.pow((arity - 1 - i) as u32);
                     }
                 }
-                let grounds: Vec<Option<Elem>> = cols
-                    .iter()
-                    .map(|c| match c {
-                        ColSpec::Ground(t) => resolve(ev, t).map(Some),
-                        _ => Ok(None),
-                    })
-                    .collect::<Result<_, _>>()?;
-                let mut count = 0u64;
-                'tuples: for t in rel.iter_prefix(&prefix) {
-                    count += 1;
-                    let mut digits = [0 as Elem; MAX_ARITY];
-                    for (i, c) in cols.iter().enumerate() {
-                        match c {
-                            ColSpec::Axis(a) => digits[*a] = t[i],
-                            ColSpec::Repeat(a) => {
-                                if digits[*a] != t[i] {
-                                    continue 'tuples;
+                let mut d = Strides::default();
+                for a in 0..k {
+                    d.step[a] = 1usize << (shift * (k - 1 - a));
+                }
+                // Gather costs the same whatever the relation holds; a
+                // scan costs its popcount. The relation maintains that
+                // count, so the cheaper one is known before either runs.
+                let cost = kernels::gather_cost(&d, &s, n, k);
+                let moved = if gather.unwrap_or(rel.len() as u64 >= cost) {
+                    let words = kernels::gather(buf, &d, bits, &s, n, k);
+                    if dynfo_obs::ENABLED {
+                        crate::obs::eval_obs().load_gather_words.add(words);
+                    }
+                    words
+                } else {
+                    let lead = cols.iter().take_while(|c| matches!(c, ColSpec::Ground(_))).count();
+                    let mut count = 0u64;
+                    'tuples: for t in rel.iter_prefix(&grounds[..lead]) {
+                        count += 1;
+                        let mut digits = [0 as Elem; MAX_ARITY];
+                        for (i, c) in cols.iter().enumerate() {
+                            match c {
+                                ColSpec::Axis(a) => digits[*a] = t[i],
+                                ColSpec::Repeat(a) => {
+                                    if digits[*a] != t[i] {
+                                        continue 'tuples;
+                                    }
                                 }
-                            }
-                            ColSpec::Ground(_) => {
-                                if grounds[i] != Some(t[i]) {
-                                    continue 'tuples;
+                                ColSpec::Ground(_) => {
+                                    if grounds[i] != t[i] {
+                                        continue 'tuples;
+                                    }
                                 }
                             }
                         }
+                        let idx = self.lay.index(&digits[..k]);
+                        buf[idx / 64] |= 1 << (idx % 64);
                     }
-                    let idx = self.lay.index(&digits[..k]);
-                    buf[idx / 64] |= 1 << (idx % 64);
-                }
-                buf.len() as u64 + count
+                    if dynfo_obs::ENABLED {
+                        crate::obs::eval_obs().load_scan_words.add(count);
+                    }
+                    count
+                };
+                buf.len() as u64 + moved
             }
         }))
     }
@@ -639,17 +701,18 @@ fn resolve_opt(ev: &Evaluator<'_>, t: &Term) -> Result<Option<Elem>, EvalError> 
 fn combine_pooled(
     pool: &EvalPool,
     dst: &mut [u64],
-    srcs: &[(&[u64], bool)],
+    bufs: &[Vec<u64>],
+    srcs: &[(SlotId, bool)],
     and: bool,
     valid: Option<&[u64]>,
 ) -> u64 {
     let len = dst.len();
+    // Each chunk combines the matching sub-slices, named 0, 1, … in
+    // operand order.
+    let lanes: Vec<(usize, bool)> = srcs.iter().enumerate().map(|(i, &(_, neg))| (i, neg)).collect();
     pool.for_each_chunk(dst, |off, piece| {
-        let sub: Vec<(&[u64], bool)> = srcs
-            .iter()
-            .map(|&(s, neg)| (&s[off..off + piece.len()], neg))
-            .collect();
-        kernels::combine(piece, &sub, and, valid.map(|v| &v[off..off + piece.len()]));
+        let sub: Vec<&[u64]> = srcs.iter().map(|&(s, _)| &bufs[s][off..off + piece.len()]).collect();
+        kernels::combine(piece, &sub, &lanes, and, valid.map(|v| &v[off..off + piece.len()]));
     });
     (len * (srcs.len() + 1)) as u64
 }
@@ -657,6 +720,81 @@ fn combine_pooled(
 // ---------------------------------------------------------------------------
 // Compilation
 // ---------------------------------------------------------------------------
+
+/// [`Op::Interp`] nodes in an op sequence.
+fn islands(ops: &[Op]) -> usize {
+    ops.iter().filter(|op| matches!(op, Op::Interp { .. })).count()
+}
+
+/// [`compile_within`] for a formula not known to be canonical.
+fn compile_any(f: &Formula, st: &Structure, optimize: bool, max_words: u64) -> Option<Plan> {
+    if is_canonical(f) {
+        compile_within(f, st, optimize, max_words)
+    } else {
+        compile_within(&crate::analysis::canonicalize(f), st, optimize, max_words)
+    }
+}
+
+/// Lower, optimize and seal `f` (canonical), or `None` when the root
+/// cannot be lowered or the sealed plan would exceed `max_words`.
+fn compile_within(f: &Formula, st: &Structure, optimize: bool, max_words: u64) -> Option<Plan> {
+    debug_assert!(
+        is_canonical(f),
+        "compile_canonical caller contract violated: {f}"
+    );
+    let words = |c: &Compiler<'_>| c.slots.iter().map(|s| s.words as u64).sum::<u64>();
+    // What a lowering costs, dearest component first. An interpreter
+    // island is dearer than any kernel pass and its cost is not in
+    // `work_words` at all, so islands compare before words.
+    let cost = |c: &Compiler<'_>| (islands(&c.ops), words(c), c.ops.len() as u64);
+    let seal = |c: Compiler<'_>, root: SlotId, removed: u64, saved: u64| {
+        (words(&c) <= max_words).then(|| finish(c, root, removed, saved)).flatten()
+    };
+    let base = lower(f, st);
+    if !optimize {
+        let (c, root) = base?;
+        return seal(c, root, 0, 0);
+    }
+    let base_cost = base.as_ref().map(|(c, _)| cost(c));
+    // Formula stage: vetted rewrite rules, the one-point rule and
+    // quantifier pushing. The rewritten formula is re-lowered; if that
+    // declines the baseline stands — and the other way round: a formula
+    // whose direct lowering declines (a block over the slot cap) may
+    // lower once the rewrites have removed its extra axes.
+    let rewritten = super::opt::optimize_formula(f).and_then(|g| lower(&g, st));
+    let (mut c, mut root) = rewritten.or(base)?;
+    // Op stage: CSE, NOT fusion, combine flattening, broadcast/fold
+    // cancellation, constant propagation, dead-slot elimination.
+    super::opt::optimize_ops(&mut c.slots, &mut c.ops, &mut root);
+    // Rewrites may drop variables the result table is still expected
+    // to carry (e.g. a conjunct collapsing to `true`); broadcast the
+    // root back to the original column set so `Plan::vars()` — and
+    // every decoded table — is identical optimizer-on and -off.
+    let orig_vars: Vec<Sym> = free_vars(f).into_iter().collect();
+    root = c.broadcast_to(root, &orig_vars);
+    let (removed, saved) = match base_cost {
+        // The optimizer must never ship a costlier plan: a formula-stage
+        // rewrite can lower into *larger* intermediates than the direct
+        // emission (whose peepholes see the original shape), and
+        // work_words is the cost model every profitability gate reads.
+        // Anything not strictly cheaper falls back to the baseline.
+        Some(base_cost) if cost(&c) >= base_cost => {
+            let (c0, root0) = lower(f, st)?;
+            return seal(c0, root0, 0, 0);
+        }
+        Some((_, base_words, base_ops)) => (
+            base_ops.saturating_sub(c.ops.len() as u64),
+            base_words.saturating_sub(words(&c)),
+        ),
+        None => (0, 0),
+    };
+    if dynfo_obs::ENABLED && (removed > 0 || saved > 0) {
+        let obs = crate::obs::eval_obs();
+        obs.plan_opt_ops_removed.add(removed);
+        obs.plan_opt_kernel_words_saved.add(saved);
+    }
+    seal(c, root, removed, saved)
+}
 
 /// Marker: this subtree cannot be lowered; the caller decides whether to
 /// wrap it in an interpreter island or give up.
@@ -842,8 +980,6 @@ impl Compiler<'_> {
         let aligned = self.lay.n as usize == self.lay.stride();
         let path = if identity && aligned {
             LoadPath::WordCopy
-        } else if identity {
-            LoadPath::Restride
         } else if pure && aligned && self.lay.shift >= 6 {
             let shift = self.lay.shift as usize;
             let src_words = self.lay.words(k);
@@ -861,7 +997,14 @@ impl Compiler<'_> {
             let tshift = (shift * (k - 1 - axes[k - 1])) as u32;
             LoadPath::Scatter { t_hi, tshift }
         } else {
-            LoadPath::Tuples
+            let n = self.lay.n as usize;
+            let mut step = [0usize; MAX_ARITY];
+            for (i, c) in cols.iter().enumerate() {
+                if let ColSpec::Axis(a) | ColSpec::Repeat(a) = c {
+                    step[*a] += n.pow((cols.len() - 1 - i) as u32);
+                }
+            }
+            LoadPath::Gather { step }
         };
         let dst = self.new_slot(vars, false);
         self.ops.push(Op::Load { dst, rel: name, cols, path });

@@ -39,6 +39,14 @@ pub struct EvalObs {
     pub interp_rows: Arc<Counter>,
     /// `eval.kernel_words` — 64-bit words touched by plan kernels.
     pub kernel_words: Arc<Counter>,
+    /// `eval.load.gather_words` — words moved by atom loads that took
+    /// the strided gather (cost fixed by the atom's shape).
+    pub load_gather_words: Arc<Counter>,
+    /// `eval.load.scan_words` — tuples visited by atom loads that
+    /// scanned instead (the relation's popcount was below the gather's
+    /// cost). Together the two record what the load path predicted:
+    /// each load adds to exactly one.
+    pub load_scan_words: Arc<Counter>,
     /// `plan.opt_ops_removed` — SSA plan ops eliminated by the
     /// algebraic optimizer at compile time (vs the raw lowering).
     pub plan_opt_ops_removed: Arc<Counter>,
@@ -72,6 +80,8 @@ pub fn eval_obs() -> &'static EvalObs {
             plan_fallback: reg.counter("eval.plan_fallback"),
             interp_rows: reg.counter("eval.interp_rows"),
             kernel_words: reg.counter("eval.kernel_words"),
+            load_gather_words: reg.counter("eval.load.gather_words"),
+            load_scan_words: reg.counter("eval.load.scan_words"),
             plan_opt_ops_removed: reg.counter("plan.opt_ops_removed"),
             plan_opt_kernel_words_saved: reg.counter("plan.opt_kernel_words_saved"),
             simd_lanes: reg.counter("eval.simd_lanes"),

@@ -18,6 +18,7 @@
 //! compares tuple *sets*, never representations.
 
 use crate::bitrel::{capacity_bits, BitRel};
+use crate::eval::delta::DeltaMode;
 use crate::tuple::{all_tuples, Elem, Tuple};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -244,6 +245,34 @@ impl Relation {
     /// Bulk in-place remove; returns how many tuples were present.
     pub fn remove_all(&mut self, tuples: &[Tuple]) -> usize {
         tuples.iter().filter(|t| self.remove(t)).count()
+    }
+
+    /// Install a whole new value from a bitmap, in place: the relation
+    /// becomes `self ∪ bits` under [`DeltaMode::Grow`] and exactly
+    /// `bits` otherwise. `bits` is in this relation's base-`n` index
+    /// order ([`Plan::or_root_into`] writes it). Returns `(added,
+    /// removed)`, the same counts [`install_plan`] + `insert_all`/
+    /// `remove_all` would report, or `None` when the relation is not
+    /// densely backed (callers keep the tuple install).
+    ///
+    /// [`Plan::or_root_into`]: crate::eval::plan::Plan::or_root_into
+    /// [`install_plan`]: crate::eval::delta::install_plan
+    pub fn install_bits(&mut self, mode: DeltaMode, bits: &[u64]) -> Option<(usize, usize)> {
+        let Repr::Dense(b) = &mut self.repr else {
+            return None;
+        };
+        let (added, removed) = b.install_words(bits, mode == DeltaMode::Grow);
+        debug_assert!(
+            mode != DeltaMode::Shrink || added == 0,
+            "shrink rule produced tuples outside the old relation"
+        );
+        Some((added, removed))
+    }
+
+    /// Words in this relation's bitmap when densely backed — the length
+    /// [`Relation::install_bits`] expects.
+    pub fn dense_words(&self) -> Option<usize> {
+        self.dense_bits().map(<[u64]>::len)
     }
 
     /// Remove all tuples.

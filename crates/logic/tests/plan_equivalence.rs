@@ -167,3 +167,246 @@ fn plan_matches_interpreter_at_aligned_universe() {
         assert_plan_matches(&f, &st, &[9, 33]);
     }
 }
+
+// ---------------------------------------------------------------------------
+// Gather loads and bitmap installs on awkward shapes
+// ---------------------------------------------------------------------------
+
+mod awkward_shapes {
+    use dynfo_logic::eval::delta::{install_plan, DeltaMode};
+    use dynfo_logic::formula::{param, rel, v, Formula, Term};
+    use dynfo_logic::simd::{force_tier, Tier};
+    use dynfo_logic::{
+        evaluate, Elem, EvalStats, Evaluator, Plan, Structure, Tuple, Vocabulary,
+    };
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use std::sync::Arc;
+
+    /// Universe sizes around the word and padding boundaries.
+    const SIZES: [Elem; 9] = [1, 2, 7, 31, 32, 33, 63, 64, 65];
+
+    /// Variable names whose sorted order is *not* their index order, so
+    /// columns `[0, 1, 2]` already load through a permutation.
+    const NAMES: [&str; 4] = ["c", "a", "d", "b"];
+
+    /// Every SIMD tier this host runs.
+    fn tiers() -> Vec<Tier> {
+        [Tier::Scalar, Tier::Sse2, Tier::Neon, Tier::Avx2]
+            .into_iter()
+            .filter(|&t| force_tier(t) == t)
+            .collect()
+    }
+
+    /// Tuple sets at the densities the sweep covers: empty, one tuple,
+    /// 1 %, 50 %, full.
+    fn densities(n: Elem, k: usize, seed: u64) -> Vec<Vec<Tuple>> {
+        let all: Vec<Tuple> = dynfo_logic::tuple::all_tuples(n, k).collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let sample = |p: f64, rng: &mut StdRng| -> Vec<Tuple> {
+            all.iter().copied().filter(|_| rng.gen_bool(p)).collect()
+        };
+        vec![
+            Vec::new(),
+            vec![all[rng.gen_range(0..all.len())]],
+            sample(0.01, &mut rng),
+            sample(0.5, &mut rng),
+            all.clone(),
+        ]
+    }
+
+    fn structure(n: Elem, k: usize, names: &[&str], sets: &[&[Tuple]]) -> Structure {
+        let mut vocab = Vocabulary::new();
+        for name in names {
+            vocab.add_relation(*name, k);
+        }
+        let mut st = Structure::empty(Arc::new(vocab), n);
+        for (name, set) in names.iter().zip(sets) {
+            for t in *set {
+                st.insert(name, *t);
+            }
+        }
+        st
+    }
+
+    /// All column shapes of arity `k`: each column is one of `k`
+    /// variables (a repeat when two columns pick the same one, a
+    /// permutation when distinct ones come out of name order) or a
+    /// ground request parameter — leading, middle and trailing.
+    fn shapes(k: usize) -> Vec<Vec<Term>> {
+        let mut out = vec![Vec::new()];
+        for col in 0..k {
+            out = out
+                .into_iter()
+                .flat_map(|args: Vec<Term>| {
+                    (0..=k).map(move |choice| {
+                        let mut args = args.clone();
+                        args.push(if choice == k { param(col) } else { v(NAMES[choice]) });
+                        args
+                    })
+                })
+                .collect();
+        }
+        out
+    }
+
+    /// The gather load, the scan and the interpreter decode one table
+    /// from every atom shape, at every size and density, on every tier.
+    #[test]
+    fn plan_gather_scan_and_interpreter_agree() {
+        let tiers = tiers();
+        let mut gathers = 0u64;
+        for k in 1..=4usize {
+            for n in SIZES {
+                let space = u64::from(n).pow(k as u32);
+                if space > 1 << 19 {
+                    continue; // arity 4 past n = 7: not dense, or minutes of sweep
+                }
+                // The interpreter materializes rows: hold it to the
+                // spaces it walks in milliseconds. Gather and scan are
+                // held to each other everywhere.
+                let interpret = space <= 40_000;
+                let params: Vec<Elem> = (0..k as Elem).map(|i| (i * 5 + 3) % n).collect();
+                for (d, tuples) in densities(n, k, 0xA11 + space).iter().enumerate() {
+                    if space > 40_000 && d >= 3 {
+                        continue;
+                    }
+                    let st = structure(n, k, &["R"], &[tuples]);
+                    for args in shapes(k) {
+                        let atom = rel("R", args.clone());
+                        let plan = Plan::compile(&atom, &st).expect("dense atom compiles");
+                        let mut arena = plan.arena();
+                        let mut tables = Vec::new();
+                        for &tier in &tiers {
+                            force_tier(tier);
+                            for gather in [true, false] {
+                                let mut ev = Evaluator::new(&st, &params);
+                                assert!(plan.run_with_loads(&mut ev, &mut arena, gather).unwrap());
+                                tables.push(plan.decode_root(&arena).sorted());
+                            }
+                            let mut ev = Evaluator::new(&st, &params);
+                            assert!(plan.run(&mut ev, &mut arena, None).unwrap());
+                            tables.push(plan.decode_root(&arena).sorted());
+                        }
+                        gathers += 1;
+                        if interpret {
+                            let expect = evaluate(&atom, &st, &params).unwrap();
+                            tables.push(expect.project(plan.vars()).sorted());
+                        }
+                        for t in &tables[1..] {
+                            assert_eq!(
+                                t, &tables[0],
+                                "{atom} at n={n}, density #{d}: load paths disagree"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(gathers > 1000, "sweep shrank to {gathers} shapes");
+    }
+
+    /// A rule target's columns in an order that is not the root's.
+    fn column_orders(k: usize) -> Vec<Vec<usize>> {
+        match k {
+            1 => vec![vec![0]],
+            2 => vec![vec![0, 1], vec![1, 0]],
+            3 => vec![vec![0, 1, 2], vec![2, 0, 1], vec![1, 2, 0], vec![0, 2, 1]],
+            _ => unreachable!(),
+        }
+    }
+
+    /// The counted bitmap install leaves the relation, its `len()` and
+    /// the added/removed counts exactly where `install_plan` +
+    /// `apply_delta` leave them — through column permutations, columns
+    /// the root lacks, and universes whose padding must be dropped.
+    #[test]
+    fn plan_bitmap_install_matches_tuple_install() {
+        let tiers = tiers();
+        for k in 1..=3usize {
+            for n in SIZES {
+                if u64::from(n).pow(k as u32) > 40_000 {
+                    continue;
+                }
+                let sets = densities(n, k, 0xB17 + u64::from(n));
+                for cols in column_orders(k) {
+                    let args: Vec<Term> = cols.iter().map(|&i| v(NAMES[i])).collect();
+                    // (old, new) density pairs: growth from nothing,
+                    // shrinkage to nothing, overlap, and no change.
+                    for (o, w) in [(0, 2), (1, 3), (2, 4), (3, 3), (4, 0), (3, 1), (4, 3), (1, 1)] {
+                        {
+                            let (old, new) = (&sets[o], &sets[w]);
+                            let st = structure(n, k, &["R", "N"], &[old, new]);
+                            // The new value: N itself, N restricted to
+                            // the old value, or — one column short —
+                            // whatever the first column allows.
+                            let whole = rel("N", args.clone());
+                            let restricted = whole.clone() & rel("R", args.clone());
+                            let mut cases: Vec<(Formula, DeltaMode)> = vec![
+                                (whole.clone(), DeltaMode::Full),
+                                (whole.clone(), DeltaMode::Grow),
+                                (restricted, DeltaMode::Shrink),
+                            ];
+                            if k == 2 {
+                                let first = dynfo_logic::formula::exists(
+                                    [NAMES[cols[1]]],
+                                    rel("N", args.clone()),
+                                );
+                                cases.push((first, DeltaMode::Full));
+                            }
+                            for (f, mode) in cases {
+                                for &tier in &tiers {
+                                    force_tier(tier);
+                                    check_install(&st, &f, &args, mode, (n, o, w));
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn check_install(
+        st: &Structure,
+        f: &Formula,
+        columns: &[Term],
+        mode: DeltaMode,
+        at: (Elem, usize, usize),
+    ) {
+        let n = st.size();
+        let vars: Vec<_> = columns.iter().map(|t| t.as_var().unwrap()).collect();
+        let id = st.vocab().relation("R").unwrap();
+        // Tuple route: evaluate, align to the target's columns, diff, apply.
+        let mut table = evaluate(f, st, &[]).unwrap();
+        for &var in &vars {
+            if table.col(var).is_none() {
+                table = table.extend(var, n);
+            }
+        }
+        let mut rows = table.project(&vars).into_rows();
+        rows.sort_unstable();
+        rows.dedup();
+        let plan_t = install_plan(mode, st.relation(id), &rows);
+        let mut by_tuples = st.clone();
+        by_tuples.apply_delta(id, &plan_t.added, &plan_t.removed);
+        // Bitmap route: run, restride into the target's layout, install.
+        let plan = Plan::compile(f, st).expect("dense formula compiles");
+        let mut arena = plan.arena();
+        assert!(plan.run(&mut Evaluator::new(st, &[]), &mut arena, None).unwrap());
+        let axes: Vec<Option<usize>> = vars
+            .iter()
+            .map(|var| plan.vars().iter().position(|r| r == var))
+            .collect();
+        let mut by_bits = st.clone();
+        let mut out = vec![0u64; by_bits.relation(id).dense_words().unwrap()];
+        plan.or_root_into(&arena, &axes, &mut out, &mut EvalStats::default());
+        let counts = by_bits.relation_mut(id).install_bits(mode, &out).unwrap();
+        assert_eq!(
+            counts,
+            (plan_t.added.len(), plan_t.removed.len()),
+            "{f} as {mode:?} at (n, old, new) = {at:?}: added/removed counts"
+        );
+        assert_eq!(by_bits.relation(id).len(), by_tuples.relation(id).len(), "{f} {at:?}: len()");
+        assert_eq!(by_bits, by_tuples, "{f} as {mode:?} at {at:?}: state");
+    }
+}

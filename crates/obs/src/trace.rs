@@ -77,22 +77,22 @@ impl Drop for Span {
         if !ENABLED || self.start.is_none() {
             return;
         }
-        let path = current_path();
-        STACK.with(|s| {
-            s.borrow_mut().pop();
-        });
-        let mut sink = SINK.lock().unwrap();
-        if let Some(out) = sink.as_mut() {
+        // The path is only ever written to the sink: without one a
+        // span exit formats nothing and allocates nothing.
+        if let Some(out) = SINK.lock().unwrap().as_mut() {
             let ns = crate::elapsed_ns(self.start);
             let thread = std::thread::current();
             let _ = writeln!(
                 out,
                 "{{\"span\":\"{}\",\"path\":\"{}\",\"ns\":{},\"thread\":\"{}\"}}",
                 self.label,
-                path,
+                current_path(),
                 ns,
                 thread.name().unwrap_or("?"),
             );
         }
+        STACK.with(|s| {
+            s.borrow_mut().pop();
+        });
     }
 }
