@@ -1,15 +1,13 @@
-//! E20 — compiled bit-parallel plans vs the relational-algebra
-//! interpreter.
+//! E20 — compiled bit-parallel plans.
 //!
 //! The plan compiler lowers each update/query formula to a flat op
 //! sequence over dense bit-relations: fused AND/OR/ANDNOT passes,
 //! quantification as word folds, 64 tuples per instruction. This bench
-//! measures per-update latency (state-restoring request pairs, so the
-//! machine never drifts) with plans on vs off on PARITY, REACH_u, and
-//! semi-dynamic REACH_u at n ≥ 64 and MSF at n = 16, plus a
-//! parameterless three-hop join query evaluated standalone. The
-//! plans-off numbers are the interpreter baseline the equivalence suite
-//! holds plans against.
+//! measures per-update latency of the machine (state-restoring request
+//! pairs, so it never drifts) on PARITY, REACH_u and semi-dynamic
+//! REACH_u at n ≥ 64 and MSF at n = 16, plus a parameterless three-hop
+//! join query evaluated standalone, compiled against the relational-
+//! algebra interpreter.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dynfo_core::{programs, DynFoMachine, DynFoProgram, Request};
@@ -37,95 +35,75 @@ fn bench_updates(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(2));
 
     for n in [64u32, 128] {
-        for (mode, plans) in [("compiled", true), ("interpreted", false)] {
-            // PARITY: monadic counter maintenance, pure grow/shrink
-            // rules over unary relations.
-            let mut m = DynFoMachine::new(programs::parity::program(), n)
-                .with_use_plans(plans);
-            for i in (0..n).step_by(3) {
-                m.apply(&Request::ins("M", [i])).unwrap();
-            }
-            group.bench_with_input(
-                BenchmarkId::new(format!("PARITY_{mode}"), n),
-                &n,
-                |b, &n| {
-                    b.iter(|| {
-                        m.apply(&Request::ins("M", [n / 2 + 1])).unwrap();
-                        m.apply(&Request::del("M", [n / 2 + 1])).unwrap();
-                    })
-                },
-            );
-
-            // REACH_u: spanning-forest maintenance. The pair is an
-            // absent edge between already-connected vertices, so the
-            // insert is a cheap grow and the delete resolves from the
-            // non-forest guard — the uniform steady-state request mix
-            // (forest-edge repairs are interpreter work in both modes
-            // and would swamp the comparison with their variance).
-            let mut m = prepopulated(programs::reach_u::program(), n, 7).with_use_plans(plans);
-            let pair = (0..n)
-                .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
-                .find(|&(a, b)| {
-                    !m.state().rel("E").contains(&Tuple::pair(a, b))
-                        && m.query_named("connected", &[a, b]).unwrap()
-                })
-                .expect("churn graph has a connected non-edge");
-            group.bench_with_input(
-                BenchmarkId::new(format!("REACH_u_{mode}"), n),
-                &n,
-                |b, _| {
-                    b.iter(|| {
-                        m.apply(&Request::ins("E", [pair.0, pair.1])).unwrap();
-                        m.apply(&Request::del("E", [pair.0, pair.1])).unwrap();
-                    })
-                },
-            );
-
-            // Semi-dynamic REACH_u: quantifier-free binary-aux updates,
-            // the formula shape where every rule compiles and the word
-            // kernels replace O(n²) row materialization outright.
-            let mut m =
-                DynFoMachine::new(programs::semi::reach_u_program(), n).with_use_plans(plans);
-            for i in 0..n - 1 {
-                if i % 3 != 0 {
-                    m.apply(&Request::ins("E", [i, i + 1])).unwrap();
-                }
-            }
-            group.bench_with_input(
-                BenchmarkId::new(format!("semi_REACH_u_{mode}"), n),
-                &n,
-                |b, _| {
-                    // Insert-only by the Dyn_s contract; repeat an edge
-                    // already present so the state cannot drift.
-                    b.iter(|| m.apply(&Request::ins("E", [1, 2])).unwrap())
-                },
-            );
+        // PARITY: monadic counter maintenance, pure grow/shrink rules
+        // over unary relations.
+        let mut m = DynFoMachine::new(programs::parity::program(), n);
+        for i in (0..n).step_by(3) {
+            m.apply(&Request::ins("M", [i])).unwrap();
         }
-    }
-
-    // MSF at n = 16 only: its wide arity-3 repair formulas exceed the
-    // machine's plan work budget at larger n *and* make the interpreter
-    // baseline intractable there (E05: 21.6 ms/update at n = 12).
-    for (mode, plans) in [("compiled", true), ("interpreted", false)] {
-        let n = 16u32;
-        let mut m = DynFoMachine::new(programs::msf::program(), n).with_use_plans(plans);
-        let mut r = rng(9);
-        use rand::Rng;
-        for _ in 0..n {
-            let a = r.gen_range(0..n);
-            let b = r.gen_range(0..n);
-            if a != b {
-                m.apply(&Request::ins("W", [a.min(b), a.max(b), r.gen_range(0..n)]))
-                    .unwrap();
-            }
-        }
-        group.bench_with_input(BenchmarkId::new(format!("MSF_{mode}"), n), &n, |b, &n| {
+        group.bench_with_input(BenchmarkId::new("PARITY_compiled", n), &n, |b, &n| {
             b.iter(|| {
-                m.apply(&Request::ins("W", [0, n - 1, 1])).unwrap();
-                m.apply(&Request::del("W", [0, n - 1, 1])).unwrap();
+                m.apply(&Request::ins("M", [n / 2 + 1])).unwrap();
+                m.apply(&Request::del("M", [n / 2 + 1])).unwrap();
             })
         });
+
+        // REACH_u: spanning-forest maintenance. The pair is an absent
+        // edge between already-connected vertices, so the insert is a
+        // cheap grow and the delete resolves from the non-forest guard —
+        // the uniform steady-state request mix (forest-edge repairs
+        // would swamp the measurement with their variance).
+        let mut m = prepopulated(programs::reach_u::program(), n, 7);
+        let pair = (0..n)
+            .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
+            .find(|&(a, b)| {
+                !m.state().rel("E").contains(&Tuple::pair(a, b))
+                    && m.query_named("connected", &[a, b]).unwrap()
+            })
+            .expect("churn graph has a connected non-edge");
+        group.bench_with_input(BenchmarkId::new("REACH_u_compiled", n), &n, |b, _| {
+            b.iter(|| {
+                m.apply(&Request::ins("E", [pair.0, pair.1])).unwrap();
+                m.apply(&Request::del("E", [pair.0, pair.1])).unwrap();
+            })
+        });
+
+        // Semi-dynamic REACH_u: quantifier-free binary-aux updates, the
+        // formula shape where every rule compiles and the word kernels
+        // replace O(n²) row materialization outright.
+        let mut m = DynFoMachine::new(programs::semi::reach_u_program(), n);
+        for i in 0..n - 1 {
+            if i % 3 != 0 {
+                m.apply(&Request::ins("E", [i, i + 1])).unwrap();
+            }
+        }
+        group.bench_with_input(BenchmarkId::new("semi_REACH_u_compiled", n), &n, |b, _| {
+            // Insert-only by the Dyn_s contract; repeat an edge already
+            // present so the state cannot drift.
+            b.iter(|| m.apply(&Request::ins("E", [1, 2])).unwrap())
+        });
     }
+
+    // MSF at n = 16 only: past it, its residuals exceed the compile cap
+    // and run on the interpreter (ROADMAP item 3).
+    let n = 16u32;
+    let mut m = DynFoMachine::new(programs::msf::program(), n);
+    let mut r = rng(9);
+    use rand::Rng;
+    for _ in 0..n {
+        let a = r.gen_range(0..n);
+        let b = r.gen_range(0..n);
+        if a != b {
+            m.apply(&Request::ins("W", [a.min(b), a.max(b), r.gen_range(0..n)]))
+                .unwrap();
+        }
+    }
+    group.bench_with_input(BenchmarkId::new("MSF_compiled", n), &n, |b, &n| {
+        b.iter(|| {
+            m.apply(&Request::ins("W", [0, n - 1, 1])).unwrap();
+            m.apply(&Request::del("W", [0, n - 1, 1])).unwrap();
+        })
+    });
     group.finish();
 }
 

@@ -52,11 +52,5 @@ fn main() {
     for r in &reqs {
         m2.apply(r).unwrap();
     }
-    println!(
-        "cache: {} entries, {} hits, {} misses",
-        m2.cache().len(),
-        m2.cache().hits(),
-        m2.cache().misses()
-    );
     println!("stats: {:?}", m2.stats());
 }

@@ -26,15 +26,10 @@ use crate::program::DynFoProgram;
 use crate::programs::eq_pair;
 use crate::programs::reach_u::{conn_cut, same_tree, t_cut, via, via_cut};
 use crate::request::RequestKind;
-use dynfo_logic::formula::{eq, exists, forall, implies, le, lt, not, param, rel, v, Formula, Term};
+use dynfo_logic::formula::{eq, exists, le, lt, not, param, rel, v, Formula, Term};
 
-/// Key order on weighted, *sorted-endpoint* edges:
-/// `(q1, c1, d1) ≤ (q2, c2, d2)` lexicographically.
-fn key_le(q1: Term, c1: Term, d1: Term, q2: Term, c2: Term, d2: Term) -> Formula {
-    lt(q1, q2) | (eq(q1, q2) & (lt(c1, c2) | (eq(c1, c2) & le(d1, d2))))
-}
-
-/// Strict key order.
+/// Strict key order on weighted, *sorted-endpoint* edges:
+/// `(q1, c1, d1) < (q2, c2, d2)` lexicographically.
 fn key_lt(q1: Term, c1: Term, d1: Term, q2: Term, c2: Term, d2: Term) -> Formula {
     lt(q1, q2) | (eq(q1, q2) & (lt(c1, c2) | (eq(c1, c2) & lt(d1, d2))))
 }
@@ -55,18 +50,21 @@ fn on_path(c: &str, d: &str) -> Formula {
         & rel("PV", [param(0), param(1), v(d)])
 }
 
+/// `PathEdge(c, d, q)`: `OnPath(c, d)` with weight `q`.
+fn path_edge(c: &str, d: &str, q: &str) -> Formula {
+    on_path(c, d) & rel("W", [v(c), v(d), v(q)])
+}
+
 /// `MaxEdge(c, d, q)`: `{c,d}` (sorted) is the maximum-key edge on the
-/// forest path `?0 ⇝ ?1`, with weight `q`.
+/// forest path `?0 ⇝ ?1`, with weight `q`. Stated as three successive
+/// maxima — no path edge is heavier, none as heavy starts above `c`,
+/// none from `c` as heavy ends above `d` — so no block compares two
+/// whole keys and every slot stays at arity ≤ 4.
 fn max_edge(c: &str, d: &str, q: &str) -> Formula {
-    on_path(c, d)
-        & rel("W", [v(c), v(d), v(q)])
-        & forall(
-            ["c2", "d2", "q2"],
-            implies(
-                on_path("c2", "d2") & rel("W", [v("c2"), v("d2"), v("q2")]),
-                key_le(v("q2"), v("c2"), v("d2"), v(q), v(c), v(d)),
-            ),
-        )
+    path_edge(c, d, q)
+        & not(exists(["q2", "c2", "d2"], lt(v(q), v("q2")) & path_edge("c2", "d2", "q2")))
+        & not(exists(["c2", "d2"], lt(v(c), v("c2")) & path_edge("c2", "d2", q)))
+        & not(exists(["d2"], lt(v(d), v("d2")) & path_edge(c, "d2", q)))
 }
 
 /// `Swap`: inserting the new edge improves the forest (some path edge
@@ -88,18 +86,17 @@ fn del_cand(x: Term, y: Term, q: Term) -> Formula {
         & conn_cut(y, param(1), param(0), param(1))
 }
 
-/// Minimum-key crossing candidate (oriented `?0`-side → `?1`-side).
+/// Minimum-key crossing candidate (oriented `?0`-side → `?1`-side),
+/// as three successive minima over weight, source and target, like
+/// [`max_edge`].
 fn min_cand(x: &str, y: &str) -> Formula {
+    let cand = |p: &str, r: &str, q: &str| del_cand(v(p), v(r), v(q));
     exists(
         ["q"],
-        del_cand(v(x), v(y), v("q"))
-            & forall(
-                ["p", "r", "q2"],
-                implies(
-                    del_cand(v("p"), v("r"), v("q2")),
-                    key_le(v("q"), v(x), v(y), v("q2"), v("p"), v("r")),
-                ),
-            ),
+        cand(x, y, "q")
+            & not(exists(["q2", "p", "r"], lt(v("q2"), v("q")) & cand("p", "r", "q2")))
+            & not(exists(["p", "r"], lt(v("p"), v(x)) & cand("p", "r", "q")))
+            & not(exists(["r"], lt(v("r"), v(y)) & cand(x, "r", "q"))),
     )
 }
 
@@ -191,6 +188,7 @@ mod tests {
     use crate::machine::{check_memoryless, DynFoMachine};
     use crate::request::Request;
     use dynfo_graph::mst::{kruskal, WeightedGraph};
+    use dynfo_logic::formula::{forall, implies};
     use rand::seq::SliceRandom;
     use rand::Rng;
     use std::collections::BTreeSet;
@@ -262,6 +260,74 @@ mod tests {
                 m.apply(&Request::ins("W", [a, b, w])).unwrap();
             }
             check_forest(m, &g, step, false);
+        }
+    }
+
+    /// Key order on weighted, sorted-endpoint edges:
+    /// `(q1, c1, d1) ≤ (q2, c2, d2)` lexicographically.
+    fn key_le(q1: Term, c1: Term, d1: Term, q2: Term, c2: Term, d2: Term) -> Formula {
+        lt(q1, q2) | (eq(q1, q2) & (lt(c1, c2) | (eq(c1, c2) & le(d1, d2))))
+    }
+
+    /// [`max_edge`] as one 6-ary block comparing whole keys.
+    fn max_edge_one_block(c: &str, d: &str, q: &str) -> Formula {
+        path_edge(c, d, q)
+            & forall(
+                ["c2", "d2", "q2"],
+                implies(
+                    path_edge("c2", "d2", "q2"),
+                    key_le(v("q2"), v("c2"), v("d2"), v(q), v(c), v(d)),
+                ),
+            )
+    }
+
+    /// [`min_cand`] as one 6-ary block comparing whole keys.
+    fn min_cand_one_block(x: &str, y: &str) -> Formula {
+        exists(
+            ["q"],
+            del_cand(v(x), v(y), v("q"))
+                & forall(
+                    ["p", "r", "q2"],
+                    implies(
+                        del_cand(v("p"), v("r"), v("q2")),
+                        key_le(v("q"), v(x), v(y), v("q2"), v("p"), v("r")),
+                    ),
+                ),
+        )
+    }
+
+    #[test]
+    fn successive_minima_pick_the_one_block_edges() {
+        // On forests the machine itself maintains, with weights from
+        // {0, 1, 2} so keys tie on weight, for every parameter vector a
+        // request evaluates the extremum with — every endpoint pair for
+        // the insert's `MaxEdge` (one orientation: `PV` is symmetric in
+        // them), every forest edge (`W` holds both orientations) with
+        // its weight for the delete's `MinCand` — both statements select
+        // the same edge.
+        for (n, steps, seed) in [(5u32, 25, 1u64), (9, 45, 2), (16, 20, 3)] {
+            let mut m = DynFoMachine::new(program(), n);
+            weighted_churn(&mut m, n, steps, false, seed);
+            let same = |new: &Formula, old: &Formula, params: &[u32]| {
+                let new = m.evaluate(new, params).unwrap().sorted();
+                assert_eq!(new, m.evaluate(old, params).unwrap().sorted(), "n={n}, {params:?}");
+                assert!(new.len() <= 1, "n={n}, {params:?}: {} extrema", new.len());
+                new.len()
+            };
+            let (max_new, max_old) = (max_edge("c", "d", "q"), max_edge_one_block("c", "d", "q"));
+            let maxima: usize = (0..n * n)
+                .filter(|i| i / n < i % n)
+                .map(|i| same(&max_new, &max_old, &[i / n, i % n]))
+                .sum();
+            let (min_new, min_old) = (min_cand("x", "y"), min_cand_one_block("x", "y"));
+            let minima: usize = m
+                .state()
+                .rel("W")
+                .iter()
+                .filter(|t| m.holds("F", [t[0], t[1]]))
+                .map(|t| same(&min_new, &min_old, t.as_slice()))
+                .sum();
+            assert!(maxima > 0 && minima > 0, "n={n}: {maxima} maxima, {minima} minima");
         }
     }
 

@@ -204,8 +204,8 @@ pub(crate) struct Witness {
 #[derive(Clone, Debug, Default)]
 pub(crate) struct WitnessRows {
     /// The witness plan ran (its root buffer holds this request's
-    /// relation). False when no surviving disjunct needed it, plans are
-    /// off, or the plan bailed.
+    /// relation). False when no surviving disjunct needed it or the plan
+    /// bailed.
     pub ran: bool,
     /// Tuples in the witness relation.
     pub count: usize,

@@ -410,8 +410,7 @@ fn shrink_program_bulk_delete_takes_the_one_shot_path() {
     assert!(!bulk.holds("U", [11u32]));
 }
 
-/// The custom shrink program under randomized mixed streams, across
-/// the interpreter too.
+/// The custom shrink program under randomized mixed streams.
 #[test]
 fn shrink_program_differential_over_random_streams() {
     let n = 10u32;
@@ -433,12 +432,12 @@ fn shrink_program_differential_over_random_streams() {
         n,
         &reqs,
         &[],
-        &[DiffMode::Plans, DiffMode::Bulk, DiffMode::Interp],
+        &[DiffMode::Plans, DiffMode::Bulk],
     );
 }
 
 /// Bulk requests compose with every execution mode at once: the native
-/// path, the interpreter, the parallel scheduler and `apply_batch`
+/// path, the parallel scheduler and `apply_batch`
 /// (which dispatches bulk natively inside a chunk) all stay aligned on
 /// one mixed stream.
 #[test]
@@ -455,7 +454,6 @@ fn bulk_composes_with_every_execution_mode() {
         &[
             DiffMode::Plans,
             DiffMode::Bulk,
-            DiffMode::Interp,
             DiffMode::Parallel(3),
             DiffMode::Batch(5),
         ],
@@ -494,4 +492,56 @@ fn auto_routes_by_delta_size() {
     assert_eq!(auto_m.state(), pinned.state(), "one-shot after crossover");
     assert_eq!(auto_m.stats().requests, 3, "the big Δ counts one request");
     assert_eq!(fallbacks.get(), 1, "no further fallback past the crossover");
+}
+
+/// The bulk path's two interpreter callers, forced through the public
+/// API: a recompute closure hands both relations back on the sparse
+/// backend, so neither δ nor the closure's round formula lowers to
+/// kernels — δ is materialized by `evaluate` and the rounds interpret —
+/// and the one-shot fixpoint still lands on the expanded stream's state.
+#[test]
+fn bulk_interprets_what_reads_a_sparse_relation() {
+    let copy = rel("E", [v("x"), v("y")]) | (eq(v("x"), param(0)) & eq(v("y"), param(1)));
+    let grow = rel("TC", [v("x"), v("y")])
+        | ((eq(v("x"), param(0)) | rel("TC", [v("x"), param(0)]))
+            & (eq(v("y"), param(1)) | rel("TC", [param(1), v("y")])));
+    let program = DynFoProgram::builder("sparse_closure")
+        .input_relation("E", 2)
+        .aux_relation("TC", 2)
+        .memoryless()
+        .on(RequestKind::ins("E"), "E", &["x", "y"], copy)
+        .on(RequestKind::ins("E"), "TC", &["x", "y"], grow)
+        .recompute(|st| {
+            let mut fresh = st.clone();
+            for name in ["E", "TC"] {
+                let id = fresh.vocab().relation(dynfo_logic::Sym::new(name)).expect("in vocab");
+                *fresh.relation_mut(id) = st.relation(id).to_sparse();
+            }
+            fresh
+        })
+        .query(Formula::True)
+        .build();
+    let machine = |route| {
+        let mut m = DynFoMachine::new(program.clone(), 8).with_bulk_route(route);
+        m.apply_all(&[Request::ins("E", [0, 1]), Request::ins("E", [1, 2])]).unwrap();
+        assert!(m.recompute().unwrap());
+        m
+    };
+    let (mut bulk, mut stream) = (machine(BulkRoute::OneShot), machine(BulkRoute::Fallback));
+    // Every edge, reversed.
+    let delta = rel("E", [v("x1"), v("x0")]);
+    let canonical = dynfo_logic::analysis::canonicalize(&delta);
+    assert!(dynfo_logic::Plan::compile(&canonical, bulk.state()).is_none(), "test premise");
+    let req = Request::bulk_ins("E", delta);
+    let expanded = stream.expand_bulk(&req).unwrap();
+    assert_eq!(expanded.len(), 2, "(1,0), (2,1)");
+    stream.apply_all(&expanded).unwrap();
+    let before = bulk.stats().update_work;
+    bulk.apply(&req).unwrap();
+    assert_eq!(bulk.state(), stream.state());
+    assert!(bulk.holds("TC", [2u32, 2]), "the closure ran to its fixpoint");
+    assert_eq!(bulk.stats().requests, 3, "2 seeds + one one-shot bulk insert");
+    let work = bulk.stats().update_work;
+    assert!(work.rows_built > before.rows_built, "the rounds interpreted: {work:?}");
+    assert_eq!(bulk.state().rel("TC").backend_kind(), "sparse");
 }

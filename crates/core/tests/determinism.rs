@@ -4,7 +4,7 @@
 //! number of evaluations served by compiled plans, the same number of
 //! interpreter fallbacks, the same number of guard-refined rules. The
 //! counters are the stronger claim: they pin the whole control flow
-//! (plan cache hits, guard outcomes, install routing), not just the
+//! (plan admission, guard outcomes, install routing), not just the
 //! final answer, so any hidden nondeterminism — iteration over an
 //! unordered map, a time- or address-dependent cache policy — fails
 //! here even when the states happen to agree.
@@ -24,9 +24,9 @@ use dynfo_testutil::{
 const N: u32 = 16;
 const STEPS: usize = 36;
 
-/// One full run: fresh machine, plans enabled, whole stream applied.
+/// One full run: fresh machine, whole stream applied.
 fn run(program: &dyn Fn() -> DynFoProgram, reqs: &[Request]) -> DynFoMachine {
-    let mut machine = DynFoMachine::new(program(), N).with_use_plans(true);
+    let mut machine = DynFoMachine::new(program(), N);
     machine.apply_all(reqs).unwrap();
     machine
 }
@@ -161,8 +161,7 @@ fn all_programs_reproduce_state_and_work_profile() {
 fn batched_runs_reproduce_work_profile() {
     let reqs = undirected(367);
     let run_batched = || {
-        let mut machine =
-            DynFoMachine::new(programs::reach_u::program(), N).with_use_plans(true);
+        let mut machine = DynFoMachine::new(programs::reach_u::program(), N);
         for chunk in reqs.chunks(8) {
             machine.apply_batch(chunk).unwrap();
         }

@@ -8,6 +8,12 @@
 //!   the compile ceiling at n = 31–32 and the slot cap at n = 33–64,
 //!   and compile again at n = 65), no interpreter island, and kernel
 //!   work for one fixed request sequence that only grows with n.
+//! * **MSF runs on the kernels up to the compile cap.** Theorem 4.4's
+//!   extrema are stated as successive minima, so no update block is
+//!   wider than 4-ary: at n ≤ 16 no plan has an interpreter island and
+//!   no request builds an interpreter row or declines a plan. From
+//!   n = 17 its residuals pass `PLAN_COMPILE_WORDS_CAP` and interpret
+//!   (ROADMAP item 3, tiled execution).
 //! * **The density gate** (`BitPlan::profitable`) guards the rules no
 //!   guard selects. REACH_a's path delete is the one rule in the
 //!   library that crosses it: ≈ 42k kernel words in the S = 64 layout
@@ -19,9 +25,13 @@
 //!   (dense reads carry a plan over the base budget) has no library
 //!   instance since REACH_u's PV insert became a 3-ary pass; it is held
 //!   on a rule built for it, a ternary self-join at n = 32.
+//! * **The bind join's ceiling.** A guard-selected residual bound once
+//!   per witness tuple interprets once `Σ |W| · words(β)` passes the
+//!   compile cap; no library program's witness set gets there, so a
+//!   rule built for it holds the switch.
 
 use dynfo_core::{programs, DynFoMachine, Request};
-use dynfo_testutil::{churn_stream, edge_requests, rng, run_differential, DiffMode};
+use dynfo_testutil::{churn_stream, edge_requests, rng, run_differential, weighted_stream, DiffMode};
 
 #[test]
 fn reach_u_plan_admission_is_monotone_in_n() {
@@ -66,8 +76,35 @@ fn reach_u_plan_admission_is_monotone_in_n() {
     }
 }
 
+/// MSF's update rules compile whole — no island, no fallback, no
+/// interpreter row — at every n up to the compile cap.
+#[test]
+fn msf_runs_on_the_kernels_up_to_the_compile_cap() {
+    for n in [6u32, 12, 16] {
+        let mut m = DynFoMachine::new(programs::msf::program(), n);
+        assert_eq!(m.plan_interp_islands(), 0, "n={n}: a plan has an interpreter island");
+        for req in weighted_stream(n, 40, 4404) {
+            let work = m.apply(&req).unwrap();
+            assert_eq!(work.rows_built, 0, "n={n} {req}: the interpreter ran");
+            assert_eq!(work.plan_fallback, 0, "n={n} {req}: a plan declined");
+        }
+        let installs = m.stats().installs;
+        assert!(installs.tuples_removed > 0, "n={n}: no forest delete happened: {installs:?}");
+    }
+    // One past, the layout doubles to S = 32 and the widest residuals
+    // pass the cap: the first request that selects one interprets it.
+    let n = 17;
+    let mut m = DynFoMachine::new(programs::msf::program(), n);
+    let fell = weighted_stream(n, 40, 4404).iter().find_map(|req| {
+        let work = m.apply(req).unwrap();
+        (work.plan_fallback > 0).then_some((req.clone(), work))
+    });
+    let (req, work) = fell.expect("n=17: every request ran compiled");
+    assert!(work.rows_built > 0, "n={n} {req}: {work:?}");
+}
+
 /// REACH_a on both sides of the base budget. State and answers equal
-/// the interpreter's — and Definition 3.1 — at every step either way.
+/// Definition 3.1 at every step either way.
 #[test]
 fn density_gate_keeps_the_interpreter_where_reads_stay_sparse() {
     for (n, declined) in [(64u32, false), (65, true)] {
@@ -81,9 +118,9 @@ fn density_gate_keeps_the_interpreter_where_reads_stay_sparse() {
             n,
             &reqs,
             &[("reaches", &[0, 24]), ("reaches", &[3, 1])],
-            &[DiffMode::Interp, DiffMode::Plans],
+            &[DiffMode::Plans],
         );
-        let work = machines[1].stats().update_work;
+        let work = machines[0].stats().update_work;
         let expect = if declined { deletes.len() } else { 0 };
         assert_eq!(
             work.plan_fallback, expect,
@@ -145,4 +182,53 @@ fn density_gate_admits_a_plan_once_its_reads_are_dense() {
         assert_eq!((work.plan_compiled, work.plan_fallback), (ran, fell), "stride {stride}: {work:?}");
         assert_eq!(m.state().rel("Q").is_empty(), !admitted, "stride {stride}: what the join found");
     }
+}
+
+/// The bind join's own ceiling: `Σ |W| · words(β)` past
+/// `PLAN_COMPILE_WORDS_CAP` hands the residual to the interpreter. A
+/// ternary β at n = 128 is a 2^15-word root, so a witness relation of a
+/// few dozen rows crosses it; Definition 3.1's state either way.
+#[test]
+fn bind_join_past_the_cap_interprets() {
+    use dynfo_core::{DynFoProgram, RequestKind};
+    use dynfo_logic::formula::{eq, exists, not, param, rel, v};
+    let copy = |r: &str, vars: &[&str]| {
+        let args: Vec<_> = vars.iter().map(|x| v(x)).collect();
+        let hit = vars
+            .iter()
+            .enumerate()
+            .map(|(i, x)| eq(v(x), param(i)))
+            .reduce(|a, b| a & b)
+            .expect("a column");
+        rel(r, args) | hit
+    };
+    let e = |x: &str| rel("E", [v(x), v("u")]);
+    // Guarded by a probe, so the density gate stays out of it.
+    let spread = rel("A", [v("x"), v("y"), v("z")])
+        | (not(rel("M", [param(0)]))
+            & exists(["u"], rel("M", [v("u")]) & e("x") & e("y") & e("z")));
+    let program = DynFoProgram::builder("spread")
+        .input_relation("M", 1)
+        .input_relation("E", 2)
+        .aux_relation("A", 3)
+        .on(RequestKind::ins("M"), "M", &["x0"], copy("M", &["x0"]))
+        .on(RequestKind::ins("M"), "A", &["x", "y", "z"], spread)
+        .on(RequestKind::ins("E"), "E", &["x0", "x1"], copy("E", &["x0", "x1"]))
+        .query(exists(["x", "y", "z"], rel("A", [v("x"), v("y"), v("z")])))
+        .build();
+    let mut m = DynFoMachine::new(program.clone(), 128);
+    for u in 0..4 {
+        m.apply(&Request::ins("E", [u + 1, u])).unwrap();
+    }
+    let mut routes = Vec::new();
+    for u in 0..128 {
+        let (req, pre) = (Request::ins("M", [u]), m.state().clone());
+        let work = m.apply(&req).unwrap();
+        assert_eq!(m.state(), &dynfo_testutil::reference_step(&program, &pre, &req), "{req}");
+        routes.push(work.rows_built > 0);
+    }
+    // Bound while the witness set is small, interpreted once it is not.
+    let first = routes.iter().position(|&interp| interp).expect("the bind join never overflowed");
+    assert!(first > 0 && routes[first..].iter().all(|&interp| interp), "{routes:?}");
+    assert!(m.query().unwrap());
 }

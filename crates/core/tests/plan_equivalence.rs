@@ -1,20 +1,19 @@
 //! The program × route matrix: every program in the Section 4 library,
 //! on a randomized request stream, through every execution route that
-//! applies to all of them — the relational-algebra interpreter (the
-//! reference, itself held to Definition 3.1 by `run_differential`),
-//! compiled bit-parallel plans with the algebraic optimizer, the
-//! parallel rule scheduler, and `apply_batch`. All four must be
+//! applies to all of them — the machine as built (compiled bit-parallel
+//! plans with the algebraic optimizer; the reference, held to
+//! Definition 3.1 after every request by `run_differential`), the
+//! parallel rule scheduler, and `apply_batch`. All three must be
 //! indistinguishable — same auxiliary structure, same answers at every
 //! aligned step. Each program stresses a different mix of plan shapes:
 //! grow-only ψ, shrink, full diffs, guarded fallbacks, numeric guards,
 //! and parameterized queries.
 //!
-//! Optimizer-on ≡ interpreter ≡ Definition 3.1 subsumes the old
-//! optimizer-on ≡ optimizer-off differential; what each row still pins
-//! separately is that the plan path actually ran and whether the
-//! optimizer found anything to remove in that program's plans — a
-//! rewrite regression that silently stops firing fails here, not just
-//! in E24.
+//! Optimizer-on ≡ Definition 3.1 subsumes the old optimizer-on ≡
+//! optimizer-off differential; what each row still pins separately is
+//! that the plan path actually ran and whether the optimizer found
+//! anything to remove in that program's plans — a rewrite regression
+//! that silently stops firing fails here, not just in E24.
 //!
 //! The step-loop itself lives in `dynfo-testutil` ([`run_differential`]),
 //! the one shared oracle-differential harness, also used by the
@@ -28,13 +27,11 @@ use dynfo_testutil::{
 use proptest::prelude::*;
 use rand::Rng;
 
-/// One matrix row: drive `reqs` through all four routes, require that
-/// compiled plans actually executed on every plans-on machine (guards
-/// against silently falling back everywhere) and never on the
-/// interpreter machine, and check the optimizer's static summary over
-/// the plans machine: with `optimizer_fires` it removed ops (and kernel
-/// words) from some plan, without it the program's plans were already
-/// tight.
+/// One matrix row: drive `reqs` through all three routes, require that
+/// compiled plans actually executed on every machine (guards against
+/// silently falling back everywhere), and check the optimizer's static
+/// summary: with `optimizer_fires` it removed ops (and kernel words)
+/// from some plan, without it the program's plans were already tight.
 fn assert_routes_agree(
     program: impl Fn() -> DynFoProgram,
     n: u32,
@@ -47,13 +44,12 @@ fn assert_routes_agree(
         n,
         reqs,
         queries,
-        &[DiffMode::Interp, DiffMode::Plans, DiffMode::Parallel(3), DiffMode::Batch(5)],
+        &[DiffMode::Plans, DiffMode::Parallel(3), DiffMode::Batch(5)],
     );
     let compiled = |m: &DynFoMachine| {
         m.stats().update_work.plan_compiled + m.stats().query_work.plan_compiled
     };
-    assert_eq!(compiled(&machines[0]), 0, "plans-off machine must never run a plan");
-    for m in &machines[1..] {
+    for m in &machines {
         assert!(
             compiled(m) > 0,
             "no plan ever executed with {} workers (update fallbacks: {}, query fallbacks: {})",
@@ -62,7 +58,7 @@ fn assert_routes_agree(
             m.stats().query_work.plan_fallback
         );
     }
-    let (ops, words) = machines[1].plan_opt_summary();
+    let (ops, words) = machines[0].plan_opt_summary();
     if optimizer_fires {
         assert!(ops > 0 && words > 0, "optimizer found nothing: {ops} ops, {words} words");
     } else {
@@ -102,7 +98,7 @@ macro_rules! route_matrix {
     )*};
 }
 
-// {12 programs} × [Interp, Plans, Parallel(3), Batch(5)]; the last
+// {12 programs} × [Plans, Parallel(3), Batch(5)]; the last
 // column is `optimizer_fires`. The semi-dynamic programs are
 // insert-only by contract (delete rate 0).
 route_matrix! {
@@ -146,7 +142,7 @@ route_matrix! {
 /// happens once, at the end), and mid-size chunks whose boundaries
 /// interleave with the stream (compared at every boundary).
 #[test]
-fn plan_batch_sizes_match_stepwise_interpreter() {
+fn plan_batch_sizes_match_stepwise_apply() {
     let n = 7u32;
     let reqs = edge_requests("E", &churn_stream(n, 40, 0.35, true, &mut rng(61)));
     run_differential(
@@ -155,7 +151,7 @@ fn plan_batch_sizes_match_stepwise_interpreter() {
         &reqs,
         &[("connected", &[0, 6])],
         &[
-            DiffMode::Interp,
+            DiffMode::Plans,
             DiffMode::Batch(reqs.len()),
             DiffMode::Batch(7),
             DiffMode::Batch(3),
@@ -167,9 +163,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Randomized REACH_u streams including duplicate inserts, phantom
-    /// deletes, and parameter-guarded deletes of non-forest edges — the
-    /// guarded rules fall back per request while the grow rules run
-    /// compiled.
+    /// deletes, and parameter-guarded deletes of non-forest edges, held
+    /// to Definition 3.1 after every request.
     #[test]
     fn plan_reach_u_random(
         ops in proptest::collection::vec((0u32..6, 0u32..6, proptest::bool::ANY), 1..25)
@@ -187,7 +182,7 @@ proptest! {
             6,
             &reqs,
             &[("connected", &[0, 5])],
-            &[DiffMode::Interp, DiffMode::Plans],
+            &[DiffMode::Plans],
         );
     }
 
@@ -210,7 +205,7 @@ proptest! {
             8,
             &reqs,
             &[],
-            &[DiffMode::Interp, DiffMode::Plans],
+            &[DiffMode::Plans],
         );
     }
 }
@@ -292,4 +287,42 @@ fn dense_plans_bail_when_state_turns_sparse() {
     assert_eq!(work.plan_fallback, 2, "the TC rule must bail on both inserts");
     assert!(m.query().unwrap(), "0 →* 7 through the sparse TC");
     assert_eq!(m.state().rel("TC").backend_kind(), "sparse");
+}
+
+/// A relation whose tuple space passes 2^24 bits is sparse-backed from
+/// construction (a 4-ary one at n = 65), and nothing reading it lowers
+/// to kernels: the rule that projects it interprets, and so does the
+/// query, which never compiled — on Definition 3.1's state.
+#[test]
+fn sparse_relations_and_uncompiled_queries_interpret() {
+    use dynfo_core::RequestKind;
+    use dynfo_logic::formula::{eq, exists, param, rel, v};
+    let cols = ["x", "y", "z", "w"];
+    let q = rel("Q", cols.map(v));
+    let copy = q.clone()
+        | cols
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| eq(v(c), param(i)))
+            .reduce(|a, b| a & b)
+            .expect("four columns");
+    let program = DynFoProgram::builder("wide")
+        .input_relation("Q", 4)
+        .aux_relation("S", 1)
+        .on(RequestKind::ins("Q"), "Q", &cols, copy)
+        .on(RequestKind::ins("Q"), "S", &["x"], rel("S", [v("x")]) | exists(["y", "z", "w"], q.clone()))
+        .query(exists(cols, q))
+        .build();
+    let mut m = DynFoMachine::new(program.clone(), 65);
+    assert_eq!(m.state().rel("Q").backend_kind(), "sparse", "test premise");
+    for t in [[1, 2, 3, 4], [5, 6, 7, 8], [64, 0, 0, 1]] {
+        let (req, pre) = (Request::ins("Q", t), m.state().clone());
+        m.apply(&req).unwrap();
+        assert_eq!(m.state(), &dynfo_testutil::reference_step(&program, &pre, &req), "{req}");
+    }
+    assert!(m.holds("S", [5u32]), "S lags Q by one request: it reads the pre-state");
+    assert!(m.stats().update_work.rows_built > 0, "{:?}", m.stats().update_work);
+    assert!(m.query().unwrap());
+    let query = m.stats().query_work;
+    assert_eq!((query.plan_compiled, query.plan_fallback), (0, 1), "{query:?}");
 }

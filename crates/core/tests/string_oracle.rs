@@ -3,8 +3,7 @@
 //! and the Dyck-k level program must track their independent automata
 //! oracles — a full [`Dfa::run`] replay, the [`dyck_valid`] stack scan
 //! — after **every** edit, under point streams, `apply_batch` chunks,
-//! and definable bulk frames, across the interpreter and compiled-plan
-//! executors.
+//! and definable bulk frames.
 //!
 //! The string programs are *not* memoryless under overwrite semantics
 //! (the aux interval table reflects edit history through gaps), so
@@ -22,16 +21,11 @@ use dynfo_testutil::{
     string_edit_requests, DiffMode,
 };
 
-const MODES: &[DiffMode] = &[
-    DiffMode::Plans,
-    DiffMode::Interp,
-    DiffMode::Batch(4),
-    DiffMode::Bulk,
-];
+const MODES: &[DiffMode] = &[DiffMode::Plans, DiffMode::Batch(4), DiffMode::Bulk];
 
-/// Oracle check after every edit, then the four-way executor
-/// differential (plans, interpreter, batch chunks, native bulk) over
-/// the same stream.
+/// Oracle check after every edit, then the three-way executor
+/// differential (stepwise, batch chunks, native bulk) over the same
+/// stream.
 fn dfa_suite(program: impl Fn() -> DynFoProgram, oracle: &dfa::Dfa, n: u32, reqs: &[Request]) {
     assert_dfa_oracle(&program, oracle, n, reqs);
     run_differential(&program, n, reqs, &[("in_state", &[0])], MODES);

@@ -131,12 +131,8 @@ fn collect_all_vars(f: &Formula, out: &mut BTreeSet<Sym>) {
     }
 }
 
-/// All relation symbols mentioned by atoms of the formula.
-///
-/// This is the read set of an evaluation: a cached result for `f` stays
-/// valid as long as none of these relations change (and constants and
-/// parameters are fixed). Delta-aware update evaluation invalidates by
-/// this set.
+/// All relation symbols mentioned by atoms of the formula: the read set
+/// of an evaluation.
 pub fn relation_symbols(f: &Formula) -> BTreeSet<Sym> {
     let mut out = BTreeSet::new();
     collect_relation_symbols(f, &mut out);
@@ -159,12 +155,8 @@ fn collect_relation_symbols(f: &Formula, out: &mut BTreeSet<Sym>) {
     }
 }
 
-/// All structure-constant symbols appearing as terms of the formula.
-///
-/// This is the constant analogue of [`relation_symbols`]: a cached
-/// subformula result can only go stale under a `set` request if the
-/// formula reads the constant being reassigned, so the cache tags each
-/// entry with this set and evicts by intersection.
+/// All structure-constant symbols appearing as terms of the formula:
+/// the constant analogue of [`relation_symbols`].
 pub fn constant_symbols(f: &Formula) -> BTreeSet<Sym> {
     let mut out = BTreeSet::new();
     collect_constant_symbols(f, &mut out);

@@ -44,7 +44,7 @@ pub enum DeltaMode {
 ///
 /// Both sides are sorted and duplicate-free. An empty plan means the
 /// evaluation confirmed the target is already correct — installing it
-/// is a no-op with no writes and no cache invalidation.
+/// is a no-op with no writes.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct InstallPlan {
     /// Tuples to insert (absent from the old relation).

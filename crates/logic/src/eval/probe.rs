@@ -7,7 +7,7 @@
 //! edge"; `?0 ≠ ?1 ∧ ¬PV(?0, ?1, ?0)`: "the inserted edge joins two
 //! trees"), and deciding them needs no relational algebra: each atom is
 //! one membership test on the pre-state. [`probe`] does exactly that —
-//! no table, no cache entry, no allocation — and raises the errors the
+//! no table, no memo entry, no allocation — and raises the errors the
 //! interpreter would raise on the same formula.
 
 use super::{numeric_pred, numeric_terms, EvalError};

@@ -95,7 +95,7 @@ impl Table {
     }
 
     /// [`Table::renamed`] by value: reuses the row storage instead of
-    /// cloning it. The cache hit path pairs this with a cloned stored
+    /// cloning it. The memo hit path pairs this with a cloned stored
     /// table so a hit costs exactly one row copy.
     pub fn into_renamed(mut self, map: impl Fn(Sym) -> Option<Sym>) -> Table {
         for c in &mut self.vars {

@@ -27,7 +27,7 @@ pub mod tuple;
 pub mod vocab;
 
 pub use eval::plan::{Plan, PlanArena};
-pub use eval::{evaluate, satisfies, EvalError, EvalStats, Evaluator, SubformulaCache, Table};
+pub use eval::{evaluate, satisfies, EvalError, EvalStats, Evaluator, Table};
 pub use formula::{Formula, Term};
 pub use intern::{sym, Sym};
 pub use bitrel::BitRel;

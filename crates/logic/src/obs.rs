@@ -8,7 +8,7 @@ use crate::formula::Formula;
 use dynfo_obs::{Counter, Gauge};
 use std::sync::{Arc, OnceLock};
 
-/// Subformula classes for the cache hit/miss breakdown, in the order
+/// Subformula classes for the memo hit/miss breakdown, in the order
 /// of [`CLASS_NAMES`].
 pub const CLASS_NAMES: [&str; 6] = ["rel", "and", "or", "not", "exists", "other"];
 
@@ -26,9 +26,9 @@ pub fn class_of(f: &Formula) -> usize {
 
 /// Cached handles for every metric the evaluator and the pool record.
 pub struct EvalObs {
-    /// `eval.cache_hit.{class}` — subformula-cache hits by class.
+    /// `eval.cache_hit.{class}` — per-evaluator memo hits by class.
     pub cache_hit: [Arc<Counter>; 6],
-    /// `eval.cache_miss.{class}` — subformula-cache misses by class.
+    /// `eval.cache_miss.{class}` — per-evaluator memo misses by class.
     pub cache_miss: [Arc<Counter>; 6],
     /// `eval.plan_compiled` — evaluations served by a compiled plan.
     pub plan_compiled: Arc<Counter>,

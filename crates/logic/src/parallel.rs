@@ -33,7 +33,7 @@
 //!   each slice prune earliest and keeps per-slice cost low and even.
 
 use crate::analysis::{canonicalize, free_vars, quantifier_depth};
-use crate::eval::{EvalError, Evaluator, SubformulaCache, Table};
+use crate::eval::{EvalError, Evaluator, Table};
 use crate::formula::{Formula, Term};
 use crate::intern::Sym;
 use crate::structure::Structure;
@@ -307,11 +307,11 @@ pub fn evaluate_parallel(
     let slots: Vec<Slot> = (0..threads).map(|_| Mutex::new(None)).collect();
 
     let worker = |slot: &Slot| {
-        // One subformula cache for all of this worker's slices: the
-        // subformulas not mentioning the sliced variable (whole
-        // conjuncts of a join, typically) are identical across slices,
-        // so every slice after the first reuses their tables.
-        let mut cache = SubformulaCache::new();
+        // One evaluator, and so one memo, for all of this worker's
+        // slices: the subformulas not mentioning the sliced variable
+        // (whole conjuncts of a join, typically) are identical across
+        // slices, so every slice after the first reuses their tables.
+        let mut ev = Evaluator::new(st, params);
         // Rows are accumulated raw, in the fixed `out_cols` order, and
         // turned into a table once at the end: slices are disjoint in
         // the sliced variable, so no cross-slice dedup is needed and
@@ -326,7 +326,7 @@ pub fn evaluate_parallel(
                 break Ok(std::mem::take(&mut local));
             }
             let slice = canonical.substitute(slice_var, Term::Lit(value));
-            match Evaluator::with_cache(st, params, &mut cache).eval(&slice) {
+            match ev.eval(&slice) {
                 Ok(t) => {
                     let positions: Vec<usize> = out_cols[..out_cols.len() - 1]
                         .iter()

@@ -103,9 +103,8 @@ pub fn reference_step(program: &DynFoProgram, pre: &Structure, req: &Request) ->
 /// One machine configuration for [`run_differential`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DiffMode {
-    /// Relational-algebra interpreter only (`with_use_plans(false)`).
-    Interp,
-    /// Compiled bit-parallel plans (the default machine).
+    /// The machine as built: compiled bit-parallel plans, with the
+    /// interpreter as its in-runtime fallback.
     Plans,
     /// Plans plus the parallel rule scheduler with this many workers.
     Parallel(usize),
@@ -126,7 +125,6 @@ pub enum DiffMode {
 impl DiffMode {
     fn build(self, program: &dyn Fn() -> DynFoProgram, n: u32) -> DynFoMachine {
         match self {
-            DiffMode::Interp => DynFoMachine::new(program(), n).with_use_plans(false),
             DiffMode::Plans | DiffMode::Batch(_) | DiffMode::Bulk => {
                 DynFoMachine::new(program(), n)
             }
