@@ -229,6 +229,22 @@ mod tests {
     }
 
     #[test]
+    fn composed_queries_run_compiled() {
+        // At n = 9 (S = 16) kconn2's plan is ≈ 1.7M words over a few
+        // dozen maintained rows: the density gate would decline it and
+        // hand the query to the interpreter. Queries do not consult it.
+        let mut m = DynFoMachine::new(program_up_to(2), 9);
+        let mut g = Graph::new(9);
+        load(&mut m, &mut g, &[(0, 1), (1, 2), (2, 3), (3, 0), (3, 4)]);
+        for (x, y) in [(0, 2), (0, 4)] {
+            let want = k_edge_connected_pair(&g, x, y, 2);
+            assert_eq!(m.query_named("kconn2", &[x, y]).unwrap(), want);
+        }
+        let work = m.stats().query_work;
+        assert_eq!((work.plan_compiled, work.plan_fallback, work.rows_built), (2, 0, 0));
+    }
+
+    #[test]
     fn composed_query_grows_but_depth_stays_bounded() {
         let q1 = kconn_query(1);
         let q2 = kconn_query(2);

@@ -241,6 +241,50 @@ fn stats_track_work() {
 }
 
 #[test]
+fn alpha_normalize_renames_binders_by_depth() {
+    let key = |f: &Formula| alpha_normalize(f).unwrap().0;
+    // Equal up to the names of free and bound variables: one key.
+    let hop = |x: &str, z: &str, w: &str| {
+        exists([z], rel("E", [v(x), v(z)]) & exists([w], rel("E", [v(z), v(w)])))
+    };
+    assert_eq!(key(&hop("x", "z", "w")), key(&hop("y", "q", "z")));
+    // A shadowing binder is a different variable from the one it hides.
+    let back = |z: &str, w: &str| {
+        exists([z], rel("E", [v(z), v("y")]) & exists([w], rel("E", [v("y"), v(w)])))
+    };
+    let (shadow, fresh) = (back("x", "x"), back("a", "b"));
+    assert_eq!(key(&shadow), key(&fresh));
+    // Which binder an argument refers to is kept.
+    let xy = exists(["x"], exists(["y"], rel("E", [v("x"), v("y")])));
+    let yx = exists(["y"], exists(["x"], rel("E", [v("x"), v("y")])));
+    assert_ne!(key(&xy), key(&yx));
+}
+
+#[test]
+fn memo_serves_copies_with_renamed_binders() {
+    // `subst` freshens every instance's binders; the copies must still
+    // share one memo entry (the block is over the memo's size floor).
+    let st = path_structure();
+    let g = |z: &str| {
+        canonicalize(&exists(
+            [z],
+            rel("E", [v("x"), v(z)])
+                & rel("P", [v(z), v("y")])
+                & not(rel("U", [v(z)]))
+                & not(rel("E", [v(z), v("x")]))
+                & le(v("x"), v(z)),
+        ))
+    };
+    assert!(crate::analysis::size(&g("z")) >= MEMO_MIN_SIZE);
+    let mut ev = Evaluator::new(&st, &[]);
+    let first = ev.eval(&g("z")).unwrap();
+    let built = ev.stats().rows_built;
+    let second = ev.eval(&g("w")).unwrap();
+    assert_eq!(ev.stats().rows_built, built, "a renamed binder missed the memo");
+    assert_eq!(first.sorted(), second.sorted());
+}
+
+#[test]
 fn paper_example_2_1_reduction_formula() {
     // φ_{d-u}(x,y) ≡ α(x,y) ∨ α(y,x) on a graph with a branching vertex.
     let mut st = Structure::empty(vocab(), 5);

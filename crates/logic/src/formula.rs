@@ -307,6 +307,72 @@ impl Formula {
         }
     }
 
+    /// Rename every variable in one simultaneous pass: a free variable
+    /// `v` becomes `free(v)`, and each quantified variable becomes
+    /// `bound(v, depth)`, `depth` counting the variables bound above it.
+    /// Every binder is renamed, so a term `free` introduces is never
+    /// captured as long as `bound` picks names used nowhere else
+    /// (capture-avoiding substitution; α-normal keys).
+    pub fn rename_vars(
+        &self,
+        free: &impl Fn(Sym) -> Term,
+        bound: &mut impl FnMut(Sym, usize) -> Sym,
+    ) -> Formula {
+        self.rename_scoped(free, bound, &mut Vec::new())
+    }
+
+    /// [`Formula::rename_vars`] under `scope`: the binders in force,
+    /// innermost last, as (name, new name).
+    fn rename_scoped(
+        &self,
+        free: &impl Fn(Sym) -> Term,
+        bound: &mut impl FnMut(Sym, usize) -> Sym,
+        scope: &mut Vec<(Sym, Sym)>,
+    ) -> Formula {
+        use Formula::*;
+        let term = |t: &Term, scope: &[(Sym, Sym)]| match t {
+            Term::Var(s) => match scope.iter().rev().find(|(v, _)| v == s) {
+                Some(&(_, b)) => Term::Var(b),
+                None => free(*s),
+            },
+            t => *t,
+        };
+        let mut sub =
+            |g: &Formula, scope: &mut Vec<(Sym, Sym)>| g.rename_scoped(free, bound, scope);
+        match self {
+            True => True,
+            False => False,
+            Rel { name, args } => Rel {
+                name: *name,
+                args: args.iter().map(|t| term(t, scope)).collect(),
+            },
+            Eq(a, b) => Eq(term(a, scope), term(b, scope)),
+            Le(a, b) => Le(term(a, scope), term(b, scope)),
+            Lt(a, b) => Lt(term(a, scope), term(b, scope)),
+            Bit(a, b) => Bit(term(a, scope), term(b, scope)),
+            Not(g) => Not(Box::new(sub(g, scope))),
+            And(fs) => And(fs.iter().map(|g| sub(g, scope)).collect()),
+            Or(fs) => Or(fs.iter().map(|g| sub(g, scope)).collect()),
+            Implies(a, b) => Implies(Box::new(sub(a, scope)), Box::new(sub(b, scope))),
+            Iff(a, b) => Iff(Box::new(sub(a, scope)), Box::new(sub(b, scope))),
+            Exists(vs, g) | Forall(vs, g) => {
+                let depth = scope.len();
+                for &v in vs {
+                    let b = bound(v, scope.len());
+                    scope.push((v, b));
+                }
+                let names = scope[depth..].iter().map(|&(_, b)| b).collect();
+                let inner = g.rename_scoped(free, bound, scope);
+                scope.truncate(depth);
+                if matches!(self, Exists(..)) {
+                    Exists(names, Box::new(inner))
+                } else {
+                    Forall(names, Box::new(inner))
+                }
+            }
+        }
+    }
+
     /// Rename a relation symbol throughout (used by reductions when
     /// re-targeting formulas from one vocabulary to another).
     pub fn rename_relation(&self, from: Sym, to: Sym) -> Formula {

@@ -84,56 +84,10 @@ pub fn substitute_relations(f: &Formula, defs: &BTreeMap<Sym, RelDef>) -> Formul
 
 /// `body[vars ↦ args]` with bound-variable freshening.
 fn instantiate(body: &Formula, vars: &[Sym], args: &[Term]) -> Formula {
-    let map: BTreeMap<Sym, Term> = vars.iter().copied().zip(args.iter().copied()).collect();
-    rename_and_substitute(body, &map)
-}
-
-fn rename_and_substitute(f: &Formula, map: &BTreeMap<Sym, Term>) -> Formula {
-    use Formula::*;
-    let term = |t: &Term| match t {
-        Term::Var(s) => map.get(s).copied().unwrap_or(*t),
-        _ => *t,
-    };
-    match f {
-        True => True,
-        False => False,
-        Rel { name, args } => Rel {
-            name: *name,
-            args: args.iter().map(term).collect(),
-        },
-        Eq(a, b) => Eq(term(a), term(b)),
-        Le(a, b) => Le(term(a), term(b)),
-        Lt(a, b) => Lt(term(a), term(b)),
-        Bit(a, b) => Bit(term(a), term(b)),
-        Not(g) => Not(Box::new(rename_and_substitute(g, map))),
-        And(fs) => And(fs.iter().map(|g| rename_and_substitute(g, map)).collect()),
-        Or(fs) => Or(fs.iter().map(|g| rename_and_substitute(g, map)).collect()),
-        Implies(a, b) => Implies(
-            Box::new(rename_and_substitute(a, map)),
-            Box::new(rename_and_substitute(b, map)),
-        ),
-        Iff(a, b) => Iff(
-            Box::new(rename_and_substitute(a, map)),
-            Box::new(rename_and_substitute(b, map)),
-        ),
-        Exists(vs, g) | Forall(vs, g) => {
-            // Freshen every bound variable of this block to avoid
-            // capturing variables that occur in substituted terms.
-            let mut inner_map = map.clone();
-            let mut fresh_vs = Vec::with_capacity(vs.len());
-            for &v in vs {
-                let fv = fresh_var(v);
-                fresh_vs.push(fv);
-                inner_map.insert(v, Term::Var(fv));
-            }
-            let inner = rename_and_substitute(g, &inner_map);
-            if matches!(f, Exists(..)) {
-                Exists(fresh_vs, Box::new(inner))
-            } else {
-                Forall(fresh_vs, Box::new(inner))
-            }
-        }
-    }
+    body.rename_vars(
+        &|v| vars.iter().position(|&x| x == v).map_or(Term::Var(v), |i| args[i]),
+        &mut |v, _| fresh_var(v),
+    )
 }
 
 /// Convenience: substitute a single relation.
