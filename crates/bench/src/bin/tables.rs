@@ -1282,6 +1282,8 @@ struct E24Row {
     us_on: f64,
     ops_removed: u64,
     words_saved: u64,
+    /// ∃-joins the optimized plans lower as compose ops.
+    compose_joins: usize,
 }
 
 impl E24Row {
@@ -1332,7 +1334,7 @@ fn e24_plan_optimizer() {
     let mut total_ops_removed = 0u64;
 
     header("E24 plan optimizer: 12 update programs, raw lowering vs optimized");
-    row(["program", "n", "plan kw off", "plan kw on", "saved", "run kw", "upd us", "ops rm"]
+    row(["program", "n", "plan kw off", "plan kw on", "saved", "run kw", "upd us", "ops rm", "joins"]
         .map(String::from).as_ref());
 
     fn insert_reqs(n: u32, undirected: bool, seed: u64) -> Vec<Request> {
@@ -1480,6 +1482,7 @@ fn e24_plan_optimizer() {
                 us_on,
                 ops_removed,
                 words_saved,
+                compose_joins: machine.plan_compose_joins(),
             };
             row(&[
                 r.name.clone(),
@@ -1490,6 +1493,7 @@ fn e24_plan_optimizer() {
                 format!("{}k", r.run_kwords_on / 1000),
                 us(r.us_on),
                 r.ops_removed.to_string(),
+                r.compose_joins.to_string(),
             ]);
             total_ops_removed += r.ops_removed;
             rows.push(r);
@@ -1497,7 +1501,7 @@ fn e24_plan_optimizer() {
     }
 
     header("E24 enumerated corpus: static work words and execute latency");
-    row(["corpus", "n", "fit/exec", "kw off", "kw on", "saved", "exec us off", "exec us on", "ops rm"]
+    row(["corpus", "n", "fit/exec", "kw off", "kw on", "saved", "exec us off", "exec us on", "ops rm", "joins"]
         .map(String::from).as_ref());
     let rels: BTreeMap<Sym, usize> =
         [(Sym::new("E"), 2), (Sym::new("M"), 1)].into_iter().collect();
@@ -1515,6 +1519,7 @@ fn e24_plan_optimizer() {
         let mut compiled = 0usize;
         let mut executed = 0usize;
         let mut ops_removed = 0u64;
+        let mut compose_joins = 0usize;
         for f in synth::corpus(CORPUS_CAP) {
             let (Some(off), Some(on)) = (
                 Plan::compile_with(&f, &st, false),
@@ -1526,6 +1531,7 @@ fn e24_plan_optimizer() {
             kw[0] += off.work_words();
             kw[1] += on.work_words();
             ops_removed += on.opt_ops_removed();
+            compose_joins += on.compose_joins();
             let root_bits = s.pow(off.vars().len() as u32);
             if off.work_words() <= EXEC_WORDS_CAP && root_bits <= EXEC_ROOT_BITS_CAP {
                 executed += 1;
@@ -1551,6 +1557,7 @@ fn e24_plan_optimizer() {
             us_on: exec_secs[1] / executed.max(1) as f64,
             ops_removed,
             words_saved: kw[0].saturating_sub(kw[1]),
+            compose_joins,
         };
         row(&[
             r.name.clone(),
@@ -1562,6 +1569,7 @@ fn e24_plan_optimizer() {
             us(us_off),
             us(r.us_on),
             r.ops_removed.to_string(),
+            r.compose_joins.to_string(),
         ]);
         total_ops_removed += r.ops_removed;
         rows.push(r);
@@ -1578,7 +1586,7 @@ fn e24_plan_optimizer() {
                 format!("\"run_words_off\": {words}, \"us_off\": {:.1}, ", secs * 1e6)
             });
             out.push_str(&format!(
-                "  {{\"kind\": \"{}\", \"name\": \"{}\", \"n\": {}, \"kernel_words_off\": {}, \"kernel_words_on\": {}, \"saved_pct\": {:.1}, {}\"run_words_on\": {}, \"us_on\": {:.1}, \"ops_removed\": {}, \"words_saved\": {}}}{}\n",
+                "  {{\"kind\": \"{}\", \"name\": \"{}\", \"n\": {}, \"kernel_words_off\": {}, \"kernel_words_on\": {}, \"saved_pct\": {:.1}, {}\"run_words_on\": {}, \"us_on\": {:.1}, \"ops_removed\": {}, \"words_saved\": {}, \"compose_joins\": {}}}{}\n",
                 r.kind,
                 r.name,
                 r.n,
@@ -1590,6 +1598,7 @@ fn e24_plan_optimizer() {
                 r.us_on * 1e6,
                 r.ops_removed,
                 r.words_saved,
+                r.compose_joins,
                 if i + 1 == rows.len() { "" } else { "," }
             ));
         }
@@ -1635,13 +1644,15 @@ impl E25Row {
 /// follow the E24 honesty rule: each program runs at the n both sides
 /// can afford. The fallback's replay *is* the stream, so REACH_u's
 /// cells stay small (its forest maintenance is ~50 ms per tuple at
-/// n = 64); the semi programs stop at n = 256 because the one-shot's
-/// S³ closure plan exceeds the production compile budget at n = 1024
-/// and the cell would time the interpreter instead of the
-/// contribution. The path rows document the crossover honestly: a
-/// Θ(n)-tuple δ is too small to amortize the closure's fixed
-/// per-round kernel work, so the one-shot only pays off once |Δ|
-/// reaches subgraph scale.
+/// n = 64); the semi programs stop at n = 256 because the raw
+/// lowering the optimizer composes the closure's joins from still
+/// builds an S³ slot, past the plan slot cap at n = 1024, and the cell
+/// would time the interpreter instead of the contribution. The bulk
+/// column includes δ's own evaluation; the stream column replays the
+/// already-expanded Δ and does not. The path rows document where that
+/// matters: the chain δ is a fresh S³-shaped plan every request, while
+/// a Θ(n)-tuple stream of quantifier-free inserts is cheap, so the
+/// one-shot only pays off clearly once |Δ| reaches subgraph scale.
 fn e25_bulk_changes() {
     use dynfo_core::program::DynFoProgram;
     use dynfo_logic::formula::{and, forall, lt, not, v, Formula};

@@ -11,12 +11,12 @@ use crate::program::{DynFoProgram, UpdateRule};
 use crate::request::{apply_to_input, delta_rows, Op, Request, RequestError, RequestKind};
 use crate::rules::{
     compile_tables, rules_for, BitPlan, Body, CompiledRule, GeneralPlan, KindTable, Lowered, Part,
-    Residual, RulePlan, Witness, WitnessRows, BULK_DELTA_REL, PLAN_WORDS_PER_ROW,
+    Residual, Round, RulePlan, Witness, WitnessRows, BULK_DELTA_REL, PLAN_WORDS_PER_ROW,
 };
 use dynfo_logic::analysis::canonicalize;
 use dynfo_logic::eval::delta::{install_plan, DeltaMode, InstallPlan};
 use dynfo_logic::eval::{probe, Evaluator};
-use dynfo_logic::formula::{Formula, Term};
+use dynfo_logic::formula::Formula;
 use dynfo_logic::parallel::EvalPool;
 use dynfo_logic::{
     Elem, EvalError, EvalStats, RelId, Relation, Structure, Sym, Tuple, MAX_ARITY,
@@ -71,9 +71,11 @@ struct MachineObs {
     /// stream (nanoseconds).
     bulk_plan_ns: Arc<Histogram>,
     /// `machine.bulk_fallback` — bulk requests that expanded to
-    /// single-tuple streams (Guarded/Full rules, no memoryless claim
-    /// to justify the fixpoint, or a Δ too small to pay the closure's
-    /// fixed cost under [`BulkRoute::Auto`]).
+    /// single-tuple streams: their kind is not one-shot eligible
+    /// (Guarded/Full rules, no memoryless claim to justify the
+    /// fixpoint, a closure that did not compile), its closure no longer
+    /// matches the state's backends, or the Δ is too small to pay the
+    /// closure's fixed cost under [`BulkRoute::Auto`].
     bulk_fallback: Arc<Counter>,
     /// `machine.recomputes` — full "start over" recomputes executed
     /// ([`DynFoMachine::recompute`] calls).
@@ -405,14 +407,19 @@ impl DynFoMachine {
         self
     }
 
-    /// Every currently compiled plan: rule plans, the boolean query,
-    /// and the named queries compiled so far.
+    /// Every currently compiled plan: rule plans, witnesses, bulk
+    /// fixpoint rounds, the boolean query, and the named queries
+    /// compiled so far.
     fn bit_plans(&self) -> impl Iterator<Item = &BitPlan> {
         self.tables
             .values()
             .flat_map(|t| {
                 let rules = t.rules.iter().flat_map(CompiledRule::plans);
-                rules.chain(t.witnesses.iter().map(|w| &w.bits))
+                let rounds = t.bulk_one_shot.iter().flatten().filter_map(|r| match r {
+                    Round::Closed(l) => Some(&l.bits),
+                    Round::Copy => None,
+                });
+                rules.chain(t.witnesses.iter().map(|w| &w.bits)).chain(rounds)
             })
             .chain(&self.query_plan)
             .chain(self.named_plans.values().flatten())
@@ -448,6 +455,12 @@ impl DynFoMachine {
     /// alone.
     pub fn plan_interp_islands(&self) -> usize {
         self.bit_plans().map(|bp| bp.plan.interp_islands()).sum()
+    }
+
+    /// ∃-joins lowered as compose ops across every currently compiled
+    /// plan ([`dynfo_logic::Plan::compose_joins`]).
+    pub fn plan_compose_joins(&self) -> usize {
+        self.bit_plans().map(|bp| bp.plan.compose_joins()).sum()
     }
 
     /// Worker threads used to schedule general rules within one request.
@@ -883,16 +896,18 @@ impl DynFoMachine {
     /// changed set instead of one tuple).
     ///
     /// The live Δ — the tuples the change actually toggles — is
-    /// materialized first (compiled δ-plan where the budget admits).
-    /// Maintenance then dispatches: programs whose rules for this kind
-    /// are all copies and `Grow`/`Shrink` shapes with target-positive
-    /// residuals run *one* monotone fixpoint over the whole Δ
-    /// ([`DynFoMachine::apply_bulk_one_shot`]) — a verdict reached
-    /// once, at construction ([`KindTable::bulk_one_shot`]); everything
-    /// else replays Δ through the ordinary per-tuple pipeline. Both
-    /// paths land on the byte-identical state the expanded single-tuple
-    /// stream produces — the `DiffMode::Bulk` differential suites
-    /// enforce it.
+    /// materialized first, as a bitmap where the target is densely
+    /// backed ([`DynFoMachine::bulk_delta`]). Maintenance then
+    /// dispatches: programs whose rules for this kind are all copies
+    /// and `Grow`/`Shrink` shapes with target-positive residuals — a
+    /// verdict reached once, at construction
+    /// ([`KindTable::bulk_one_shot`]) — may run *one* monotone fixpoint
+    /// over the whole Δ ([`DynFoMachine::apply_bulk_one_shot`]), and
+    /// under [`BulkRoute::Auto`] do when the cost model says so;
+    /// everything else replays Δ through the ordinary per-tuple
+    /// pipeline. Both paths land on the byte-identical state the
+    /// expanded single-tuple stream produces — the `DiffMode::Bulk`
+    /// differential suites enforce it.
     fn apply_bulk(&mut self, req: &Request) -> Result<EvalStats, MachineError> {
         let _span = dynfo_obs::span("machine.bulk");
         let started = dynfo_obs::clock();
@@ -901,20 +916,26 @@ impl DynFoMachine {
             Request::BulkDel { rel, delta } => (*rel, delta, false),
             _ => unreachable!("apply_bulk takes bulk requests only"),
         };
-        let tuples = self.bulk_delta(rel, delta, is_ins)?;
-        self.obs.bulk_tuples.add(tuples.len() as u64);
+        let (live, delta_work) = self.bulk_delta(rel, delta, is_ins)?;
+        self.obs.bulk_tuples.add(live.len() as u64);
         let kind = req.kind();
-        let eligible = self.tables.get(&kind).is_some_and(|t| t.bulk_one_shot);
+        let eligible = self.tables.get(&kind).is_some_and(|t| t.bulk_one_shot.is_some());
         let one_shot = match self.bulk_route {
             BulkRoute::OneShot => eligible,
             BulkRoute::Fallback => false,
-            BulkRoute::Auto => eligible && self.bulk_one_shot_pays(kind, tuples.len()),
+            BulkRoute::Auto => eligible && self.bulk_one_shot_pays(kind, live.len()),
         };
-        let out = if one_shot {
-            self.apply_bulk_one_shot(kind, &tuples, is_ins)
+        let done = if one_shot {
+            self.apply_bulk_one_shot(kind, &live, is_ins, delta_work)?
         } else {
-            self.obs.bulk_fallback.inc();
-            self.apply_bulk_fallback(rel, &tuples, is_ins)
+            None
+        };
+        let out = match done {
+            Some(work) => Ok(work),
+            None => {
+                self.obs.bulk_fallback.inc();
+                self.apply_bulk_fallback(rel, &live, is_ins)
+            }
         };
         self.obs.bulk_plan_ns.observe_since(started);
         out
@@ -923,53 +944,75 @@ impl DynFoMachine {
     /// Materialize a bulk request's *live* Δ: δ evaluated over the
     /// current state (the auxiliary structure mirrors the input
     /// relations), keeping only the tuples the change actually toggles
-    /// — absent tuples for an insert, present ones for a delete.
-    /// Sorted and duplicate-free; exactly the set the equivalent
-    /// single-tuple stream walks.
+    /// — absent tuples for an insert, present ones for a delete: one
+    /// AND-NOT / AND pass against the target's bitmap when both are
+    /// dense. Its tuples, in sorted order, are exactly the set the
+    /// equivalent single-tuple stream walks. Also returns δ's
+    /// evaluation work.
     fn bulk_delta(
         &self,
         rel: Sym,
         delta: &Formula,
         is_ins: bool,
-    ) -> Result<Vec<Tuple>, MachineError> {
+    ) -> Result<(Relation, EvalStats), MachineError> {
         let id = self
             .state
             .vocab()
             .relation(rel)
             .expect("validated bulk target exists in aux vocab");
         let current = self.state.relation(id);
-        let defined = self.eval_delta_set(delta, current.arity())?;
-        Ok(defined
-            .into_iter()
-            .filter(|t| current.contains(t) != is_ins)
-            .collect())
+        let (mut live, work) = self.eval_delta_set(delta, current.arity())?;
+        if is_ins {
+            live.difference_assign(current);
+        } else {
+            live.intersection_assign(current);
+        }
+        Ok((live, work))
     }
 
-    /// Evaluate δ to its full defined set, rows in `x0…x_{k−1}` column
-    /// order. Compiles δ through the plan pipeline (optimizer included)
-    /// when the density-aware budget admits it — one
-    /// kernel pass materializes the whole set at 64 tuples per word —
-    /// else interprets. The evaluation is metered by `bulk_plan_ns`,
-    /// not `update_work`, so a fallback expansion's per-request
-    /// statistics stay identical to the stream it replays.
-    fn eval_delta_set(&self, delta: &Formula, arity: usize) -> Result<Vec<Tuple>, MachineError> {
+    /// Evaluate δ to its full defined set over columns `x0…x_{k−1}`, on
+    /// the backend the target's arity gets at this universe. δ runs its
+    /// compiled plan whenever one lowers — there is no density gate:
+    /// the interpreter has no delta shortcut for δ, which is a fresh
+    /// formula every request — and its root is ORed straight into the
+    /// relation's bitmap; the interpreter evaluates δ only when no plan
+    /// lowers (a sparse-backed read, a plan past the compile cap), or
+    /// the plan bails.
+    fn eval_delta_set(
+        &self,
+        delta: &Formula,
+        arity: usize,
+    ) -> Result<(Relation, EvalStats), MachineError> {
+        let n = self.n();
         let canonical = canonicalize(delta);
+        let mut defined = Relation::with_universe(arity, n);
+        let mut ev = Evaluator::new(&self.state, &[]);
         if let Some(bp) = BitPlan::compile(&canonical, &self.state) {
-            if bp.profitable(&self.state) {
-                let mut ev = Evaluator::new(&self.state, &[]);
-                let mut arena = bp.arena.lock().unwrap();
-                if let Some(table) = bp
-                    .plan
-                    .execute(&mut ev, &mut arena, None)
-                    .map_err(MachineError::Eval)?
-                {
-                    return Ok(delta_rows(table, arity, self.n()));
+            let mut arena = bp.arena.lock().expect("plan arena lock");
+            if bp.plan.run(&mut ev, &mut arena, None)? {
+                match defined.dense_words() {
+                    Some(words) => {
+                        let axes: Vec<Option<usize>> = (0..arity)
+                            .map(|i| {
+                                let x = Sym::new(&format!("x{i}"));
+                                bp.plan.vars().iter().position(|&v| v == x)
+                            })
+                            .collect();
+                        let mut bits = vec![0u64; words];
+                        bp.plan.or_root_into(&arena, &axes, &mut bits, ev.stats_mut());
+                        defined.install_bits(DeltaMode::Grow, &bits);
+                    }
+                    None => {
+                        let rows = delta_rows(bp.plan.decode_root(&arena), arity, n);
+                        defined.insert_all(&rows);
+                    }
                 }
+                return Ok((defined, ev.stats()));
             }
         }
-        let table = dynfo_logic::evaluate(&canonical, &self.state, &[])
-            .map_err(MachineError::Eval)?;
-        Ok(delta_rows(table, arity, self.n()))
+        let table = ev.eval(&canonical)?;
+        defined.insert_all(&delta_rows(table, arity, n));
+        Ok((defined, ev.stats()))
     }
 
     /// ROADMAP item 1's small-Δ headroom: is the one-shot Δ-fixpoint
@@ -995,7 +1038,10 @@ impl DynFoMachine {
     /// while relation-scale deltas (E25's subgraph δ) keep the
     /// one-shot's order-of-magnitude win. Routing is observable as
     /// `machine.bulk_fallback` and request counts; the state is
-    /// identical either way.
+    /// identical either way. Neither side prices δ, which the one-shot
+    /// evaluates and the stream does not, and the closure's joins now
+    /// compose to popcount cost, so the `S^(arity+1)` charge overstates
+    /// them: the estimate is a bound, not a prediction (ROADMAP item 4).
     fn bulk_one_shot_pays(&self, kind: RequestKind, delta_len: usize) -> bool {
         /// Fixed rounds the closure is charged up front: converge +
         /// detect, doubled because chain-shaped Δs (path composition)
@@ -1037,188 +1083,109 @@ impl DynFoMachine {
         (delta_len as u64).saturating_mul(per_tuple) >= closure_fixed
     }
 
-    /// Execute an eligible bulk change as one fixpoint. The state is
-    /// extended with Δ as a scratch relation, every rule's residual is
-    /// closed over all of Δ at once —
-    /// `ψ′ = ∃p̄. __DELTA(p̄) ∧ ψ[?i := pᵢ]` for a grow,
-    /// `∃p̄. __DELTA(p̄) ∧ ¬ψ[?i := pᵢ]` giving the removals of a
-    /// shrink — and the rounds iterate with simultaneous installs until
-    /// nothing changes. Eligibility guarantees the operator is
-    /// monotone (targets only grow, or only shrink), so the loop
-    /// terminates and its fixpoint equals the expanded stream's final
-    /// state. The converged targets are then diffed against the real
-    /// state and installed as one delta per relation.
+    /// Execute a bulk change as one fixpoint when its kind is eligible;
+    /// `Ok(None)` — with nothing touched — when it is not, or when its
+    /// closure no longer matches the state (a target or a read turned
+    /// sparse since construction), and the caller replays Δ per tuple.
+    ///
+    /// The state is copied and extended with Δ as a scratch relation.
+    /// Each round runs every rule's closed residual — compiled once, at
+    /// construction ([`Round::Closed`]) — against the pre-round copy
+    /// and ORs its root into the rule's `out` bitmap, then installs
+    /// them all together (simultaneous semantics): a Grow rule's
+    /// additions by one OR pass, a Shrink rule's removals by one
+    /// AND-NOT pass, each counted, and the copies by Δ itself. The loop
+    /// stops at the first round that counts no change. Eligibility
+    /// guarantees the operator is monotone (targets only grow, or only
+    /// shrink), so the loop terminates and its fixpoint equals the
+    /// expanded stream's final state. The converged targets are then
+    /// moved into the state; the round counts are what changed.
+    /// `work` (δ's evaluation) is this request's work, plus the rounds'.
     fn apply_bulk_one_shot(
         &mut self,
         kind: RequestKind,
-        delta: &[Tuple],
+        delta: &Relation,
         is_ins: bool,
-    ) -> Result<EvalStats, MachineError> {
-        enum RoundRule<'a> {
-            /// Insert/delete copy: the target changes by Δ itself.
-            Copy(RelId),
-            /// A closed formula whose aligned rows are this round's
-            /// additions (bulk insert) or removals (bulk delete).
-            Closed(RelId, &'a UpdateRule, Formula),
-        }
-
+        mut work: EvalStats,
+    ) -> Result<Option<EvalStats>, MachineError> {
+        let Some(table) = self.tables.get(&kind) else {
+            return Ok(None);
+        };
+        let Some(rounds) = &table.bulk_one_shot else {
+            return Ok(None);
+        };
         let n = self.n();
-        let target_id = self
-            .state
-            .vocab()
-            .relation(kind.sym)
-            .expect("validated bulk target exists in aux vocab");
-        let arity = self.state.relation(target_id).arity();
-        let rules = rules_for(&self.tables, kind);
-
-        let dvars: Vec<Sym> = (0..arity).map(|i| Sym::new(&format!("__d{i}"))).collect();
-        let delta_atom = Formula::Rel {
-            name: Sym::new(BULK_DELTA_REL),
-            args: dvars.iter().map(|&v| Term::Var(v)).collect(),
-        };
-        let close = |psi: &Formula, negate: bool| -> Formula {
-            let bound = psi.map_terms(&|t| match t {
-                Term::Param(i) => Term::Var(Sym::new(&format!("__d{i}"))),
-                other => other,
-            });
-            let body = if negate {
-                Formula::Not(Box::new(bound))
-            } else {
-                bound
-            };
-            // Distribute Δ over the residual's top-level disjunction
-            // before quantifying: ∃d̄. Δ ∧ (A ∨ B) ≡ (∃d̄. Δ∧A) ∨
-            // (∃d̄. Δ∧B). One blanket ∃d̄ over the whole disjunction
-            // pins every round evaluation at arity |x̄|+|d̄|; closing
-            // per disjunct lets miniscoping sink each dᵢ to the
-            // conjuncts that actually mention it — the difference
-            // between an S⁴ and an S³ intermediate on the 2-parameter
-            // graph programs. Δ stays inside every disjunct so an
-            // empty Δ still closes to `false`.
-            let close_one = |g: Formula| {
-                canonicalize(&Formula::Exists(
-                    dvars.clone(),
-                    Box::new(Formula::And(vec![delta_atom.clone(), g])),
-                ))
-            };
-            let closed = match canonicalize(&body) {
-                Formula::Or(ds) => {
-                    canonicalize(&Formula::Or(ds.into_iter().map(close_one).collect()))
-                }
-                g => close_one(g),
-            };
-            dynfo_logic::eval::opt::optimize_formula(&closed).unwrap_or(closed)
-        };
-        let round_rules: Vec<RoundRule> = rules
-            .iter()
-            .map(|cr| match &cr.route {
-                RulePlan::InsertCopy | RulePlan::DeleteCopy => RoundRule::Copy(cr.target),
-                RulePlan::General(GeneralPlan::Grow(psi)) => {
-                    RoundRule::Closed(cr.target, &cr.rule, close(psi, false))
-                }
-                RulePlan::General(GeneralPlan::Shrink(psi)) => {
-                    RoundRule::Closed(cr.target, &cr.rule, close(psi, true))
-                }
-                RulePlan::General(_) => unreachable!("eligibility admits copy/grow/shrink only"),
+        let rules = &table.rules;
+        let closed = || {
+            rules.iter().zip(rounds).filter_map(|(cr, round)| match round {
+                Round::Closed(l) => Some((cr, l)),
+                Round::Copy => None,
             })
-            .collect();
-
-        let delta_rel =
-            Relation::from_tuples_with_universe(arity, n, delta.iter().copied());
-        let mut ext = self.state.extended(BULK_DELTA_REL, delta_rel);
-        // Closed round formulas go through the same plan pipeline as
-        // single-tuple rules: compiled once against the extended
-        // layout, re-executed every round (the kernels read live
-        // relation contents at execution time). Unlike per-request
-        // rules there is no density check: the interpreter has no
-        // delta-pipeline shortcut for the closure — it must join Δ
-        // against the residual's relation atoms outright, so a
-        // compiled plan within the budget always wins, even over
-        // near-empty reads.
-        let compiled: Vec<Option<BitPlan>> = round_rules
-            .iter()
-            .map(|rr| match rr {
-                RoundRule::Closed(_, _, f) => BitPlan::compile(f, &ext),
-                _ => None,
-            })
-            .collect();
-        let mut work = EvalStats::default();
-        let mut round_changes: Vec<(RelId, Vec<Tuple>)> = Vec::new();
+        };
+        if closed().any(|(cr, _)| self.state.relation(cr.target).dense_universe() != Some(n)) {
+            return Ok(None);
+        }
+        let mut ext = self.state.extended(BULK_DELTA_REL, delta.clone());
+        // Tuples each rule's target gained (bulk insert) or lost (delete).
+        let mut moved = vec![0usize; rules.len()];
+        let mut evals = 0;
         loop {
-            // Evaluate every rule against the pre-round state, then
-            // install together (simultaneous semantics per round).
-            round_changes.clear();
-            for (rr, bp) in round_rules.iter().zip(&compiled) {
-                match rr {
-                    RoundRule::Copy(id) => round_changes.push((*id, delta.to_vec())),
-                    RoundRule::Closed(id, rule, f) => {
-                        let mut ev = Evaluator::new(&ext, &[]);
-                        let table = match bp {
-                            Some(bp) => {
-                                let mut arena = bp.arena.lock().unwrap();
-                                match bp
-                                    .plan
-                                    .execute(&mut ev, &mut arena, None)
-                                    .map_err(MachineError::Eval)?
-                                {
-                                    Some(t) => t,
-                                    // Runtime bail (backend mismatch):
-                                    // interpret this round instead.
-                                    None => ev.eval(f).map_err(MachineError::Eval)?,
-                                }
-                            }
-                            _ => ev.eval(f).map_err(MachineError::Eval)?,
-                        };
-                        work.absorb(&ev.stats());
-                        if is_ins {
-                            self.stats.installs.grow_evals += 1;
-                        } else {
-                            self.stats.installs.shrink_evals += 1;
-                        }
-                        round_changes.push((*id, align_to_rule(table, rule, n)));
+            for (cr, l) in closed() {
+                let mut ev = Evaluator::new(&ext, &[]);
+                let mut arena = l.bits.arena.lock().expect("plan arena lock");
+                if !l.bits.plan.run(&mut ev, &mut arena, None)? {
+                    return Ok(None);
+                }
+                let mut out = cr.out.0.lock().expect("out bitmap lock");
+                out.clear();
+                out.resize(ext.relation(cr.target).dense_words().expect("dense target"), 0);
+                l.bits.plan.or_root_into(&arena, &l.axes, &mut out, ev.stats_mut());
+                work.absorb(&ev.stats());
+                evals += 1;
+            }
+            let mut round_changes = 0;
+            for ((cr, round), moved) in rules.iter().zip(rounds).zip(&mut moved) {
+                let target = ext.relation_mut(cr.target);
+                let before = target.len();
+                match (round, is_ins) {
+                    (Round::Copy, true) => target.union_assign(delta),
+                    (Round::Copy, false) => target.difference_assign(delta),
+                    (Round::Closed(_), true) => {
+                        let out = cr.out.0.lock().expect("out bitmap lock");
+                        target.install_bits(DeltaMode::Grow, &out).expect("dense target");
+                    }
+                    (Round::Closed(_), false) => {
+                        let out = cr.out.0.lock().expect("out bitmap lock");
+                        target.remove_bits(&out).expect("dense target");
                     }
                 }
+                let changed = target.len().abs_diff(before);
+                *moved += changed;
+                round_changes += changed;
             }
-            let mut changed = false;
-            for (id, rows) in &round_changes {
-                let target = ext.relation_mut(*id);
-                for t in rows {
-                    let did = if is_ins {
-                        target.insert(*t)
-                    } else {
-                        target.remove(t)
-                    };
-                    changed |= did;
-                }
-            }
-            if !changed {
+            if round_changes == 0 {
                 break;
             }
         }
 
-        // Diff the converged targets against the real state and install
-        // each as one delta.
-        for cr in rules {
-            let id = cr.target;
-            let new_rel = ext.relation(id);
-            let old_rel = self.state.relation(id);
-            let mut added: Vec<Tuple> = Vec::new();
-            let mut removed: Vec<Tuple> = Vec::new();
-            if is_ins {
-                added = new_rel.iter().filter(|t| !old_rel.contains(t)).collect();
-                added.sort_unstable();
-            } else {
-                removed = old_rel.iter().filter(|t| !new_rel.contains(t)).collect();
-                removed.sort_unstable();
-            }
-            if added.is_empty() && removed.is_empty() {
-                self.stats.installs.unchanged += 1;
+        let installs = &mut self.stats.installs;
+        if is_ins {
+            installs.grow_evals += evals;
+        } else {
+            installs.shrink_evals += evals;
+        }
+        for (cr, &moved) in rules.iter().zip(&moved) {
+            std::mem::swap(self.state.relation_mut(cr.target), ext.relation_mut(cr.target));
+            if moved == 0 {
+                installs.unchanged += 1;
                 continue;
             }
-            self.stats.installs.delta += 1;
-            self.stats.installs.tuples_added += added.len();
-            self.stats.installs.tuples_removed += removed.len();
-            self.state.apply_delta(id, &added, &removed);
+            installs.delta += 1;
+            if is_ins {
+                installs.tuples_added += moved;
+            } else {
+                installs.tuples_removed += moved;
+            }
         }
         // One-shot counts as one request, however many tuples Δ holds —
         // the whole point of the bulk path. (The fallback below counts
@@ -1226,21 +1193,22 @@ impl DynFoMachine {
         self.stats.requests += 1;
         self.obs.requests.inc();
         self.stats.update_work.absorb(&work);
-        Ok(work)
+        Ok(Some(work))
     }
 
     /// Replay Δ through the ordinary per-request pipeline: state *and*
     /// per-request statistics match the equivalent single-tuple stream
     /// by construction, because each expanded request runs exactly the
-    /// apply path a streamed request would.
+    /// apply path a streamed request would (δ's own evaluation is not
+    /// counted, as the stream has none).
     fn apply_bulk_fallback(
         &mut self,
         rel: Sym,
-        delta: &[Tuple],
+        delta: &Relation,
         is_ins: bool,
     ) -> Result<EvalStats, MachineError> {
         let mut work = EvalStats::default();
-        for t in delta {
+        for t in delta.iter() {
             let args: Vec<Elem> = t.iter().collect();
             let single = if is_ins {
                 Request::Ins(rel, args)
@@ -1264,9 +1232,9 @@ impl DynFoMachine {
             Request::BulkDel { rel, delta } => (*rel, delta, false),
             other => return Ok(vec![other.clone()]),
         };
-        let tuples = self.bulk_delta(rel, delta, is_ins)?;
-        Ok(tuples
-            .into_iter()
+        let (live, _) = self.bulk_delta(rel, delta, is_ins)?;
+        Ok(live
+            .iter()
             .map(|t| {
                 let args: Vec<Elem> = t.iter().collect();
                 if is_ins {
@@ -1286,8 +1254,8 @@ impl DynFoMachine {
     pub fn bulk_delta_count(&self, req: &Request) -> Result<usize, MachineError> {
         req.validate(self.program.input_vocab(), self.n())?;
         match req {
-            Request::BulkIns { rel, delta } => Ok(self.bulk_delta(*rel, delta, true)?.len()),
-            Request::BulkDel { rel, delta } => Ok(self.bulk_delta(*rel, delta, false)?.len()),
+            Request::BulkIns { rel, delta } => Ok(self.bulk_delta(*rel, delta, true)?.0.len()),
+            Request::BulkDel { rel, delta } => Ok(self.bulk_delta(*rel, delta, false)?.0.len()),
             _ => Ok(1),
         }
     }

@@ -13,10 +13,11 @@
 
 use crate::program::{DynFoProgram, UpdateRule};
 use crate::request::{Op, RequestKind};
-use dynfo_logic::analysis::{free_vars, positive_in};
+use dynfo_logic::analysis::{canonicalize, free_vars, positive_in};
+use dynfo_logic::eval::opt::optimize_formula;
 use dynfo_logic::eval::{alpha_normalize, is_ground};
 use dynfo_logic::formula::{Formula, Term};
-use dynfo_logic::{Plan, PlanArena, RelId, Structure, Sym, Tuple};
+use dynfo_logic::{Plan, PlanArena, RelId, Relation, Structure, Sym, Tuple};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 
@@ -394,10 +395,24 @@ pub(crate) struct KindTable {
     pub rules: Vec<CompiledRule>,
     /// Witness relations the kind's bind joins share.
     pub witnesses: Vec<Witness>,
-    /// Whether a bulk change of this kind may run the one-shot
-    /// Δ-fixpoint (see [`bulk_one_shot_eligible`]). Depends only on the
-    /// program and the kind, so it is decided here, not per request.
-    pub bulk_one_shot: bool,
+    /// The rules as rounds of the one-shot bulk Δ-fixpoint, one per
+    /// rule in rule order, when a bulk change of this kind may run it
+    /// ([`bulk_one_shot_eligible`], [`compile_closure`]); `None` replays
+    /// bulk changes per tuple. Depends only on the program, the kind and
+    /// the state's layout, so it is decided here, not per request.
+    pub bulk_one_shot: Option<Vec<Round>>,
+}
+
+/// How one rule takes part in a round of the one-shot bulk fixpoint.
+#[derive(Clone, Debug)]
+pub(crate) enum Round {
+    /// An insert or delete copy: the target changes by Δ itself.
+    Copy,
+    /// The rule's residual closed over the whole change ([`close`]):
+    /// a round's additions (Grow) or removals (Shrink), as a plan over
+    /// the state extended with [`BULK_DELTA_REL`], ORed into the rule's
+    /// `out` bitmap.
+    Closed(Lowered),
 }
 
 /// The compiled rules for `kind` (none for a kind the program has no
@@ -460,9 +475,79 @@ pub(crate) fn compile_tables(
                 .map_or(0, |id| program.input_vocab().arity(id)),
         };
         compile_residuals(table, st, params);
-        table.bulk_one_shot = may_close && bulk_one_shot_eligible(&table.rules, kind.op == Op::Ins);
+        let is_ins = kind.op == Op::Ins;
+        if may_close && kind.op != Op::Set && bulk_one_shot_eligible(&table.rules, is_ins) {
+            table.bulk_one_shot = compile_closure(&table.rules, st, params);
+        }
     }
     tables
+}
+
+/// The rounds of an eligible kind's one-shot fixpoint: every residual
+/// closed over the change ([`close`]) and compiled once, against `st`
+/// extended with an empty Δ relation of the kind's `arity`. `None`
+/// when a closed residual does not lower or its target is not densely
+/// backed: the rounds install by bitmap, so such a kind replays bulk
+/// changes per tuple.
+fn compile_closure(rules: &[CompiledRule], st: &Structure, arity: usize) -> Option<Vec<Round>> {
+    let n = st.size();
+    let template = st.extended(BULK_DELTA_REL, Relation::with_universe(arity, n));
+    rules
+        .iter()
+        .map(|cr| {
+            let (psi, negate) = match &cr.route {
+                RulePlan::InsertCopy | RulePlan::DeleteCopy => return Some(Round::Copy),
+                RulePlan::General(GeneralPlan::Grow(psi)) => (psi, false),
+                RulePlan::General(GeneralPlan::Shrink(psi)) => (psi, true),
+                RulePlan::General(_) => unreachable!("eligibility admits copy/grow/shrink only"),
+            };
+            if st.relation(cr.target).dense_universe() != Some(n) {
+                return None;
+            }
+            lower(&close(psi, negate, arity), &cr.rule.vars, false, &template).map(Round::Closed)
+        })
+        .collect()
+}
+
+/// `ψ` closed over a whole change Δ of arity `arity`: request parameter
+/// `?i` becomes the bound variable `__di`, and the result is
+/// `∃d̄. Δ(d̄) ∧ ψ[?i := dᵢ]` (with `negate`, `∃d̄. Δ(d̄) ∧ ¬ψ[…]` — the
+/// tuples some deleted tuple takes out of a Shrink rule's target).
+///
+/// Δ is distributed over ψ's top-level disjunction before quantifying:
+/// `∃d̄. Δ ∧ (A ∨ B) ≡ (∃d̄. Δ∧A) ∨ (∃d̄. Δ∧B)`. One blanket `∃d̄` over
+/// the whole disjunction pins every round at arity |x̄|+|d̄|; closing per
+/// disjunct lets miniscoping sink each `dᵢ` to the conjuncts that
+/// mention it — nested single-variable joins, each of which the plan
+/// optimizer lowers as a compose. Δ stays inside every disjunct so an
+/// empty Δ still closes to `false`. The `__d` names sort before every
+/// program variable, so each `dᵢ` leads the operands it joins.
+fn close(psi: &Formula, negate: bool, arity: usize) -> Formula {
+    let dvars: Vec<Sym> = (0..arity).map(|i| Sym::new(&format!("__d{i}"))).collect();
+    let delta_atom = Formula::Rel {
+        name: Sym::new(BULK_DELTA_REL),
+        args: dvars.iter().map(|&v| Term::Var(v)).collect(),
+    };
+    let bound = psi.map_terms(&|t| match t {
+        Term::Param(i) => Term::Var(Sym::new(&format!("__d{i}"))),
+        other => other,
+    });
+    let body = if negate {
+        Formula::Not(Box::new(bound))
+    } else {
+        bound
+    };
+    let close_one = |g: Formula| {
+        canonicalize(&Formula::Exists(
+            dvars.clone(),
+            Box::new(Formula::And(vec![delta_atom.clone(), g])),
+        ))
+    };
+    let closed = match canonicalize(&body) {
+        Formula::Or(ds) => canonicalize(&Formula::Or(ds.into_iter().map(close_one).collect())),
+        g => close_one(g),
+    };
+    optimize_formula(&closed).unwrap_or(closed)
 }
 
 /// An ∃-block `∃ū (W(ū) ∧ β)` whose conjunct `W` mentions exactly the

@@ -494,11 +494,35 @@ fn auto_routes_by_delta_size() {
     assert_eq!(fallbacks.get(), 1, "no further fallback past the crossover");
 }
 
-/// The bulk path's two interpreter callers, forced through the public
-/// API: a recompute closure hands both relations back on the sparse
-/// backend, so neither δ nor the closure's round formula lowers to
-/// kernels — δ is materialized by `evaluate` and the rounds interpret —
-/// and the one-shot fixpoint still lands on the expanded stream's state.
+/// δ reads no relation at all (the successor chain is numeric), so no
+/// density gate may send it to the interpreter: the chain bulk on
+/// semi REACH_u at n = 128 runs δ and every closure round compiled, and
+/// the request's work — which absorbs δ's — builds no interpreter row.
+#[test]
+fn relation_free_delta_runs_compiled() {
+    let n = 128u32;
+    let mut m = DynFoMachine::new(programs::semi::reach_u_program(), n);
+    let req = Request::bulk_ins("E", chain());
+    let work = m.apply(&req).unwrap();
+    assert_eq!(m.stats().requests, 1, "one-shot");
+    assert!(m.query_named("connected", &[0, n - 1]).unwrap());
+    assert_eq!(work.rows_built, 0, "the interpreter ran: {work:?}");
+    assert_eq!(work.plan_fallback, 0, "{work:?}");
+    // δ's plan is one of the executions the request counts: one per
+    // closure round of P's rule, plus δ's own.
+    let rounds = m.stats().installs.grow_evals;
+    assert!(rounds >= 7, "a 127-edge chain closes by doubling: {rounds} rounds");
+    assert_eq!(work.plan_compiled, rounds + 1, "δ's work is not in the request's: {work:?}");
+    assert_eq!(m.stats().update_work.rows_built, 0);
+}
+
+/// The bulk path's interpreter caller, forced through the public API:
+/// a recompute closure hands both relations back on the sparse
+/// backend, so δ does not lower to kernels and is materialized by the
+/// interpreter. The closure's rounds, compiled against the dense layout
+/// at construction, no longer match the state, so the change replays
+/// per tuple — on the interpreter too — and still lands on the
+/// expanded stream's state.
 #[test]
 fn bulk_interprets_what_reads_a_sparse_relation() {
     let copy = rel("E", [v("x"), v("y")]) | (eq(v("x"), param(0)) & eq(v("y"), param(1)));
@@ -521,13 +545,13 @@ fn bulk_interprets_what_reads_a_sparse_relation() {
         })
         .query(Formula::True)
         .build();
-    let machine = |route| {
-        let mut m = DynFoMachine::new(program.clone(), 8).with_bulk_route(route);
+    let machine = || {
+        let mut m = DynFoMachine::new(program.clone(), 8).with_bulk_route(BulkRoute::OneShot);
         m.apply_all(&[Request::ins("E", [0, 1]), Request::ins("E", [1, 2])]).unwrap();
         assert!(m.recompute().unwrap());
         m
     };
-    let (mut bulk, mut stream) = (machine(BulkRoute::OneShot), machine(BulkRoute::Fallback));
+    let (mut bulk, mut stream) = (machine(), machine());
     // Every edge, reversed.
     let delta = rel("E", [v("x1"), v("x0")]);
     let canonical = dynfo_logic::analysis::canonicalize(&delta);
@@ -540,8 +564,8 @@ fn bulk_interprets_what_reads_a_sparse_relation() {
     bulk.apply(&req).unwrap();
     assert_eq!(bulk.state(), stream.state());
     assert!(bulk.holds("TC", [2u32, 2]), "the closure ran to its fixpoint");
-    assert_eq!(bulk.stats().requests, 3, "2 seeds + one one-shot bulk insert");
+    assert_eq!(bulk.stats().requests, 4, "2 seeds + the 2 expanded tuples");
     let work = bulk.stats().update_work;
-    assert!(work.rows_built > before.rows_built, "the rounds interpreted: {work:?}");
+    assert!(work.rows_built > before.rows_built, "the replay interpreted: {work:?}");
     assert_eq!(bulk.state().rel("TC").backend_kind(), "sparse");
 }

@@ -7,8 +7,14 @@
 //! asserted here, per request class, on a fixed seeded stream at three
 //! universe sizes — with one checked-in constant — and the interpreter
 //! must not run at all (`rows_built == 0`).
+//!
+//! The same gate holds a definable bulk change to the stream it stands
+//! for: one chain bulk does no more kernel work than its expanded
+//! single-tuple requests.
 
-use dynfo_core::{programs, DynFoMachine, Request};
+use dynfo_core::{programs, BulkRoute, DynFoMachine, Request};
+use dynfo_logic::formula::{and, forall, lt, not, v};
+use dynfo_logic::EvalStats;
 use dynfo_testutil::rng;
 use rand::Rng;
 
@@ -134,5 +140,49 @@ fn reach_u_requests_stay_within_the_cubic_word_bound() {
                 }
             }
         }
+    }
+}
+
+/// The successor-chain bulk insert on semi REACH_u — δ, the live-Δ pass
+/// and every closure round (each of whose ∃-joins composes, costing the
+/// popcount of its driving operand) — takes no more kernel words than
+/// the expanded stream of single inserts it stands for, with the
+/// interpreter idle on both sides. This is the work-level half of the
+/// case against routing bulk changes by Δ size: the one-shot never
+/// does more word work than the stream. (Wall-clock is another matter:
+/// δ is a fresh plan every request, and at n = 256 its S³ passes
+/// outweigh the stream's 255 cheap inserts — EXPERIMENTS E25.)
+#[test]
+fn chain_bulk_costs_at_most_its_stream() {
+    let chain = and([
+        lt(v("x0"), v("x1")),
+        forall(["z"], not(and([lt(v("x0"), v("z")), lt(v("z"), v("x1"))]))),
+    ]);
+    let req = Request::bulk_ins("E", chain);
+    for n in [64u32, 128, 256] {
+        let program = programs::semi::reach_u_program;
+        let mut bulk = DynFoMachine::new(program(), n).with_bulk_route(BulkRoute::OneShot);
+        let mut stream = DynFoMachine::new(program(), n);
+        let expanded = stream.expand_bulk(&req).unwrap();
+        let one_shot = bulk.apply(&req).unwrap();
+        let mut replay = EvalStats::default();
+        for r in &expanded {
+            replay.absorb(&stream.apply(r).unwrap());
+        }
+        assert_eq!(bulk.state(), stream.state(), "n={n}");
+        assert_eq!(bulk.stats().requests, 1, "n={n}: not one-shot");
+        assert_eq!(one_shot.rows_built + replay.rows_built, 0, "n={n}: the interpreter ran");
+        println!(
+            "n={n:>3}: chain bulk {} kernel words, its {}-request stream {}",
+            one_shot.kernel_words,
+            expanded.len(),
+            replay.kernel_words
+        );
+        assert!(
+            one_shot.kernel_words <= replay.kernel_words,
+            "n={n}: the bulk did more word work ({}) than its stream ({})",
+            one_shot.kernel_words,
+            replay.kernel_words
+        );
     }
 }

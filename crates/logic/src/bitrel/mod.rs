@@ -260,6 +260,16 @@ impl BitRel {
         (self.len - kept, old - kept)
     }
 
+    /// Counted bitmap removal: make this relation `self ∖ gone` (same
+    /// layout contract as [`BitRel::install_words`]) by one fused
+    /// AND-NOT-and-popcount pass; returns how many tuples left.
+    pub(crate) fn remove_words(&mut self, gone: &[u64]) -> usize {
+        assert_eq!(gone.len(), self.words.len(), "bitmap length mismatch");
+        let old = self.len;
+        self.len = crate::simd::fold_count(&mut self.words, gone, true, !0) as usize;
+        old - self.len
+    }
+
     /// Word slice access for same-crate kernels: when the universe is a
     /// power of two the base-`n` layout coincides with the compiled
     /// plans' padded power-of-two layout, so atom loads become straight

@@ -417,6 +417,56 @@ pub(crate) fn broadcast_rep(lay: &Layout, k_src: usize, axis: usize) -> Vec<u64>
     }
 }
 
+/// `∃z (α ∧ β)` for operands that split at `z`: `a` (α, arity `ka`)
+/// holds `z` at axis `za` and the result's leading axes X at the rest;
+/// `b` (β) holds `z` as its leading axis and the result's `ky` trailing
+/// axes Y after it. For every set bit `(x, z)` of `a`, row `z` of `b` —
+/// its `S^ky` bits of Y — is ORed into row `x` of `dst`. Zero words of
+/// `a` cost one read each, so the work is one scan of `a` plus
+/// `popcount(a)` row ORs of `⌈S^ky/64⌉` words: what the sparse operand
+/// holds, where broadcasting both operands to X∪{z}∪Y, ANDing and
+/// folding walks `S^{|X|+1+|Y|}` bits whatever they hold.
+pub(crate) fn compose(
+    dst: &mut [u64],
+    a: &[u64],
+    b: &[u64],
+    lay: &Layout,
+    ka: usize,
+    za: usize,
+    ky: usize,
+) -> u64 {
+    dst.fill(0);
+    let shift = lay.shift as usize;
+    // Bits of `a`'s index below z's digit, and z's digit mask.
+    let low = shift * (ka - 1 - za);
+    let (low_mask, zmask) = ((1usize << low) - 1, lay.stride() - 1);
+    let row = 1usize << (shift * ky);
+    let mut touched = (dst.len() + a.len()) as u64;
+    for (w, &word) in a.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            let i = w * 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            let z = (i >> low) & zmask;
+            let x = (i >> (low + shift) << low) | (i & low_mask);
+            if row >= 64 {
+                let rw = row / 64;
+                let src = &b[z * rw..(z + 1) * rw];
+                for (d, s) in dst[x * rw..(x + 1) * rw].iter_mut().zip(src) {
+                    *d |= s;
+                }
+                touched += rw as u64;
+            } else {
+                let (zb, xb) = (z * row, x * row);
+                let chunk = (b[zb / 64] >> (zb % 64)) & ((1u64 << row) - 1);
+                dst[xb / 64] |= chunk << (xb % 64);
+                touched += 1;
+            }
+        }
+    }
+    touched
+}
+
 /// One side of a [`gather`]: where the all-zero digit assignment lives
 /// and how far each axis's digit moves the bit index. A step of 0 makes
 /// the axis a broadcast on that side; a step that sums several column
@@ -708,6 +758,47 @@ mod tests {
             broadcast(&mut back, &folded, &lay, k - 1, axis, &rep);
             for w in 0..src.len() {
                 assert_eq!(back[w] & src[w], src[w], "axis={axis} word={w}");
+            }
+        }
+    }
+
+    #[test]
+    fn compose_matches_reference_on_every_split() {
+        // X ∪ {z} ∪ Y over at most four axes, z anywhere in `a`, rows
+        // narrower and wider than a word.
+        for n in [1u32, 3, 5, 8, 9, 33, 64, 70] {
+            let lay = Layout::new(n);
+            for kx in 0..=2usize {
+                for ky in 0..=2usize {
+                    if lay.bits_u128(kx + 1 + ky) > 1 << 20 {
+                        continue;
+                    }
+                    for za in 0..=kx {
+                        let a = scatter(&lay, kx + 1, 11 + (n as u64) * 7 + (kx * 3 + za) as u64);
+                        let b = scatter(&lay, ky + 1, 29 + (n as u64) * 5 + ky as u64);
+                        let bset: std::collections::HashSet<Vec<Elem>> =
+                            tuples_of(&lay, ky + 1, &b).into_iter().collect();
+                        let mut expect: Vec<Vec<Elem>> = Vec::new();
+                        for t in tuples_of(&lay, kx + 1, &a) {
+                            let z = t[za];
+                            let mut x = t.clone();
+                            x.remove(za);
+                            for u in &bset {
+                                if u[0] == z {
+                                    let mut r = x.clone();
+                                    r.extend_from_slice(&u[1..]);
+                                    expect.push(r);
+                                }
+                            }
+                        }
+                        expect.sort();
+                        expect.dedup();
+                        let mut dst = vec![!0u64; lay.words(kx + ky)];
+                        compose(&mut dst, &a, &b, &lay, kx + 1, za, ky);
+                        let got = tuples_of(&lay, kx + ky, &dst);
+                        assert_eq!(got, expect, "n={n} kx={kx} ky={ky} za={za}");
+                    }
+                }
             }
         }
     }

@@ -594,6 +594,7 @@ enum OpKey {
     Not(SlotId, Vec<Sym>),
     Broadcast(SlotId, usize, Vec<Sym>),
     Fold(SlotId, usize, bool, Vec<Sym>),
+    Compose(SlotId, SlotId, usize, Vec<Sym>),
     Interp(Formula, Vec<Sym>),
 }
 
@@ -612,6 +613,7 @@ fn op_key(op: &Op, vars: &[Sym]) -> OpKey {
         Op::Not { src, .. } => OpKey::Not(*src, vars.to_vec()),
         Op::Broadcast { src, axis, .. } => OpKey::Broadcast(*src, *axis, vars.to_vec()),
         Op::Fold { src, axis, and, .. } => OpKey::Fold(*src, *axis, *and, vars.to_vec()),
+        Op::Compose { a, b, z, .. } => OpKey::Compose(*a, *b, *z, vars.to_vec()),
         Op::Interp { formula, .. } => OpKey::Interp(formula.clone(), vars.to_vec()),
     }
 }
@@ -653,12 +655,6 @@ pub(crate) fn optimize_ops(slots: &mut Vec<SlotInfo>, ops: &mut Vec<Op>, root: &
     // Union-find-lite: repl[s] == s means live; otherwise s is an alias
     // of an earlier slot.
     let mut repl: Vec<SlotId> = (0..n).collect();
-    fn resolve(repl: &[SlotId], mut s: SlotId) -> SlotId {
-        while repl[s] != s {
-            s = repl[s];
-        }
-        s
-    }
 
     for _ in 0..MAX_OP_ROUNDS {
         let mut changed = false;
@@ -691,6 +687,10 @@ pub(crate) fn optimize_ops(slots: &mut Vec<SlotInfo>, ops: &mut Vec<Op>, root: &
                     for (s, _) in srcs.iter_mut() {
                         *s = resolve(&repl, *s);
                     }
+                }
+                Op::Compose { a, b, .. } => {
+                    *a = resolve(&repl, *a);
+                    *b = resolve(&repl, *b);
                 }
                 _ => {}
             }
@@ -777,7 +777,7 @@ pub(crate) fn optimize_ops(slots: &mut Vec<SlotInfo>, ops: &mut Vec<Op>, root: &
                         ops[i] = Op::Combine { dst, srcs: flat, and, masked };
                     }
                 }
-                Op::Fold { dst, src, axis, .. } => match prod_of(&producer, ops, src) {
+                Op::Fold { dst, src, axis, and, .. } => match prod_of(&producer, ops, src) {
                     // Fold of the axis a broadcast just inserted: the
                     // replicated planes are identical, so both the
                     // OR-fold and the (garbage-masked) AND-fold give
@@ -792,6 +792,16 @@ pub(crate) fn optimize_ops(slots: &mut Vec<SlotInfo>, ops: &mut Vec<Op>, root: &
                         ops[i] = Op::Const { dst, value: v };
                         slots[dst].stable = true;
                         changed = true;
+                    }
+                    Prod::Combine(lanes, true) if !and => {
+                        let vars = &slots[src].vars;
+                        if let Some((a, b, z)) =
+                            split_join(&producer, ops, slots, &repl, &lanes, vars, axis)
+                        {
+                            ops[i] = Op::Compose { dst, a, b, z };
+                            slots[dst].stable = slots[a].stable && slots[b].stable;
+                            changed = true;
+                        }
                     }
                     _ => {}
                 },
@@ -871,12 +881,66 @@ pub(crate) fn optimize_ops(slots: &mut Vec<SlotInfo>, ops: &mut Vec<Op>, root: &
     *ops = new_ops;
 }
 
+/// The live slot `s` is an alias of.
+fn resolve(repl: &[SlotId], mut s: SlotId) -> SlotId {
+    while repl[s] != s {
+        s = repl[s];
+    }
+    s
+}
+
+/// `∃z (α ∧ β)` as an [`Op::Compose`]: `(a, b, z's axis in a)` when the
+/// folded combine (over `vars`, `z = vars[axis]`) ANDs exactly two
+/// un-negated lanes that are broadcasts of an α and a β sharing only
+/// `z` and covering `vars` between them, β leads with `z` and brings at
+/// least one axis Y of its own, and every other axis of α sorts before
+/// Y — so Y trails both β and the result, and a row of β is a row of
+/// the result. Either lane may play α. Anything else — a third
+/// conjunct, a negated lane, interleaved X and Y, a semijoin (Y = ∅,
+/// which would cost a probe per set bit of α where the fold costs a
+/// word pass) — keeps the broadcast–AND–fold lowering.
+fn split_join(
+    producer: &[Option<usize>],
+    ops: &[Op],
+    slots: &[SlotInfo],
+    repl: &[SlotId],
+    lanes: &[(SlotId, bool)],
+    vars: &[Sym],
+    axis: usize,
+) -> Option<(SlotId, SlotId, usize)> {
+    let &[(p, false), (q, false)] = lanes else {
+        return None;
+    };
+    let unbroadcast = |mut s: SlotId| {
+        while let Prod::Broadcast(t, _) = prod_of(producer, ops, s) {
+            s = resolve(repl, t);
+        }
+        s
+    };
+    let (p, q) = (unbroadcast(p), unbroadcast(q));
+    let z = vars[axis];
+    let (vp, vq) = (&slots[p].vars, &slots[q].vars);
+    let shared: Vec<Sym> = vp.iter().copied().filter(|v| vq.contains(v)).collect();
+    if shared != [z] || vars.iter().any(|v| !vp.contains(v) && !vq.contains(v)) {
+        return None;
+    }
+    [(p, q), (q, p)].into_iter().find_map(|(a, b)| {
+        let (va, vb) = (&slots[a].vars, &slots[b].vars);
+        let splits = vb.len() > 1 && vb[0] == z && va.iter().all(|&x| x == z || x < vb[1]);
+        splits.then(|| (a, b, va.iter().position(|&x| x == z).expect("z is shared")))
+    })
+}
+
 /// Visit every source slot of `op`.
 fn for_each_src(op: &Op, mut f: impl FnMut(SlotId)) {
     match op {
         Op::Const { .. } | Op::Load { .. } | Op::Numeric { .. } | Op::Interp { .. } => {}
         Op::Combine { srcs, .. } => srcs.iter().for_each(|&(s, _)| f(s)),
         Op::Not { src, .. } | Op::Broadcast { src, .. } | Op::Fold { src, .. } => f(*src),
+        Op::Compose { a, b, .. } => {
+            f(*a);
+            f(*b);
+        }
     }
 }
 
@@ -900,6 +964,11 @@ fn renumber(op: &mut Op, nd: SlotId, mut m: impl FnMut(SlotId) -> SlotId) {
         Op::Broadcast { dst, src, .. } | Op::Fold { dst, src, .. } => {
             *dst = nd;
             *src = m(*src);
+        }
+        Op::Compose { dst, a, b, .. } => {
+            *dst = nd;
+            *a = m(*a);
+            *b = m(*b);
         }
     }
 }

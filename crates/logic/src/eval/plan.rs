@@ -121,6 +121,12 @@ pub(crate) enum Op {
     Broadcast { dst: SlotId, src: SlotId, axis: usize, rep: Vec<u64> },
     /// Quantify out an axis: OR-fold (∃) or AND-fold (∀).
     Fold { dst: SlotId, src: SlotId, axis: usize, and: bool, gmask: Vec<u64> },
+    /// `∃z (α ∧ β)` with `a` (α) over the result's leading axes and `z`
+    /// (its axis `z`), and `b` (β) over `z` followed by the result's
+    /// trailing axes: the rows of `b` that `a`'s set bits select, ORed
+    /// into the rows those bits name ([`kernels::compose`]). The
+    /// optimizer's op stage emits it in place of broadcast–AND–fold.
+    Compose { dst: SlotId, a: SlotId, b: SlotId, z: usize },
     /// Interpreter island: evaluate the subtree with the [`Evaluator`]
     /// (sharing its memo) and scatter the rows into bits.
     Interp { dst: SlotId, formula: Formula },
@@ -136,6 +142,7 @@ impl Op {
             | Op::Not { dst, .. }
             | Op::Broadcast { dst, .. }
             | Op::Fold { dst, .. }
+            | Op::Compose { dst, .. }
             | Op::Interp { dst, .. } => *dst,
         }
     }
@@ -256,6 +263,13 @@ impl Plan {
         islands(&self.ops)
     }
 
+    /// ∃-joins the optimizer lowered as [`Op::Compose`]: each costs what
+    /// its driving operand holds instead of a broadcast pass over the
+    /// joined variables.
+    pub fn compose_joins(&self) -> usize {
+        self.ops.iter().filter(|op| matches!(op, Op::Compose { .. })).count()
+    }
+
     /// Execute against the evaluator's structure and parameters and
     /// decode the result; `ev` also serves interpreter islands (sharing
     /// its memo) and accumulates `kernel_words`/
@@ -373,6 +387,10 @@ impl Plan {
                 Op::Fold { src, axis, and, gmask, .. } => {
                     let k_src = self.slots[*src].vars.len();
                     kw += kernels::fold(buf, &lo[*src], &self.lay, k_src, *axis, *and, gmask);
+                }
+                Op::Compose { a, b, z, .. } => {
+                    let (ka, kb) = (self.slots[*a].vars.len(), self.slots[*b].vars.len());
+                    kw += kernels::compose(buf, &lo[*a], &lo[*b], &self.lay, ka, *z, kb - 1);
                 }
                 Op::Interp { formula, .. } => {
                     let table = ev.eval(formula)?;

@@ -269,6 +269,17 @@ impl Relation {
         Some((added, removed))
     }
 
+    /// Remove every tuple `bits` holds, in place (`bits` in this
+    /// relation's base-`n` index order, as for
+    /// [`Relation::install_bits`]). Returns how many were present, or
+    /// `None` when the relation is not densely backed.
+    pub fn remove_bits(&mut self, bits: &[u64]) -> Option<usize> {
+        let Repr::Dense(b) = &mut self.repr else {
+            return None;
+        };
+        Some(b.remove_words(bits))
+    }
+
     /// Words in this relation's bitmap when densely backed — the length
     /// [`Relation::install_bits`] expects.
     pub fn dense_words(&self) -> Option<usize> {

@@ -234,9 +234,9 @@ impl Structure {
     ///
     /// This is the scratch-structure constructor of the bulk-change
     /// path: the machine clones its auxiliary state, adjoins the
-    /// materialized change set Δ as a first-class relation, and
-    /// evaluates Δ-substituted update formulas against the extension —
-    /// without ever widening the real state's vocabulary.
+    /// materialized change set Δ as a first-class relation, and runs
+    /// the Δ-closed update formulas against the extension until they
+    /// converge — without ever widening the real state's vocabulary.
     ///
     /// # Panics
     /// Panics if `name` is already in the vocabulary or a tuple of
@@ -247,7 +247,8 @@ impl Structure {
             "relation {name} already in the vocabulary"
         );
         assert!(
-            rel.iter().all(|t| t.iter().all(|v| v < self.size)),
+            rel.dense_universe() == Some(self.size)
+                || rel.iter().all(|t| t.iter().all(|v| v < self.size)),
             "extension relation {name} has tuples outside the universe"
         );
         let mut vocab = (*self.vocab).clone();

@@ -169,12 +169,13 @@ fn plan_matches_interpreter_at_aligned_universe() {
 }
 
 // ---------------------------------------------------------------------------
-// Gather loads and bitmap installs on awkward shapes
+// Gather loads, bitmap installs and compose joins on awkward shapes
 // ---------------------------------------------------------------------------
 
 mod awkward_shapes {
     use dynfo_logic::eval::delta::{install_plan, DeltaMode};
-    use dynfo_logic::formula::{param, rel, v, Formula, Term};
+    use dynfo_logic::analysis::canonicalize;
+    use dynfo_logic::formula::{exists, param, rel, v, Formula, Term};
     use dynfo_logic::simd::{force_tier, Tier};
     use dynfo_logic::{
         evaluate, Elem, EvalStats, Evaluator, Plan, Structure, Tuple, Vocabulary,
@@ -408,5 +409,107 @@ mod awkward_shapes {
         );
         assert_eq!(by_bits.relation(id).len(), by_tuples.relation(id).len(), "{f} {at:?}: len()");
         assert_eq!(by_bits, by_tuples, "{f} as {mode:?} at {at:?}: state");
+    }
+
+    /// Two relations of arities `ka` and `kb`.
+    fn pair(n: Elem, (ka, a): (usize, &[Tuple]), (kb, b): (usize, &[Tuple])) -> Structure {
+        let vocab = Vocabulary::new().with_relation("A", ka).with_relation("B", kb);
+        let mut st = Structure::empty(Arc::new(vocab), n);
+        for (name, set) in [("A", a), ("B", b)] {
+            for t in set {
+                st.insert(name, *t);
+            }
+        }
+        st
+    }
+
+    /// Compile `f` raw and optimized on `st`, run both on every tier,
+    /// and hold every decoded table — and, over small spaces, the
+    /// interpreter's — to one another. Returns the optimized plan's
+    /// compose joins.
+    fn joins_agree(f: &Formula, st: &Structure, interpret: bool, tiers: &[Tier]) -> usize {
+        let f = canonicalize(f);
+        let off = Plan::compile_with(&f, st, false).expect("raw lowering");
+        let on = Plan::compile(&f, st).expect("optimized lowering");
+        assert_eq!(off.compose_joins(), 0, "{f}: the raw lowering composed");
+        let mut tables = Vec::new();
+        for &tier in tiers {
+            force_tier(tier);
+            for plan in [&off, &on] {
+                let mut arena = plan.arena();
+                assert!(plan.run(&mut Evaluator::new(st, &[]), &mut arena, None).unwrap());
+                tables.push(plan.decode_root(&arena).sorted());
+            }
+        }
+        if interpret {
+            tables.push(evaluate(&f, st, &[]).unwrap().project(on.vars()).sorted());
+        }
+        for t in &tables[1..] {
+            assert_eq!(t, &tables[0], "{f} at n={}: compose, broadcast-fold, interpreter", st.size());
+        }
+        on.compose_joins()
+    }
+
+    /// `∃m (A(X, m) ∧ B(m, Y))` over every split with |X|, |Y| ≤ 2: the
+    /// optimizer's compose join decodes the raw broadcast–AND–fold
+    /// lowering's table and the interpreter's, at every size around the
+    /// word and padding boundaries, for an empty, one-tuple, sparse,
+    /// half and full α, on every SIMD tier. `m` sorts before every Y
+    /// variable and X draws from both sides of it, so `m` sits at every
+    /// axis of α; the join composes exactly when β brings an axis of its
+    /// own (Y ≠ ∅), or, with Y = ∅, when `m` leads α and the roles swap.
+    #[test]
+    fn plan_compose_matches_broadcast_fold_and_interpreter() {
+        const N: [Elem; 9] = [1, 7, 31, 32, 33, 63, 64, 65, 128];
+        let xs: [&[&str]; 6] = [&[], &["a"], &["n"], &["a", "b"], &["a", "n"], &["n", "o"]];
+        let ys: [&[&str]; 3] = [&[], &["x"], &["x", "y"]];
+        let tiers = tiers();
+        let mut composed = 0;
+        for x in xs {
+            for y in ys {
+                let (kx, ky) = (x.len(), y.len());
+                let a_args: Vec<Term> = x.iter().chain(&["m"]).map(|&s| v(s)).collect();
+                let b_args: Vec<Term> = ["m"].iter().chain(y).map(|&s| v(s)).collect();
+                let f = exists(["m"], rel("A", a_args) & rel("B", b_args));
+                let composes = ky > 0 || (kx > 0 && x.iter().all(|&s| s > "m"));
+                for n in N {
+                    // The raw lowering's widest slot is X ∪ {m} ∪ Y.
+                    let s = u64::from(n.next_power_of_two());
+                    if s.pow((kx + ky + 1) as u32) > 1 << 20 {
+                        continue;
+                    }
+                    let interpret = u64::from(n).pow((kx + ky + 1) as u32) <= 40_000;
+                    let seed = 0xC0 + u64::from(n) * 16 + (kx * 4 + ky) as u64;
+                    let betas = densities(n, ky + 1, seed + 1);
+                    for (d, alpha) in densities(n, kx + 1, seed).iter().enumerate() {
+                        let st = pair(n, (kx + 1, alpha), (ky + 1, &betas[3]));
+                        let joins = joins_agree(&f, &st, interpret, &tiers);
+                        assert_eq!(joins, composes as usize, "{f} at n={n}, α density #{d}");
+                        composed += joins;
+                    }
+                }
+            }
+        }
+        assert!(composed > 150, "sweep shrank to {composed} composed joins");
+    }
+
+    /// `∃m (A(a, m, y) ∧ B(m, p))`: the result's columns are `a, p, y`,
+    /// so X = {a, y} straddles Y = {p}, and `m` does not lead A either —
+    /// neither operand's rows are rows of the result. The join keeps the
+    /// broadcast–AND–fold lowering, and still agrees.
+    #[test]
+    fn plan_compose_declines_interleaved_layouts() {
+        let f = exists(
+            ["m"],
+            rel("A", [v("a"), v("m"), v("y")]) & rel("B", [v("m"), v("p")]),
+        );
+        let tiers = tiers();
+        for n in [2, 7, 33] {
+            let alpha = &densities(n, 3, 0xD1)[3];
+            let beta = &densities(n, 2, 0xD2)[3];
+            let st = pair(n, (3, alpha), (2, beta));
+            let interpret = u64::from(n).pow(4) <= 40_000;
+            assert_eq!(joins_agree(&f, &st, interpret, &tiers), 0, "n={n}: composed");
+        }
     }
 }
