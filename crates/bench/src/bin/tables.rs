@@ -29,7 +29,7 @@ use dynfo_core::native::{NativeMatching, NativeMsf, NativeReachAcyclic, NativeRe
 use dynfo_core::programs;
 use dynfo_core::request::Request;
 use dynfo_graph::graph::{DiGraph, Graph};
-use dynfo_logic::parallel::{cram_depth, evaluate_parallel};
+use dynfo_logic::parallel::cram_depth;
 
 fn header(title: &str) {
     println!("\n=== {title} ===");
@@ -684,34 +684,69 @@ fn e15_pad() {
     }
 }
 
-/// E16 — FO = CRAM[1]: constant depth, parallelizable work.
+/// E16 — FO = CRAM[1]: an update's parallel time is its quantifier
+/// depth, read off the rules each machine runs at two universe sizes;
+/// then the rule scheduler's wall clock on the one pool.
 fn e16_parallel() {
-    header("E16 parallel evaluation (FO = CRAM[1])");
-    row(["n", "depth", "1 thread ms", "2", "4", "8"].map(String::from).as_ref());
-    // Evaluate a REACH_u-style path-join formula over a sizable graph.
-    use dynfo_logic::formula::{exists, rel, v};
-    let f = exists(
-        ["u"],
-        rel("E", [v("x"), v("u")]) & rel("E", [v("u"), v("y")]) & rel("E", [v("y"), v("z")]),
-    );
-    let depth = cram_depth(&f);
-    for n in [48u32, 96] {
-        let g = dynfo_graph::generate::gnp(n, 0.2, &mut dynfo_graph::generate::rng(41));
-        let vocab = std::sync::Arc::new(dynfo_logic::Vocabulary::new().with_relation("E", 2));
-        let mut st = dynfo_logic::Structure::empty(vocab, n);
-        for (a, b) in g.edges() {
-            st.insert("E", [a, b]);
-            st.insert("E", [b, a]);
-        }
-        let mut cols = vec![n.to_string(), depth.to_string()];
-        for threads in [1usize, 2, 4, 8] {
-            let (_, secs) = timed(|| {
-                std::hint::black_box(evaluate_parallel(&f, &st, &[], threads).unwrap());
-            });
-            cols.push(format!("{:.1}", secs * 1e3));
+    header("E16 update depth (FO = CRAM[1]): max cram_depth over update rules");
+    let sizes = [16u32, 64];
+    let mut cols = vec!["program".to_string(), "rules".to_string()];
+    cols.extend(sizes.map(|n| format!("depth n={n}")));
+    row(&cols);
+    let library: [fn() -> dynfo_core::program::DynFoProgram; 15] = [
+        programs::parity::program,
+        programs::reach_u::program,
+        programs::reach_acyclic::program,
+        programs::trans_reduction::program,
+        programs::msf::program,
+        programs::bipartite::program,
+        programs::kconn::program,
+        programs::matching::program,
+        programs::lca::program,
+        programs::vertex_cover::program,
+        programs::semi::reach_u_program,
+        programs::semi::reach_program,
+        programs::dir_reach::dir_reach_program,
+        || programs::dyck::dyck_program(2),
+        programs::strings::a_star_b_star_program,
+    ];
+    for program in library {
+        let mut cols = vec![
+            program().name().to_string(),
+            program().rules().count().to_string(),
+        ];
+        for n in sizes {
+            let machine = DynFoMachine::new(program(), n);
+            let depth = machine
+                .program()
+                .rules()
+                .map(|(_, r)| cram_depth(&r.formula))
+                .max()
+                .unwrap_or(0);
+            cols.push(depth.to_string());
         }
         row(&cols);
     }
+
+    // The rule scheduler spreads one request's general rules over
+    // `EvalPool` workers; the schedule is deterministic, so both
+    // machines must land on the same state.
+    header("E16 REACH_u n=64 per-update latency by rule-scheduler threads");
+    row(["threads", "us/update"].map(String::from).as_ref());
+    let n = 64;
+    let reqs = undirected_workload(n, 150, 71);
+    let mut states = Vec::new();
+    for threads in [1usize, 2] {
+        let mut machine =
+            DynFoMachine::new(programs::reach_u::program(), n).with_parallelism(threads);
+        let secs = mean_update_seconds(&mut machine, &reqs);
+        row(&[threads.to_string(), us(secs)]);
+        states.push(machine.state().clone());
+    }
+    assert_eq!(
+        states[0], states[1],
+        "parallel schedule diverged from serial"
+    );
 }
 
 /// E20 — the machine's compiled plans against Definition 3.1 executed
@@ -1620,6 +1655,10 @@ struct E25Row {
     tuples: usize,
     path: &'static str,
     bulk_us: f64,
+    /// `expand_bulk` alone: δ and the live-Δ pass, which the bulk frame
+    /// pays on either route and the stream does not, plus decoding Δ
+    /// into single-tuple requests, which only the stream needs.
+    expand_us: f64,
     stream_us: f64,
 }
 
@@ -1632,12 +1671,13 @@ impl E25Row {
 /// E25 — definable bulk changes: one `bulk_ins` frame vs the expanded
 /// single-tuple stream, end to end through `DynFoMachine::apply`.
 ///
-/// Two δ shapes per program: the Θ(n) successor chain (`path`) and the
-/// Θ(n²) full a<b edge set (`subgraph`) — the "generator's whole output
-/// in one request" case. The stream side replays exactly what
-/// `expand_bulk` returns (the live Δ, sorted), and the bench asserts
-/// byte-identical final state before reporting, so every row is also an
-/// equivalence check. The semi-dynamic programs take the one-shot
+/// Three δ shapes: the chain's first two edges (`pair`, semi programs
+/// only — the one-shot's small-Δ price), the Θ(n) successor chain
+/// (`path`) and the Θ(n²) full a<b edge set (`subgraph`) — the
+/// "generator's whole output in one request" case. The stream side
+/// replays exactly what `expand_bulk` returns (the live Δ, sorted),
+/// and the bench asserts byte-identical final state before reporting,
+/// so every row is also an equivalence check. The semi-dynamic programs take the one-shot
 /// Δ-fixpoint (genuinely memoryless, Grow-shaped inserts); fully
 /// dynamic REACH_u exercises the per-tuple fallback, which bounds the
 /// win at framing/validation overhead rather than asymptotics. Sizes
@@ -1648,19 +1688,20 @@ impl E25Row {
 /// lowering the optimizer composes the closure's joins from still
 /// builds an S³ slot, past the plan slot cap at n = 1024, and the cell
 /// would time the interpreter instead of the contribution. The bulk
-/// column includes δ's own evaluation; the stream column replays the
-/// already-expanded Δ and does not. The path rows document where that
-/// matters: the chain δ is a fresh S³-shaped plan every request, while
-/// a Θ(n)-tuple stream of quantifier-free inserts is cheap, so the
-/// one-shot only pays off clearly once |Δ| reaches subgraph scale.
+/// column includes δ's own evaluation, and so does the expand column;
+/// the stream column replays the already-expanded Δ and does not. The
+/// pair and path rows document where that matters: the chain δ is a
+/// fresh S³-shaped plan every request, paid on either route, while a
+/// short stream of quantifier-free inserts is cheap, so the one-shot
+/// only pays off clearly once |Δ| reaches subgraph scale.
 fn e25_bulk_changes() {
     use dynfo_core::program::DynFoProgram;
-    use dynfo_logic::formula::{and, forall, lt, not, v, Formula};
+    use dynfo_logic::formula::{and, forall, lit, lt, not, v, Formula};
     use dynfo_obs::{ObsHandle, Registry};
     use std::sync::Arc;
 
     header("E25 definable bulk changes: one δ frame vs the expanded tuple stream");
-    row(["program", "n", "delta", "tuples", "route", "bulk", "stream", "speedup"]
+    row(["program", "n", "delta", "tuples", "route", "bulk", "expand", "stream", "speedup"]
         .map(String::from).as_ref());
 
     /// Θ(n) live tuples: the successor chain `x1 = x0 + 1`.
@@ -1669,6 +1710,10 @@ fn e25_bulk_changes() {
             lt(v("x0"), v("x1")),
             forall(["z"], not(and([lt(v("x0"), v("z")), lt(v("z"), v("x1"))]))),
         ])
+    }
+    /// Two live tuples: the chain below 3.
+    fn pair() -> Formula {
+        and([chain(), lt(v("x1"), lit(3))])
     }
     /// Θ(n²) live tuples: every ordered pair a < b.
     fn block() -> Formula {
@@ -1680,18 +1725,34 @@ fn e25_bulk_changes() {
     let registry = Arc::new(Registry::new());
     let obs = ObsHandle::with_registry(Arc::clone(&registry));
 
-    type Case = (&'static str, fn() -> DynFoProgram, Vec<u32>, Vec<u32>);
+    /// Program, then its n per δ shape: pair, path, subgraph.
+    type Case = (&'static str, fn() -> DynFoProgram, [Vec<u32>; 3]);
     let cases: Vec<Case> = vec![
-        ("semi REACH_u", programs::semi::reach_u_program, vec![64, 256], vec![64, 256]),
-        ("semi REACH", programs::semi::reach_program, vec![64, 256], vec![64, 256]),
-        ("REACH_u", programs::reach_u::program, vec![64], vec![32]),
+        (
+            "semi REACH_u",
+            programs::semi::reach_u_program,
+            [vec![64, 256], vec![64, 256], vec![64, 256]],
+        ),
+        (
+            "semi REACH",
+            programs::semi::reach_program,
+            [vec![64, 256], vec![64, 256], vec![64, 256]],
+        ),
+        (
+            "REACH_u",
+            programs::reach_u::program,
+            [vec![], vec![64], vec![32]],
+        ),
     ];
 
     let mut rows: Vec<E25Row> = Vec::new();
-    for (name, program, path_sizes, sub_sizes) in &cases {
+    for (name, program, [pair_sizes, path_sizes, sub_sizes]) in &cases {
         type DeltaCase<'a> = (&'static str, &'a Vec<u32>, fn() -> Formula);
-        let deltas: [DeltaCase; 2] =
-            [("path", path_sizes, chain), ("subgraph", sub_sizes, block)];
+        let deltas: [DeltaCase; 3] = [
+            ("pair", pair_sizes, pair),
+            ("path", path_sizes, chain),
+            ("subgraph", sub_sizes, block),
+        ];
         for (delta_kind, sizes, delta) in deltas {
             for &n in sizes {
                 let req = Request::bulk_ins("E", delta());
@@ -1700,7 +1761,8 @@ fn e25_bulk_changes() {
                 let route = if bulk_m.stats().requests == 1 { "one-shot" } else { "fallback" };
 
                 let mut stream_m = DynFoMachine::new(program(), n);
-                let expanded = stream_m.expand_bulk(&req).expect("expand_bulk");
+                let (expanded, expand_secs) =
+                    timed(|| stream_m.expand_bulk(&req).expect("expand_bulk"));
                 let tuples = expanded.len();
                 let (_, stream_secs) = timed(|| {
                     for r in &expanded {
@@ -1720,6 +1782,7 @@ fn e25_bulk_changes() {
                     tuples,
                     path: route,
                     bulk_us: bulk_secs * 1e6,
+                    expand_us: expand_secs * 1e6,
                     stream_us: stream_secs * 1e6,
                 };
                 row(&[
@@ -1729,6 +1792,7 @@ fn e25_bulk_changes() {
                     r.tuples.to_string(),
                     r.path.to_string(),
                     us(bulk_secs),
+                    us(expand_secs),
                     us(stream_secs),
                     format!("{:.1}x", r.speedup()),
                 ]);
@@ -1756,13 +1820,14 @@ fn e25_bulk_changes() {
         let mut out = String::from("[\n");
         for (i, r) in rows.iter().enumerate() {
             out.push_str(&format!(
-                "  {{\"program\": \"{}\", \"n\": {}, \"delta\": \"{}\", \"tuples\": {}, \"path\": \"{}\", \"bulk_us\": {:.1}, \"stream_us\": {:.1}, \"speedup\": {:.1}}}{}\n",
+                "  {{\"program\": \"{}\", \"n\": {}, \"delta\": \"{}\", \"tuples\": {}, \"path\": \"{}\", \"bulk_us\": {:.1}, \"expand_us\": {:.1}, \"stream_us\": {:.1}, \"speedup\": {:.1}}}{}\n",
                 r.program,
                 r.n,
                 r.delta,
                 r.tuples,
                 r.path,
                 r.bulk_us,
+                r.expand_us,
                 r.stream_us,
                 r.speedup(),
                 if i + 1 == rows.len() { "" } else { "," }

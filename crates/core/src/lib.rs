@@ -12,7 +12,7 @@ pub mod program;
 pub mod request;
 
 pub use machine::{
-    check_memoryless, run_with_oracle, BatchError, BulkRoute, DynFoMachine, InstallStats,
+    check_memoryless, run_with_oracle, BatchError, DynFoMachine, InstallStats,
     MachineError, MachineStats,
 };
 pub use program::{DynFoProgram, Init, ProgramBuilder, RecomputeFn, UpdateRule};

@@ -11,7 +11,7 @@ use crate::program::{DynFoProgram, UpdateRule};
 use crate::request::{apply_to_input, delta_rows, Op, Request, RequestError, RequestKind};
 use crate::rules::{
     compile_tables, rules_for, BitPlan, Body, CompiledRule, GeneralPlan, KindTable, Lowered, Part,
-    Residual, Round, RulePlan, Witness, WitnessRows, BULK_DELTA_REL, PLAN_WORDS_PER_ROW,
+    Residual, Round, RulePlan, Witness, WitnessRows, BULK_DELTA_REL,
 };
 use dynfo_logic::analysis::canonicalize;
 use dynfo_logic::eval::delta::{install_plan, DeltaMode, InstallPlan};
@@ -73,9 +73,8 @@ struct MachineObs {
     /// `machine.bulk_fallback` — bulk requests that expanded to
     /// single-tuple streams: their kind is not one-shot eligible
     /// (Guarded/Full rules, no memoryless claim to justify the
-    /// fixpoint, a closure that did not compile), its closure no longer
-    /// matches the state's backends, or the Δ is too small to pay the
-    /// closure's fixed cost under [`BulkRoute::Auto`].
+    /// fixpoint, a closure that did not compile), or its closure no
+    /// longer matches the state's backends.
     bulk_fallback: Arc<Counter>,
     /// `machine.recomputes` — full "start over" recomputes executed
     /// ([`DynFoMachine::recompute`] calls).
@@ -251,25 +250,6 @@ pub struct InstallStats {
     pub full_evals: usize,
 }
 
-/// How a definable bulk change reaches the state (ROADMAP item 1's
-/// small-Δ headroom). Routing never affects the final state — both
-/// paths land on the expanded stream's result — only which pipeline
-/// computes it and what the request counters read.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum BulkRoute {
-    /// Cost-model routing (the default): take the one-shot Δ-fixpoint
-    /// only when `|Δ|` per-tuple applies would cost at least the
-    /// closure's fixed price, estimated from compiled-plan kernel words
-    /// and maintained popcounts ([`DynFoMachine::bulk_one_shot_pays`]).
-    Auto,
-    /// Always take the one-shot fixpoint when the program is eligible
-    /// (memoryless + monotone shapes) — pins the mechanics for tests
-    /// and benchmarks regardless of Δ size.
-    OneShot,
-    /// Always expand to the per-tuple stream.
-    Fallback,
-}
-
 /// How one general rule's result reaches its target relation.
 #[derive(Clone, Debug)]
 enum Install {
@@ -323,8 +303,6 @@ pub struct DynFoMachine {
     parallelism: usize,
     /// Reused per-request buffers; empty between calls.
     scratch: Scratch,
-    /// How definable bulk changes are routed (see [`BulkRoute`]).
-    bulk_route: BulkRoute,
     /// Where this machine's metrics go (see [`DynFoMachine::with_obs`]).
     obs: MachineObs,
 }
@@ -394,7 +372,6 @@ impl DynFoMachine {
             stats: MachineStats::default(),
             parallelism: 1,
             scratch: Scratch::default(),
-            bulk_route: BulkRoute::Auto,
             obs: MachineObs::new(&ObsHandle::default()),
         }
     }
@@ -479,16 +456,6 @@ impl DynFoMachine {
     /// subformulas.
     pub fn with_parallelism(mut self, threads: usize) -> DynFoMachine {
         self.parallelism = threads.max(1);
-        self
-    }
-
-    /// Select bulk routing ([`BulkRoute::Auto`] is the default). All
-    /// three routes produce the same state — the differential suites
-    /// hold them against each other — so [`BulkRoute::OneShot`]/
-    /// [`BulkRoute::Fallback`] exist to pin one pipeline for tests and
-    /// benchmarks, while [`BulkRoute::Auto`] picks by the cost model.
-    pub fn with_bulk_route(mut self, route: BulkRoute) -> DynFoMachine {
-        self.bulk_route = route;
         self
     }
 
@@ -901,9 +868,8 @@ impl DynFoMachine {
     /// dispatches: programs whose rules for this kind are all copies
     /// and `Grow`/`Shrink` shapes with target-positive residuals — a
     /// verdict reached once, at construction
-    /// ([`KindTable::bulk_one_shot`]) — may run *one* monotone fixpoint
-    /// over the whole Δ ([`DynFoMachine::apply_bulk_one_shot`]), and
-    /// under [`BulkRoute::Auto`] do when the cost model says so;
+    /// ([`KindTable::bulk_one_shot`]) — run *one* monotone fixpoint
+    /// over the whole Δ ([`DynFoMachine::apply_bulk_one_shot`]);
     /// everything else replays Δ through the ordinary per-tuple
     /// pipeline. Both paths land on the byte-identical state the
     /// expanded single-tuple stream produces — the `DiffMode::Bulk`
@@ -918,19 +884,7 @@ impl DynFoMachine {
         };
         let (live, delta_work) = self.bulk_delta(rel, delta, is_ins)?;
         self.obs.bulk_tuples.add(live.len() as u64);
-        let kind = req.kind();
-        let eligible = self.tables.get(&kind).is_some_and(|t| t.bulk_one_shot.is_some());
-        let one_shot = match self.bulk_route {
-            BulkRoute::OneShot => eligible,
-            BulkRoute::Fallback => false,
-            BulkRoute::Auto => eligible && self.bulk_one_shot_pays(kind, live.len()),
-        };
-        let done = if one_shot {
-            self.apply_bulk_one_shot(kind, &live, is_ins, delta_work)?
-        } else {
-            None
-        };
-        let out = match done {
+        let out = match self.apply_bulk_one_shot(req.kind(), &live, is_ins, delta_work)? {
             Some(work) => Ok(work),
             None => {
                 self.obs.bulk_fallback.inc();
@@ -1013,74 +967,6 @@ impl DynFoMachine {
         let table = ev.eval(&canonical)?;
         defined.insert_all(&delta_rows(table, arity, n));
         Ok((defined, ev.stats()))
-    }
-
-    /// ROADMAP item 1's small-Δ headroom: is the one-shot Δ-fixpoint
-    /// worth its fixed cost for this Δ, or should [`BulkRoute::Auto`]
-    /// expand to `|Δ|` single-tuple applies?
-    ///
-    /// The comparison is `|Δ| · per_tuple ≥ closure_fixed`, both sides
-    /// in kernel words:
-    ///
-    /// * **closure_fixed** — each non-copy rule's closed residual is an
-    ///   `S^(arity+1)`-shaped pass (the Δ columns join in one extra
-    ///   axis), charged for [`BULK_ROUNDS_FLOOR`] fixpoint rounds. A
-    ///   program whose rules are all copies has no closure at all and
-    ///   always takes the one-shot splice.
-    /// * **per_tuple** — the compiled [`BitPlan`]'s exact
-    ///   `work_words` where the rule compiled, else the interpreter proxy:
-    ///   [`PLAN_WORDS_PER_ROW`] per maintained row the rule reads
-    ///   (live popcounts), capped at the dense pass the plan would do.
-    ///
-    /// Deliberately closure-pessimistic: a Δ must comfortably cover the
-    /// fixed price before the fixpoint runs, so the item-1 regression —
-    /// a 2-tuple δ paying a whole-relation closure — cannot recur,
-    /// while relation-scale deltas (E25's subgraph δ) keep the
-    /// one-shot's order-of-magnitude win. Routing is observable as
-    /// `machine.bulk_fallback` and request counts; the state is
-    /// identical either way. Neither side prices δ, which the one-shot
-    /// evaluates and the stream does not, and the closure's joins now
-    /// compose to popcount cost, so the `S^(arity+1)` charge overstates
-    /// them: the estimate is a bound, not a prediction (ROADMAP item 4).
-    fn bulk_one_shot_pays(&self, kind: RequestKind, delta_len: usize) -> bool {
-        /// Fixed rounds the closure is charged up front: converge +
-        /// detect, doubled because chain-shaped Δs (path composition)
-        /// genuinely iterate.
-        const BULK_ROUNDS_FLOOR: u64 = 4;
-        let n = self.n() as u64;
-        let dense_words = |arity: u32| n.saturating_pow(arity).div_ceil(64).max(1);
-        let mut closure_fixed = 0u64;
-        let mut per_tuple = 0u64;
-        for cr in rules_for(&self.tables, kind) {
-            match cr.route {
-                RulePlan::InsertCopy | RulePlan::DeleteCopy => {
-                    per_tuple = per_tuple.saturating_add(1);
-                }
-                RulePlan::General(_) => {
-                    let arity = cr.rule.vars.len() as u32;
-                    closure_fixed = closure_fixed.saturating_add(
-                        dense_words(arity)
-                            .saturating_mul(n)
-                            .saturating_mul(BULK_ROUNDS_FLOOR),
-                    );
-                    let cost = cr.compiled_words().unwrap_or_else(|| {
-                        let rows: u64 = dynfo_logic::analysis::relation_symbols(&cr.rule.formula)
-                            .into_iter()
-                            .filter_map(|s| self.state.vocab().relation(s))
-                            .map(|id| self.state.relation(id).len() as u64)
-                            .sum();
-                        PLAN_WORDS_PER_ROW
-                            .saturating_mul(rows.max(1))
-                            .min(dense_words(arity))
-                    });
-                    per_tuple = per_tuple.saturating_add(cost);
-                }
-            }
-        }
-        if closure_fixed == 0 {
-            return true;
-        }
-        (delta_len as u64).saturating_mul(per_tuple) >= closure_fixed
     }
 
     /// Execute a bulk change as one fixpoint when its kind is eligible;
@@ -1811,9 +1697,7 @@ mod tests {
             );
         let req = Request::bulk_ins("E", succ);
         let n = 8;
-        // Pin the one-shot pipeline: at n = 8 a 7-tuple Δ is exactly
-        // the small-Δ case `BulkRoute::Auto` routes to the fallback.
-        let mut bulk = DynFoMachine::new(closure(), n).with_bulk_route(BulkRoute::OneShot);
+        let mut bulk = DynFoMachine::new(closure(), n);
         let mut stream = DynFoMachine::new(closure(), n);
         let expanded = bulk.expand_bulk(&req).unwrap();
         assert_eq!(expanded.len(), 7, "seven chain edges");

@@ -264,7 +264,7 @@ pub(crate) const PLAN_COMPILE_WORDS_CAP: u64 = 1 << 22;
 /// evaluation (probe, scan, diff, install); 8 words/row keeps the
 /// estimate conservative — the plan must still be within an order of
 /// magnitude of the scan volume its reads imply.
-pub(crate) const PLAN_WORDS_PER_ROW: u64 = 8;
+const PLAN_WORDS_PER_ROW: u64 = 8;
 
 impl BitPlan {
     pub fn compile(f: &Formula, st: &Structure) -> Option<BitPlan> {
@@ -359,27 +359,6 @@ pub(crate) struct CompiledRule {
 }
 
 impl CompiledRule {
-    /// Kernel words one request costs when every body runs as its
-    /// plain plans (the bulk router's per-tuple price); `None` if some
-    /// body did not compile.
-    pub fn compiled_words(&self) -> Option<u64> {
-        let mut total = 0u64;
-        for r in self.disjuncts.iter().filter_map(|d| d.body.residual()) {
-            if r.parts.is_empty() {
-                return None;
-            }
-            total += r
-                .parts
-                .iter()
-                .map(|p| match p {
-                    Part::Plain(l) | Part::Bound { body: l, .. } => l.bits.work_words,
-                    Part::Witness { .. } => 0,
-                })
-                .sum::<u64>();
-        }
-        Some(total)
-    }
-
     /// Every plan compiled for this rule.
     pub fn plans(&self) -> impl Iterator<Item = &BitPlan> {
         self.disjuncts

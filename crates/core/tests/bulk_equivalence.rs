@@ -14,7 +14,7 @@
 //! `crates/serve/tests/fault_matrix.rs`; core cannot exercise the
 //! journal from here.
 
-use dynfo_core::{programs, BulkRoute, DynFoMachine, DynFoProgram, Request, RequestKind};
+use dynfo_core::{programs, DynFoMachine, DynFoProgram, Request, RequestKind};
 use dynfo_logic::formula::{
     and, eq, exists, forall, lit, lt, not, param, rel, v, Formula,
 };
@@ -294,9 +294,7 @@ fn bulk_semi_reach() {
 fn semi_reach_u_bulk_insert_takes_the_one_shot_path() {
     let n = 16u32;
     let p = programs::semi::reach_u_program;
-    // Pin the one-shot pipeline: a 15-tuple chain Δ at n = 16 is the
-    // small-Δ case `BulkRoute::Auto` now routes to the fallback.
-    let mut bulk = DynFoMachine::new(p(), n).with_bulk_route(BulkRoute::OneShot);
+    let mut bulk = DynFoMachine::new(p(), n);
     let mut stream = DynFoMachine::new(p(), n);
     let req = Request::bulk_ins("E", chain());
     let expanded = bulk.expand_bulk(&req).unwrap();
@@ -317,13 +315,16 @@ fn semi_reach_u_bulk_insert_takes_the_one_shot_path() {
 /// REACH_u does not claim memorylessness, so its bulk requests replay
 /// through the per-tuple fallback — which must preserve not just the
 /// final state but the expanded stream's entire install profile and
-/// request count.
+/// request count. `machine.bulk_fallback` counts both: an ineligible
+/// kind is one of the counter's two causes.
 #[test]
 fn reach_u_fallback_preserves_the_install_profile() {
     let n = 8u32;
     let p = programs::reach_u::program;
     let prelude = edge_requests("E", &churn_stream(n, 12, 0.3, true, &mut rng(427)));
-    let mut bulk = DynFoMachine::new(p(), n);
+    let registry = std::sync::Arc::new(dynfo_obs::Registry::new());
+    let mut bulk =
+        DynFoMachine::new(p(), n).with_obs(&dynfo_obs::ObsHandle::with_registry(registry.clone()));
     let mut stream = DynFoMachine::new(p(), n);
     for r in &prelude {
         bulk.apply(r).unwrap();
@@ -353,6 +354,11 @@ fn reach_u_fallback_preserves_the_install_profile() {
         bulk.stats().installs,
         stream.stats().installs,
         "and routes every install identically"
+    );
+    assert_eq!(
+        registry.counter("machine.bulk_fallback").get(),
+        2,
+        "ineligible kind"
     );
 }
 
@@ -388,8 +394,7 @@ fn down_closure() -> DynFoProgram {
 #[test]
 fn shrink_program_bulk_delete_takes_the_one_shot_path() {
     let n = 12u32;
-    // Pin the one-shot pipeline (small Δ would otherwise fall back).
-    let mut bulk = DynFoMachine::new(down_closure(), n).with_bulk_route(BulkRoute::OneShot);
+    let mut bulk = DynFoMachine::new(down_closure(), n);
     let mut stream = DynFoMachine::new(down_closure(), n);
     for &m in &[3u32, 7, 10] {
         bulk.apply(&Request::ins("M", [m])).unwrap();
@@ -460,38 +465,38 @@ fn bulk_composes_with_every_execution_mode() {
     );
 }
 
-/// ROADMAP item 1's small-Δ headroom: under the default
-/// [`BulkRoute::Auto`], a δ of two tuples expands to the per-tuple
-/// fallback (the closure's fixed cost dwarfs two single-tuple
-/// applies) while a relation-scale δ still takes the one-shot
-/// fixpoint — and the routing is observable on `machine.bulk_fallback`
-/// and the request counters, with byte-identical state either way.
+/// A bulk change's route is a fact of its kind: semi REACH_u's insert
+/// kind is eligible, so every Δ size — one tuple, a pair, the chain,
+/// every increasing pair — runs the one-shot fixpoint as one request,
+/// lands on its expanded stream's state, and never falls back.
 #[test]
-fn auto_routes_by_delta_size() {
+fn eligible_kinds_run_one_shot_at_every_delta_size() {
     let n = 16u32;
     let p = programs::semi::reach_u_program;
-    let registry = std::sync::Arc::new(dynfo_obs::Registry::new());
-    let mut auto_m =
-        DynFoMachine::new(p(), n).with_obs(&dynfo_obs::ObsHandle::with_registry(registry.clone()));
-    let mut pinned = DynFoMachine::new(p(), n).with_bulk_route(BulkRoute::OneShot);
-    let fallbacks = registry.counter("machine.bulk_fallback");
-
-    // |Δ| = 2: the chain edges below 3.
-    let small = Request::bulk_ins("E", and([chain(), lt(v("x1"), lit(3))]));
-    assert_eq!(auto_m.expand_bulk(&small).unwrap().len(), 2);
-    auto_m.apply(&small).unwrap();
-    pinned.apply(&small).unwrap();
-    assert_eq!(auto_m.state(), pinned.state(), "routing never changes the state");
-    assert_eq!(auto_m.stats().requests, 2, "small Δ replays per tuple");
-    assert_eq!(fallbacks.get(), 1, "machine.bulk_fallback witnesses the routing");
-
-    // |Δ| ≈ n²/2: every increasing pair — relation-scale, one-shot.
-    let big = Request::bulk_ins("E", lt(v("x0"), v("x1")));
-    auto_m.apply(&big).unwrap();
-    pinned.apply(&big).unwrap();
-    assert_eq!(auto_m.state(), pinned.state(), "one-shot after crossover");
-    assert_eq!(auto_m.stats().requests, 3, "the big Δ counts one request");
-    assert_eq!(fallbacks.get(), 1, "no further fallback past the crossover");
+    let deltas = [
+        (1, and([chain(), lt(v("x1"), lit(2))])),
+        (2, and([chain(), lt(v("x1"), lit(3))])),
+        (15, chain()),
+        (120, lt(v("x0"), v("x1"))),
+    ];
+    for (size, delta) in deltas {
+        let registry = std::sync::Arc::new(dynfo_obs::Registry::new());
+        let mut bulk = DynFoMachine::new(p(), n)
+            .with_obs(&dynfo_obs::ObsHandle::with_registry(registry.clone()));
+        let mut stream = DynFoMachine::new(p(), n);
+        let req = Request::bulk_ins("E", delta);
+        let expanded = bulk.expand_bulk(&req).unwrap();
+        assert_eq!(expanded.len(), size);
+        stream.apply_all(&expanded).unwrap();
+        bulk.apply(&req).unwrap();
+        assert_eq!(bulk.state(), stream.state(), "|Δ| = {size}");
+        assert_eq!(bulk.stats().requests, 1, "|Δ| = {size}: one request");
+        assert_eq!(
+            registry.counter("machine.bulk_fallback").get(),
+            0,
+            "|Δ| = {size}"
+        );
+    }
 }
 
 /// δ reads no relation at all (the successor chain is numeric), so no
@@ -522,7 +527,8 @@ fn relation_free_delta_runs_compiled() {
 /// interpreter. The closure's rounds, compiled against the dense layout
 /// at construction, no longer match the state, so the change replays
 /// per tuple — on the interpreter too — and still lands on the
-/// expanded stream's state.
+/// expanded stream's state. That mismatch is `machine.bulk_fallback`'s
+/// other cause.
 #[test]
 fn bulk_interprets_what_reads_a_sparse_relation() {
     let copy = rel("E", [v("x"), v("y")]) | (eq(v("x"), param(0)) & eq(v("y"), param(1)));
@@ -545,13 +551,15 @@ fn bulk_interprets_what_reads_a_sparse_relation() {
         })
         .query(Formula::True)
         .build();
-    let machine = || {
-        let mut m = DynFoMachine::new(program.clone(), 8).with_bulk_route(BulkRoute::OneShot);
+    let registry = std::sync::Arc::new(dynfo_obs::Registry::new());
+    let machine = |obs: &dynfo_obs::ObsHandle| {
+        let mut m = DynFoMachine::new(program.clone(), 8).with_obs(obs);
         m.apply_all(&[Request::ins("E", [0, 1]), Request::ins("E", [1, 2])]).unwrap();
         assert!(m.recompute().unwrap());
         m
     };
-    let (mut bulk, mut stream) = (machine(), machine());
+    let mut bulk = machine(&dynfo_obs::ObsHandle::with_registry(registry.clone()));
+    let mut stream = machine(&dynfo_obs::ObsHandle::default());
     // Every edge, reversed.
     let delta = rel("E", [v("x1"), v("x0")]);
     let canonical = dynfo_logic::analysis::canonicalize(&delta);
@@ -568,4 +576,5 @@ fn bulk_interprets_what_reads_a_sparse_relation() {
     let work = bulk.stats().update_work;
     assert!(work.rows_built > before.rows_built, "the replay interpreted: {work:?}");
     assert_eq!(bulk.state().rel("TC").backend_kind(), "sparse");
+    assert_eq!(registry.counter("machine.bulk_fallback").get(), 1, "stale closure");
 }

@@ -12,7 +12,7 @@
 //! for: one chain bulk does no more kernel work than its expanded
 //! single-tuple requests.
 
-use dynfo_core::{programs, BulkRoute, DynFoMachine, Request};
+use dynfo_core::{programs, DynFoMachine, Request};
 use dynfo_logic::formula::{and, forall, lt, not, v};
 use dynfo_logic::EvalStats;
 use dynfo_testutil::rng;
@@ -147,11 +147,11 @@ fn reach_u_requests_stay_within_the_cubic_word_bound() {
 /// and every closure round (each of whose ∃-joins composes, costing the
 /// popcount of its driving operand) — takes no more kernel words than
 /// the expanded stream of single inserts it stands for, with the
-/// interpreter idle on both sides. This is the work-level half of the
-/// case against routing bulk changes by Δ size: the one-shot never
-/// does more word work than the stream. (Wall-clock is another matter:
-/// δ is a fresh plan every request, and at n = 256 its S³ passes
-/// outweigh the stream's 255 cheap inserts — EXPERIMENTS E25.)
+/// interpreter idle on both sides: the one-shot never does more word
+/// work than the stream. (Wall-clock is another matter: δ is a fresh
+/// plan every request, and at n = 256 its S³ passes outweigh the
+/// stream's 255 cheap inserts — EXPERIMENTS E25. That stream skips δ;
+/// a bulk request pays δ on either route.)
 #[test]
 fn chain_bulk_costs_at_most_its_stream() {
     let chain = and([
@@ -161,7 +161,7 @@ fn chain_bulk_costs_at_most_its_stream() {
     let req = Request::bulk_ins("E", chain);
     for n in [64u32, 128, 256] {
         let program = programs::semi::reach_u_program;
-        let mut bulk = DynFoMachine::new(program(), n).with_bulk_route(BulkRoute::OneShot);
+        let mut bulk = DynFoMachine::new(program(), n);
         let mut stream = DynFoMachine::new(program(), n);
         let expanded = stream.expand_bulk(&req).unwrap();
         let one_shot = bulk.apply(&req).unwrap();

@@ -318,9 +318,8 @@ impl<'a> Evaluator<'a> {
         // (free variables renamed to positional slots, so e.g. Theorem
         // 4.1's `New(x,y)` and `New(u,w)` share one entry). Relation
         // atoms are always memo-eligible: a scan's table is often reused
-        // verbatim (the same atom appears across rules of one request,
-        // and across slices in the parallel evaluator) and the key is a
-        // two-node clone.
+        // verbatim (the same atom appears across rules of one request)
+        // and the key is a two-node clone.
         let memoizable = match f {
             Rel { .. } => true,
             And(..) | Or(..) | Exists(..) | Not(..) => {

@@ -218,8 +218,8 @@ impl Term {
         }
     }
 
-    /// Substitute variable `x` by `replacement` (used for quantifier
-    /// instantiation and the parallel evaluator's slicing).
+    /// Substitute variable `x` by `replacement` (used by the one-point
+    /// rule and to bind witness slots to parameters).
     pub fn substitute(&self, x: Sym, replacement: Term) -> Term {
         match self {
             Term::Var(s) if *s == x => replacement,

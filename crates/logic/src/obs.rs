@@ -61,8 +61,6 @@ pub struct EvalObs {
     pub pool_jobs: Arc<Counter>,
     /// `pool.queue_depth` — submitted-but-not-started jobs, now.
     pub pool_queue_depth: Arc<Gauge>,
-    /// `pool.steal_draws` — slice hand-outs drawn by pool workers.
-    pub pool_steal_draws: Arc<Counter>,
     /// `pool.busy_ns` — total nanoseconds pool workers spent running
     /// jobs (sum across workers; divide by wall time for utilization).
     pub pool_busy_ns: Arc<Counter>,
@@ -87,7 +85,6 @@ pub fn eval_obs() -> &'static EvalObs {
             simd_lanes: reg.counter("eval.simd_lanes"),
             pool_jobs: reg.counter("pool.jobs"),
             pool_queue_depth: reg.gauge("pool.queue_depth"),
-            pool_steal_draws: reg.counter("pool.steal_draws"),
             pool_busy_ns: reg.counter("pool.busy_ns"),
         }
     })
