@@ -146,7 +146,7 @@ fn bench_query(c: &mut Criterion) {
             |b, _| {
                 b.iter(|| {
                     let mut ev = Evaluator::new(&st, &[]);
-                    plan.execute(&mut ev, &mut arena, None).unwrap().unwrap()
+                    plan.execute(&mut ev, &mut arena, None).unwrap()
                 })
             },
         );

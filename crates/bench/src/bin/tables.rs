@@ -882,7 +882,7 @@ fn e20_compiled() {
             let mut words = 0;
             for _ in 0..rounds {
                 let mut ev = dynfo_logic::Evaluator::new(&st, &[]);
-                std::hint::black_box(plan.execute(&mut ev, &mut arena, None).unwrap().unwrap());
+                std::hint::black_box(plan.execute(&mut ev, &mut arena, None).unwrap());
                 words = ev.stats().kernel_words;
             }
             words
@@ -1574,7 +1574,7 @@ fn e24_plan_optimizer() {
                     let mut arena = plan.arena();
                     let mut ev = Evaluator::new(&st, &[]);
                     let (out, secs) = timed(|| plan.execute(&mut ev, &mut arena, None));
-                    out.expect("corpus execute").expect("layout matches");
+                    out.expect("corpus execute");
                     exec_secs[i] += secs;
                     run_kw[i] += ev.stats().kernel_words;
                 }

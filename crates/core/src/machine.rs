@@ -18,6 +18,7 @@ use dynfo_logic::eval::delta::{install_plan, DeltaMode, InstallPlan};
 use dynfo_logic::eval::{probe, Evaluator};
 use dynfo_logic::formula::Formula;
 use dynfo_logic::parallel::EvalPool;
+use dynfo_logic::relation::fits_dense;
 use dynfo_logic::{
     Elem, EvalError, EvalStats, RelId, Relation, Structure, Sym, Tuple, MAX_ARITY,
 };
@@ -53,8 +54,7 @@ struct MachineObs {
     bind_witnesses: Arc<Histogram>,
     /// `machine.install.{bitmap,tuples}` — general-rule results that
     /// reached their target as a counted bitmap pass, or as a decoded,
-    /// diffed tuple list (sparse target, interpreter, or a plan that
-    /// bailed).
+    /// diffed tuple list (sparse target or interpreter).
     install_route: [Arc<Counter>; 2],
     /// `machine.batch_size` — requests per `apply_batch` call.
     batch_size: Arc<Histogram>,
@@ -71,10 +71,9 @@ struct MachineObs {
     /// stream (nanoseconds).
     bulk_plan_ns: Arc<Histogram>,
     /// `machine.bulk_fallback` — bulk requests that expanded to
-    /// single-tuple streams: their kind is not one-shot eligible
+    /// single-tuple streams because their kind is not one-shot eligible
     /// (Guarded/Full rules, no memoryless claim to justify the
-    /// fixpoint, a closure that did not compile), or its closure no
-    /// longer matches the state's backends.
+    /// fixpoint, a closure that did not compile).
     bulk_fallback: Arc<Counter>,
     /// `machine.recomputes` — full "start over" recomputes executed
     /// ([`DynFoMachine::recompute`] calls).
@@ -319,7 +318,8 @@ impl DynFoMachine {
     ///
     /// The structure must interpret exactly the program's auxiliary
     /// vocabulary — same relation names and arities, same constants —
-    /// and is adopted as the machine's state verbatim. Statistics start
+    /// and is adopted as the machine's state, each relation on the
+    /// backend [`Relation::with_universe`] picks. Statistics start
     /// at zero (a freshly restored machine has done no work), so a
     /// restored machine is indistinguishable from the uninterrupted one
     /// in state and answers, not in counters.
@@ -360,9 +360,11 @@ impl DynFoMachine {
         Ok(DynFoMachine::over(program, state))
     }
 
-    /// The one construction path: compile every rule and the boolean
-    /// query against `state`'s layout and start with shipped defaults.
-    fn over(program: DynFoProgram, state: Structure) -> DynFoMachine {
+    /// The one construction path: put `state` in the compiled layout,
+    /// compile every rule and the boolean query against it and start
+    /// with shipped defaults.
+    fn over(program: DynFoProgram, mut state: Structure) -> DynFoMachine {
+        adopt_compiled_layout(&mut state);
         DynFoMachine {
             tables: compile_tables(&program, &state),
             query_plan: BitPlan::compile(program.query(), &state),
@@ -426,14 +428,6 @@ impl DynFoMachine {
         self.bit_plans().map(|bp| bp.work_words).sum()
     }
 
-    /// Interpreter islands across every currently compiled plan: the
-    /// subtrees some plan still hands to the interpreter on every
-    /// execution. Zero means whatever runs compiled runs on kernels
-    /// alone.
-    pub fn plan_interp_islands(&self) -> usize {
-        self.bit_plans().map(|bp| bp.plan.interp_islands()).sum()
-    }
-
     /// ∃-joins lowered as compose ops across every currently compiled
     /// plan ([`dynfo_logic::Plan::compose_joins`]).
     pub fn plan_compose_joins(&self) -> usize {
@@ -460,21 +454,23 @@ impl DynFoMachine {
     }
 
     /// Start over now: run the program's recompute closure against the
-    /// current state and adopt the result. Returns `Ok(false)` when the
-    /// program carries no closure. The rebuilt structure must keep the
-    /// same universe and vocabulary — anything else is a
+    /// current state and adopt the result, each relation on the backend
+    /// the compiled plans expect. Returns `Ok(false)` when the program
+    /// carries no closure. The rebuilt structure must keep the same
+    /// universe and vocabulary — anything else is a
     /// [`MachineError::StateMismatch`].
     pub fn recompute(&mut self) -> Result<bool, MachineError> {
         let Some(f) = self.program.recompute_fn().cloned() else {
             return Ok(false);
         };
         let _span = dynfo_obs::span("machine.recompute");
-        let fresh = f(&self.state);
+        let mut fresh = f(&self.state);
         if fresh.size() != self.state.size() || !Arc::ptr_eq(fresh.vocab(), self.state.vocab()) {
             return Err(MachineError::StateMismatch(
                 "recompute closure changed the universe or vocabulary".into(),
             ));
         }
+        adopt_compiled_layout(&mut fresh);
         self.state = fresh;
         self.stats.recomputes += 1;
         self.obs.recomputes.inc();
@@ -865,15 +861,15 @@ impl DynFoMachine {
     /// The live Δ — the tuples the change actually toggles — is
     /// materialized first, as a bitmap where the target is densely
     /// backed ([`DynFoMachine::bulk_delta`]). Maintenance then
-    /// dispatches: programs whose rules for this kind are all copies
-    /// and `Grow`/`Shrink` shapes with target-positive residuals — a
-    /// verdict reached once, at construction
-    /// ([`KindTable::bulk_one_shot`]) — run *one* monotone fixpoint
-    /// over the whole Δ ([`DynFoMachine::apply_bulk_one_shot`]);
-    /// everything else replays Δ through the ordinary per-tuple
-    /// pipeline. Both paths land on the byte-identical state the
-    /// expanded single-tuple stream produces — the `DiffMode::Bulk`
-    /// differential suites enforce it.
+    /// dispatches on a verdict reached once, at construction
+    /// ([`KindTable::bulk_one_shot`]): programs whose rules for this
+    /// kind are all copies and `Grow`/`Shrink` shapes with
+    /// target-positive residuals run *one* monotone fixpoint over the
+    /// whole Δ ([`DynFoMachine::apply_bulk_one_shot`]); everything else
+    /// replays Δ through the ordinary per-tuple pipeline. Both paths
+    /// land on the byte-identical state the expanded single-tuple
+    /// stream produces — the `DiffMode::Bulk` differential suites
+    /// enforce it.
     fn apply_bulk(&mut self, req: &Request) -> Result<EvalStats, MachineError> {
         let _span = dynfo_obs::span("machine.bulk");
         let started = dynfo_obs::clock();
@@ -884,12 +880,12 @@ impl DynFoMachine {
         };
         let (live, delta_work) = self.bulk_delta(rel, delta, is_ins)?;
         self.obs.bulk_tuples.add(live.len() as u64);
-        let out = match self.apply_bulk_one_shot(req.kind(), &live, is_ins, delta_work)? {
-            Some(work) => Ok(work),
-            None => {
-                self.obs.bulk_fallback.inc();
-                self.apply_bulk_fallback(rel, &live, is_ins)
-            }
+        let one_shot = self.tables.get(&req.kind()).is_some_and(|t| t.bulk_one_shot.is_some());
+        let out = if one_shot {
+            self.apply_bulk_one_shot(req.kind(), &live, is_ins, delta_work)
+        } else {
+            self.obs.bulk_fallback.inc();
+            self.apply_bulk_fallback(rel, &live, is_ins)
         };
         self.obs.bulk_plan_ns.observe_since(started);
         out
@@ -930,8 +926,7 @@ impl DynFoMachine {
     /// the interpreter has no delta shortcut for δ, which is a fresh
     /// formula every request — and its root is ORed straight into the
     /// relation's bitmap; the interpreter evaluates δ only when no plan
-    /// lowers (a sparse-backed read, a plan past the compile cap), or
-    /// the plan bails.
+    /// lowers (a sparse-backed read, a plan past the compile cap).
     fn eval_delta_set(
         &self,
         delta: &Formula,
@@ -943,36 +938,32 @@ impl DynFoMachine {
         let mut ev = Evaluator::new(&self.state, &[]);
         if let Some(bp) = BitPlan::compile(&canonical, &self.state) {
             let mut arena = bp.arena.lock().expect("plan arena lock");
-            if bp.plan.run(&mut ev, &mut arena, None)? {
-                match defined.dense_words() {
-                    Some(words) => {
-                        let axes: Vec<Option<usize>> = (0..arity)
-                            .map(|i| {
-                                let x = Sym::new(&format!("x{i}"));
-                                bp.plan.vars().iter().position(|&v| v == x)
-                            })
-                            .collect();
-                        let mut bits = vec![0u64; words];
-                        bp.plan.or_root_into(&arena, &axes, &mut bits, ev.stats_mut());
-                        defined.install_bits(DeltaMode::Grow, &bits);
-                    }
-                    None => {
-                        let rows = delta_rows(bp.plan.decode_root(&arena), arity, n);
-                        defined.insert_all(&rows);
-                    }
+            bp.plan.run(&mut ev, &mut arena, None)?;
+            match defined.dense_words() {
+                Some(words) => {
+                    let axes: Vec<Option<usize>> = (0..arity)
+                        .map(|i| {
+                            let x = Sym::new(&format!("x{i}"));
+                            bp.plan.vars().iter().position(|&v| v == x)
+                        })
+                        .collect();
+                    let mut bits = vec![0u64; words];
+                    bp.plan.or_root_into(&arena, &axes, &mut bits, ev.stats_mut());
+                    defined.install_bits(DeltaMode::Grow, &bits);
                 }
-                return Ok((defined, ev.stats()));
+                None => {
+                    let rows = delta_rows(bp.plan.decode_root(&arena), arity, n);
+                    defined.insert_all(&rows);
+                }
             }
+            return Ok((defined, ev.stats()));
         }
         let table = ev.eval(&canonical)?;
         defined.insert_all(&delta_rows(table, arity, n));
         Ok((defined, ev.stats()))
     }
 
-    /// Execute a bulk change as one fixpoint when its kind is eligible;
-    /// `Ok(None)` — with nothing touched — when it is not, or when its
-    /// closure no longer matches the state (a target or a read turned
-    /// sparse since construction), and the caller replays Δ per tuple.
+    /// Execute a bulk change of an eligible kind as one fixpoint.
     ///
     /// The state is copied and extended with Δ as a scratch relation.
     /// Each round runs every rule's closed residual — compiled once, at
@@ -993,14 +984,9 @@ impl DynFoMachine {
         delta: &Relation,
         is_ins: bool,
         mut work: EvalStats,
-    ) -> Result<Option<EvalStats>, MachineError> {
-        let Some(table) = self.tables.get(&kind) else {
-            return Ok(None);
-        };
-        let Some(rounds) = &table.bulk_one_shot else {
-            return Ok(None);
-        };
-        let n = self.n();
+    ) -> Result<EvalStats, MachineError> {
+        let table = &self.tables[&kind];
+        let rounds = table.bulk_one_shot.as_ref().expect("apply_bulk checked eligibility");
         let rules = &table.rules;
         let closed = || {
             rules.iter().zip(rounds).filter_map(|(cr, round)| match round {
@@ -1008,9 +994,6 @@ impl DynFoMachine {
                 Round::Copy => None,
             })
         };
-        if closed().any(|(cr, _)| self.state.relation(cr.target).dense_universe() != Some(n)) {
-            return Ok(None);
-        }
         let mut ext = self.state.extended(BULK_DELTA_REL, delta.clone());
         // Tuples each rule's target gained (bulk insert) or lost (delete).
         let mut moved = vec![0usize; rules.len()];
@@ -1019,9 +1002,7 @@ impl DynFoMachine {
             for (cr, l) in closed() {
                 let mut ev = Evaluator::new(&ext, &[]);
                 let mut arena = l.bits.arena.lock().expect("plan arena lock");
-                if !l.bits.plan.run(&mut ev, &mut arena, None)? {
-                    return Ok(None);
-                }
+                l.bits.plan.run(&mut ev, &mut arena, None)?;
                 let mut out = cr.out.0.lock().expect("out bitmap lock");
                 out.clear();
                 out.resize(ext.relation(cr.target).dense_words().expect("dense target"), 0);
@@ -1079,7 +1060,7 @@ impl DynFoMachine {
         self.stats.requests += 1;
         self.obs.requests.inc();
         self.stats.update_work.absorb(&work);
-        Ok(Some(work))
+        Ok(work)
     }
 
     /// Replay Δ through the ordinary per-request pipeline: state *and*
@@ -1225,11 +1206,9 @@ impl InstallStats {
 
 /// Execute a rule's or query's compiled plan over the dense backends,
 /// provided the caller's gate admitted it (for unguarded rules,
-/// [`BitPlan::profitable`]). `Ok(None)` means the caller
-/// interprets instead — compilation or the gate declined, or the plan
-/// bailed at runtime (a relation's backend or universe no longer matches
-/// the compiled layout) — with `plan_fallback` counted. Real evaluation
-/// errors surface exactly like the interpreter's.
+/// [`BitPlan::profitable`]). `Ok(None)` means the caller interprets
+/// instead — compilation or the gate declined — with `plan_fallback`
+/// counted. Evaluation errors surface exactly like the interpreter's.
 fn run_plan(
     plan: Option<&BitPlan>,
     pool: Option<&EvalPool>,
@@ -1237,15 +1216,32 @@ fn run_plan(
 ) -> Result<Option<dynfo_logic::Table>, EvalError> {
     if let Some(bp) = plan {
         let mut arena = bp.arena.lock().unwrap();
-        if let Some(t) = bp.plan.execute(ev, &mut arena, pool)? {
-            return Ok(Some(t));
-        }
+        return bp.plan.execute(ev, &mut arena, pool).map(Some);
     }
     ev.stats_mut().plan_fallback += 1;
     if dynfo_obs::ENABLED {
         dynfo_logic::obs::eval_obs().plan_fallback.inc();
     }
     Ok(None)
+}
+
+/// Put every relation of `state` on the backend [`Relation::with_universe`]
+/// picks — the layout the machine's plans are compiled for, so a plan
+/// never meets a relation it cannot read. Relations already there are
+/// not touched, so a state in that layout costs one check per relation.
+fn adopt_compiled_layout(state: &mut Structure) {
+    let n = state.size();
+    let vocab = Arc::clone(state.vocab());
+    for (id, sym) in vocab.relations() {
+        let want = fits_dense(sym.arity, n).then_some(n);
+        let rel = state.relation(id);
+        if rel.dense_universe() != want {
+            *state.relation_mut(id) = match want {
+                Some(n) => rel.to_dense(n),
+                None => rel.to_sparse(),
+            };
+        }
+    }
 }
 
 /// Guard refinement: probe each disjunct's ground guards against the
@@ -1309,7 +1305,8 @@ fn selected_residuals<'a>(
         .filter_map(|(_, d)| d.body.residual())
 }
 
-/// Compute one witness relation for this request (or mark it absent).
+/// Compute one witness relation for this request, if some selected body
+/// reads it.
 fn run_witness(
     witness: &Witness,
     read: bool,
@@ -1318,13 +1315,10 @@ fn run_witness(
 ) -> Result<(), EvalError> {
     rows.rows.clear();
     rows.count = 0;
-    rows.ran = false;
     if read {
         let mut arena = witness.bits.arena.lock().expect("witness arena lock");
-        rows.ran = witness.bits.plan.run(ev, &mut arena, None)?;
-        if rows.ran {
-            rows.count = witness.bits.plan.root_count(&arena);
-        }
+        witness.bits.plan.run(ev, &mut arena, None)?;
+        rows.count = witness.bits.plan.root_count(&arena);
     }
     Ok(())
 }
@@ -1383,9 +1377,9 @@ fn eval_general(
 
 /// Run every selected body compiled and OR the roots into the rule's
 /// `out` bitmap, in the target's own layout. `Ok(false)` — nothing
-/// usable in `out` — when the target is not densely backed, some body
-/// has no compiled route this request admits (decided before anything
-/// runs, so declining costs no kernel work), or a plan bailed.
+/// usable in `out` — when the target is not densely backed or some body
+/// has no compiled route this request admits, both decided before
+/// anything runs, so declining costs no kernel work.
 fn eval_bits(
     ctx: &RuleCtx<'_>,
     cr: &CompiledRule,
@@ -1394,8 +1388,7 @@ fn eval_bits(
 ) -> Result<bool, EvalError> {
     let st = ctx.st;
     let target = st.relation(cr.target);
-    let Some(words) = target.dense_words().filter(|_| target.dense_universe() == Some(st.size()))
-    else {
+    let Some(words) = target.dense_words() else {
         return Ok(false);
     };
     let admitted = |bp: &BitPlan| cr.guarded || bp.profitable(st);
@@ -1422,15 +1415,13 @@ fn eval_bits(
     let mut out = cr.out.0.lock().expect("out bitmap lock");
     out.clear();
     out.resize(words, 0);
-    let run = |l: &Lowered, ev: &mut Evaluator<'_>, out: &mut [u64]| -> Result<bool, EvalError> {
+    let run = |l: &Lowered, ev: &mut Evaluator<'_>, out: &mut [u64]| -> Result<(), EvalError> {
         let mut arena = l.bits.arena.lock().expect("plan arena lock");
         // No pool: rule plans may already be running on pool workers,
         // and pools must not nest.
-        let ran = l.bits.plan.run(ev, &mut arena, None)?;
-        if ran {
-            l.bits.plan.or_root_into(&arena, &l.axes, out, ev.stats_mut());
-        }
-        Ok(ran)
+        l.bits.plan.run(ev, &mut arena, None)?;
+        l.bits.plan.or_root_into(&arena, &l.axes, out, ev.stats_mut());
+        Ok(())
     };
     for r in selected_residuals(cr, sel) {
         let parts = r
@@ -1438,11 +1429,7 @@ fn eval_bits(
             .expect("every selected body has a compiled route");
         for part in parts {
             match part {
-                Part::Plain(l) => {
-                    if !run(l, ev, &mut out)? {
-                        return Ok(false);
-                    }
-                }
+                Part::Plain(l) => run(l, ev, &mut out)?,
                 Part::Witness { witness, axes } => {
                     let bits = &ctx.kind_witnesses[*witness].bits;
                     let arena = bits.arena.lock().expect("witness arena lock");
@@ -1457,11 +1444,8 @@ fn eval_bits(
                     for row in &ctx.witnesses[*witness].rows {
                         bound[p..p + row.len()].copy_from_slice(row.as_slice());
                         let mut inner = Evaluator::new(st, &bound[..p + row.len()]);
-                        let ran = run(body, &mut inner, &mut out)?;
+                        run(body, &mut inner, &mut out)?;
                         ev.stats_mut().absorb(&inner.stats());
-                        if !ran {
-                            return Ok(false);
-                        }
                     }
                 }
             }

@@ -151,24 +151,20 @@ impl Residual {
 
     /// The parts to run and OR for this request, or `None` where the
     /// interpreter evaluates [`Residual::formula`] instead: nothing
-    /// compiled, a witness plan bailed (nothing to bind, nothing to
-    /// install from), or the witness relations are so large that the
-    /// bind joins' `Σ |W| · words(β)` passes the ceiling the unbound
-    /// lowering is held to.
+    /// compiled, or the witness relations are so large that the bind
+    /// joins' `Σ |W| · words(β)` passes the ceiling the unbound lowering
+    /// is held to.
     pub fn route(&self, witnesses: &[WitnessRows]) -> Option<&[Part]> {
-        let mut bound_words = 0u64;
-        for part in &self.parts {
-            match part {
-                Part::Plain(_) => {}
-                Part::Witness { witness, .. } if witnesses[*witness].ran => {}
-                Part::Bound { witness, body } if witnesses[*witness].ran => {
-                    let rows = witnesses[*witness].count as u64;
-                    bound_words =
-                        bound_words.saturating_add(rows.saturating_mul(body.bits.work_words));
+        let bound_words = self
+            .parts
+            .iter()
+            .map(|part| match part {
+                Part::Bound { witness, body } => {
+                    (witnesses[*witness].count as u64).saturating_mul(body.bits.work_words)
                 }
-                Part::Witness { .. } | Part::Bound { .. } => return None,
-            }
-        }
+                Part::Plain(_) | Part::Witness { .. } => 0,
+            })
+            .fold(0u64, u64::saturating_add);
         (!self.parts.is_empty() && bound_words <= PLAN_COMPILE_WORDS_CAP).then_some(&self.parts[..])
     }
 
@@ -204,10 +200,6 @@ pub(crate) struct Witness {
 /// run, for each witness some surviving disjunct reads.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct WitnessRows {
-    /// The witness plan ran (its root buffer holds this request's
-    /// relation). False when no surviving disjunct needed it or the plan
-    /// bailed.
-    pub ran: bool,
     /// Tuples in the witness relation.
     pub count: usize,
     /// Those tuples, columns in slot order — decoded only when some
@@ -218,9 +210,8 @@ pub(crate) struct WitnessRows {
 /// A rule or query formula lowered to a bit-parallel kernel plan
 /// ([`dynfo_logic::Plan`]), paired with its reusable slot arena.
 /// Compiled once per machine; execution falls back to the interpreter
-/// when compilation declined, the plan bails at runtime (a relation's
-/// backend no longer matches the compiled layout), or the live budget
-/// rules the plan unprofitable ([`BitPlan::profitable`]).
+/// when compilation declined or the live budget rules the plan
+/// unprofitable ([`BitPlan::profitable`]).
 #[derive(Debug)]
 pub(crate) struct BitPlan {
     pub plan: Arc<Plan>,
@@ -281,11 +272,6 @@ impl BitPlan {
             reads,
             arena,
         })
-    }
-
-    /// The plan runs on kernels alone — no interpreter island.
-    pub fn kernels_only(&self) -> bool {
-        self.plan.interp_islands() == 0
     }
 
     /// Density-aware routing for rules no guard selects: run the plan
@@ -483,7 +469,7 @@ fn compile_closure(rules: &[CompiledRule], st: &Structure, arity: usize) -> Opti
             if st.relation(cr.target).dense_universe() != Some(n) {
                 return None;
             }
-            lower(&close(psi, negate, arity), &cr.rule.vars, false, &template).map(Round::Closed)
+            lower(&close(psi, negate, arity), &cr.rule.vars, &template).map(Round::Closed)
         })
         .collect()
 }
@@ -559,7 +545,7 @@ fn arms(f: &Formula) -> &[Formula] {
 /// residual against that registry.
 fn compile_residuals(table: &mut KindTable, st: &Structure, params: usize) {
     let mut witnesses: Vec<Witness> = Vec::new();
-    for_each_residual(&mut table.rules, |_, _, r| {
+    for_each_residual(&mut table.rules, |_, r| {
         for arm in arms(&r.formula) {
             let Some((formula, _, _)) = bind_block(arm) else {
                 continue;
@@ -567,38 +553,31 @@ fn compile_residuals(table: &mut KindTable, st: &Structure, params: usize) {
             if witnesses.iter().any(|w| w.formula == formula) {
                 continue;
             }
-            if let Some(bits) = BitPlan::compile(&formula, st).filter(BitPlan::kernels_only) {
+            if let Some(bits) = BitPlan::compile(&formula, st) {
                 witnesses.push(Witness { formula, bits });
             }
         }
     });
-    for_each_residual(&mut table.rules, |vars, guarded, r| {
-        compile_residual(r, vars, guarded, st, params, &witnesses);
+    for_each_residual(&mut table.rules, |vars, r| {
+        compile_residual(r, vars, st, params, &witnesses);
     });
     table.witnesses = witnesses;
 }
 
-/// Visit every residual of `rules` with its rule's declared variables
-/// and whether the rule is guarded.
-fn for_each_residual(rules: &mut [CompiledRule], mut f: impl FnMut(&[Sym], bool, &mut Residual)) {
+/// Visit every residual of `rules` with its rule's declared variables.
+fn for_each_residual(rules: &mut [CompiledRule], mut f: impl FnMut(&[Sym], &mut Residual)) {
     for cr in rules {
         for d in &mut cr.disjuncts {
             if let Body::SelfRestrict(r) | Body::Other(r) = &mut d.body {
-                f(&cr.rule.vars, cr.guarded, r);
+                f(&cr.rule.vars, r);
             }
         }
     }
 }
 
 /// Lower `f` and align its root with the target's columns `vars`.
-/// With `kernels_only`, a lowering that boxed a subtree as an
-/// interpreter island is declined: a guard-selected residual runs
-/// whatever its size says, and an island's cost is not in its size —
-/// it re-derives, for every assignment of the slot, what the
-/// interpreter's own planner would have joined against a handful of
-/// bound rows (MSF's 6-ary minimum-weight blocks).
-fn lower(f: &Formula, vars: &[Sym], kernels_only: bool, st: &Structure) -> Option<Lowered> {
-    let bits = BitPlan::compile(f, st).filter(|bp| !kernels_only || bp.kernels_only())?;
+fn lower(f: &Formula, vars: &[Sym], st: &Structure) -> Option<Lowered> {
+    let bits = BitPlan::compile(f, st)?;
     let axes = axes_of(bits.plan.vars(), vars)?;
     Some(Lowered { bits, axes })
 }
@@ -620,7 +599,6 @@ fn axes_of(root: &[Sym], vars: &[Sym]) -> Option<Vec<Option<usize>>> {
 fn compile_residual(
     r: &mut Residual,
     vars: &[Sym],
-    guarded: bool,
     st: &Structure,
     params: usize,
     witnesses: &[Witness],
@@ -645,7 +623,7 @@ fn compile_residual(
                 b.substitute(v, Term::Param(params + j))
             });
             let witness = witnesses.iter().position(|w| w.formula == formula);
-            if let (Some(witness), Some(body)) = (witness, lower(&bound, vars, true, st)) {
+            if let (Some(witness), Some(body)) = (witness, lower(&bound, vars, st)) {
                 parts.push(Part::Bound { witness, body });
                 continue;
             }
@@ -662,13 +640,13 @@ fn compile_residual(
         } else {
             Formula::Or(rest)
         };
-        match lower(&plain, vars, true, st) {
+        match lower(&plain, vars, st) {
             Some(l) => parts.insert(0, Part::Plain(l)),
             None => parts.clear(),
         }
     }
     if parts.is_empty() {
-        let whole = lower(&r.formula, vars, guarded, st);
+        let whole = lower(&r.formula, vars, st);
         r.parts = whole.map(Part::Plain).into_iter().collect();
     } else {
         r.parts = parts;

@@ -521,60 +521,57 @@ fn relation_free_delta_runs_compiled() {
     assert_eq!(m.stats().update_work.rows_built, 0);
 }
 
-/// The bulk path's interpreter caller, forced through the public API:
-/// a recompute closure hands both relations back on the sparse
-/// backend, so δ does not lower to kernels and is materialized by the
-/// interpreter. The closure's rounds, compiled against the dense layout
-/// at construction, no longer match the state, so the change replays
-/// per tuple — on the interpreter too — and still lands on the
-/// expanded stream's state. That mismatch is `machine.bulk_fallback`'s
-/// other cause.
+/// The bulk path's interpreter caller: `Q`'s tuple space at n = 65
+/// (65⁴ > 2²⁴ bits) is sparse-backed from construction, so δ, which
+/// reads it, does not lower to kernels and is materialized by the
+/// interpreter. `S = π₀(Q)`'s closed residual reads `Q` too, so the
+/// kind's closure never compiles and the kind is not one-shot eligible:
+/// the change replays per tuple — `machine.bulk_fallback`'s one cause —
+/// and lands on the expanded stream's state.
 #[test]
 fn bulk_interprets_what_reads_a_sparse_relation() {
-    let copy = rel("E", [v("x"), v("y")]) | (eq(v("x"), param(0)) & eq(v("y"), param(1)));
-    let grow = rel("TC", [v("x"), v("y")])
-        | ((eq(v("x"), param(0)) | rel("TC", [v("x"), param(0)]))
-            & (eq(v("y"), param(1)) | rel("TC", [param(1), v("y")])));
-    let program = DynFoProgram::builder("sparse_closure")
-        .input_relation("E", 2)
-        .aux_relation("TC", 2)
+    let cols = ["x", "y", "z", "w"];
+    let q = rel("Q", cols.map(v));
+    let copy = q.clone()
+        | cols
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| eq(v(c), param(i)))
+            .reduce(|a, b| a & b)
+            .expect("four columns");
+    let project = rel("S", [v("x")]) | eq(v("x"), param(0)) | exists(["y", "z", "w"], q);
+    let program = DynFoProgram::builder("sparse_projection")
+        .input_relation("Q", 4)
+        .aux_relation("S", 1)
         .memoryless()
-        .on(RequestKind::ins("E"), "E", &["x", "y"], copy)
-        .on(RequestKind::ins("E"), "TC", &["x", "y"], grow)
-        .recompute(|st| {
-            let mut fresh = st.clone();
-            for name in ["E", "TC"] {
-                let id = fresh.vocab().relation(dynfo_logic::Sym::new(name)).expect("in vocab");
-                *fresh.relation_mut(id) = st.relation(id).to_sparse();
-            }
-            fresh
-        })
+        .on(RequestKind::ins("Q"), "Q", &cols, copy)
+        .on(RequestKind::ins("Q"), "S", &["x"], project)
         .query(Formula::True)
         .build();
+    let n = 65;
     let registry = std::sync::Arc::new(dynfo_obs::Registry::new());
     let machine = |obs: &dynfo_obs::ObsHandle| {
-        let mut m = DynFoMachine::new(program.clone(), 8).with_obs(obs);
-        m.apply_all(&[Request::ins("E", [0, 1]), Request::ins("E", [1, 2])]).unwrap();
-        assert!(m.recompute().unwrap());
+        let mut m = DynFoMachine::new(program.clone(), n).with_obs(obs);
+        m.apply_all(&[Request::ins("Q", [1, 2, 3, 4]), Request::ins("Q", [64, 0, 0, 1])]).unwrap();
         m
     };
     let mut bulk = machine(&dynfo_obs::ObsHandle::with_registry(registry.clone()));
     let mut stream = machine(&dynfo_obs::ObsHandle::default());
-    // Every edge, reversed.
-    let delta = rel("E", [v("x1"), v("x0")]);
+    assert_eq!(bulk.state().rel("Q").backend_kind(), "sparse", "test premise");
+    // Every tuple with its first two columns swapped.
+    let delta = rel("Q", [v("x1"), v("x0"), v("x2"), v("x3")]);
     let canonical = dynfo_logic::analysis::canonicalize(&delta);
     assert!(dynfo_logic::Plan::compile(&canonical, bulk.state()).is_none(), "test premise");
-    let req = Request::bulk_ins("E", delta);
+    let req = Request::bulk_ins("Q", delta);
     let expanded = stream.expand_bulk(&req).unwrap();
-    assert_eq!(expanded.len(), 2, "(1,0), (2,1)");
+    assert_eq!(expanded.len(), 2, "(2,1,3,4), (0,64,0,1)");
     stream.apply_all(&expanded).unwrap();
     let before = bulk.stats().update_work;
     bulk.apply(&req).unwrap();
     assert_eq!(bulk.state(), stream.state());
-    assert!(bulk.holds("TC", [2u32, 2]), "the closure ran to its fixpoint");
+    assert!(bulk.holds("S", [0u32]) && bulk.holds("S", [2u32]), "S projects the new tuples");
     assert_eq!(bulk.stats().requests, 4, "2 seeds + the 2 expanded tuples");
     let work = bulk.stats().update_work;
     assert!(work.rows_built > before.rows_built, "the replay interpreted: {work:?}");
-    assert_eq!(bulk.state().rel("TC").backend_kind(), "sparse");
-    assert_eq!(registry.counter("machine.bulk_fallback").get(), 1, "stale closure");
+    assert_eq!(registry.counter("machine.bulk_fallback").get(), 1, "ineligible kind");
 }

@@ -6,12 +6,12 @@
 //!   slots at any universe size: no size at which a rule silently
 //!   stops compiling (the 5-ary lowering of the PV rules used to trip
 //!   the compile ceiling at n = 31–32 and the slot cap at n = 33–64,
-//!   and compile again at n = 65), no interpreter island, and kernel
-//!   work for one fixed request sequence that only grows with n.
+//!   and compile again at n = 65), and kernel work for one fixed
+//!   request sequence that only grows with n.
 //! * **MSF runs on the kernels up to the compile cap.** Theorem 4.4's
 //!   extrema are stated as successive minima, so no update block is
-//!   wider than 4-ary: at n ≤ 16 no plan has an interpreter island and
-//!   no request builds an interpreter row or declines a plan. From
+//!   wider than 4-ary: at n ≤ 16 no request builds an interpreter row
+//!   or declines a plan. From
 //!   n = 17 its residuals pass `PLAN_COMPILE_WORDS_CAP` and interpret
 //!   (ROADMAP item 3, tiled execution).
 //! * **The density gate** (`BitPlan::profitable`) guards the rules no
@@ -38,7 +38,6 @@ fn reach_u_plan_admission_is_monotone_in_n() {
     let mut work_by_n: Vec<(u32, u64)> = Vec::new();
     for n in [16u32, 31, 32, 33, 64, 65] {
         let mut m = DynFoMachine::new(programs::reach_u::program(), n);
-        assert_eq!(m.plan_interp_islands(), 0, "n={n}: a plan has an interpreter island");
         // Two paths, joined, cut in the middle (a forest delete with no
         // replacement), re-joined through a chord and cut again (one
         // with): every insert rule and both delete residuals run.
@@ -76,13 +75,12 @@ fn reach_u_plan_admission_is_monotone_in_n() {
     }
 }
 
-/// MSF's update rules compile whole — no island, no fallback, no
+/// MSF's update rules compile whole — no fallback, no
 /// interpreter row — at every n up to the compile cap.
 #[test]
 fn msf_runs_on_the_kernels_up_to_the_compile_cap() {
     for n in [6u32, 12, 16] {
         let mut m = DynFoMachine::new(programs::msf::program(), n);
-        assert_eq!(m.plan_interp_islands(), 0, "n={n}: a plan has an interpreter island");
         for req in weighted_stream(n, 40, 4404) {
             let work = m.apply(&req).unwrap();
             assert_eq!(work.rows_built, 0, "n={n} {req}: the interpreter ran");

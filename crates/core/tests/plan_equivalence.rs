@@ -232,17 +232,13 @@ fn opt_corpus_formulas_match() {
     }
 }
 
-/// The runtime bail: a plan compiled against the dense layout that
-/// meets a non-dense relation at execution declines (`Plan::load` →
-/// `Ok(None)`) and the rule interprets instead. `recompute()` adopts
-/// its closure's structure verbatim — backends included — without
-/// recompiling, so a closure that hands `TC` back on the sparse backend
-/// forces that route through the public API.
-#[test]
-fn dense_plans_bail_when_state_turns_sparse() {
+/// An edge copy and its transitive closure, grown per insert — one
+/// compiled rule against the dense layout. The recompute closure hands
+/// `TC` back on the sparse backend, the layout no plan reads.
+fn sparse_handing_closure() -> DynFoProgram {
     use dynfo_core::RequestKind;
     use dynfo_logic::formula::{eq, param, rel, v, Term};
-    let program = DynFoProgram::builder("bail")
+    DynFoProgram::builder("closure")
         .input_relation("E", 2)
         .aux_relation("TC", 2)
         .on(
@@ -266,29 +262,64 @@ fn dense_plans_bail_when_state_turns_sparse() {
             fresh
         })
         .query(rel("TC", [Term::Min, Term::Max]))
-        .build();
-    let mut m = DynFoMachine::new(program.clone(), 8);
-    let step = |m: &mut DynFoMachine, a: u32, b: u32| {
-        let req = Request::ins("E", [a, b]);
-        let pre = m.state().clone();
-        m.apply(&req).unwrap();
-        assert_eq!(m.state(), &dynfo_testutil::reference_step(&program, &pre, &req));
-    };
+        .build()
+}
 
-    step(&mut m, 0, 1);
-    step(&mut m, 1, 2);
+/// Apply `ins E(a, b)` and hold the result to Definition 3.1.
+fn closure_step(program: &DynFoProgram, m: &mut DynFoMachine, a: u32, b: u32) {
+    let req = Request::ins("E", [a, b]);
+    let pre = m.state().clone();
+    m.apply(&req).unwrap();
+    assert_eq!(m.state(), &dynfo_testutil::reference_step(program, &pre, &req));
+}
+
+/// `recompute()` adopts its closure's structure in the compiled layout:
+/// a closure that hands `TC` back sparse leaves it dense again, and the
+/// TC rule keeps running its plan — no fallback, no bail.
+#[test]
+fn recompute_keeps_the_compiled_layout() {
+    let program = sparse_handing_closure();
+    let mut m = DynFoMachine::new(program.clone(), 8);
+    closure_step(&program, &mut m, 0, 1);
+    closure_step(&program, &mut m, 1, 2);
     let dense = m.stats().update_work;
     assert!(dense.plan_compiled > 0 && dense.plan_fallback == 0, "{dense:?}");
 
     assert!(m.recompute().unwrap());
-    assert_eq!(m.state().rel("TC").backend_kind(), "sparse");
-    step(&mut m, 2, 7);
-    step(&mut m, 5, 0);
+    assert_eq!(m.state().rel("TC").backend_kind(), "dense");
+    closure_step(&program, &mut m, 2, 7);
+    closure_step(&program, &mut m, 5, 0);
     let work = m.stats().update_work;
-    assert_eq!(work.plan_compiled, dense.plan_compiled, "a plan ran against sparse TC");
-    assert_eq!(work.plan_fallback, 2, "the TC rule must bail on both inserts");
-    assert!(m.query().unwrap(), "0 →* 7 through the sparse TC");
-    assert_eq!(m.state().rel("TC").backend_kind(), "sparse");
+    assert!(work.plan_compiled > dense.plan_compiled, "the TC rule stopped running compiled");
+    assert_eq!(work.plan_fallback, 0, "{work:?}");
+    assert!(m.query().unwrap(), "0 →* 7");
+}
+
+/// `from_state` puts a structure handed over on foreign backends into
+/// the compiled layout before compiling anything against it.
+#[test]
+fn from_state_adopts_the_compiled_layout() {
+    let program = sparse_handing_closure();
+    let mut seed = DynFoMachine::new(program.clone(), 8);
+    closure_step(&program, &mut seed, 0, 1);
+    closure_step(&program, &mut seed, 1, 2);
+    let mut state = seed.state().clone();
+    for name in ["E", "TC"] {
+        let id = state.vocab().relation(dynfo_logic::Sym::new(name)).expect("in vocab");
+        *state.relation_mut(id) = seed.state().relation(id).to_sparse();
+    }
+    assert_eq!(state.rel("TC").backend_kind(), "sparse", "test premise");
+
+    let mut m = DynFoMachine::from_state(program.clone(), state).unwrap();
+    assert_eq!(m.state(), seed.state());
+    assert_eq!(m.state().rel("E").backend_kind(), "dense");
+    assert_eq!(m.state().rel("TC").backend_kind(), "dense");
+    closure_step(&program, &mut m, 2, 7);
+    closure_step(&program, &mut m, 5, 0);
+    let work = m.stats().update_work;
+    assert!(work.plan_compiled > 0, "{work:?}");
+    assert_eq!(work.plan_fallback, 0, "{work:?}");
+    assert!(m.query().unwrap(), "0 →* 7");
 }
 
 /// A relation whose tuple space passes 2^24 bits is sparse-backed from

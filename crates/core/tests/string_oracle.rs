@@ -13,7 +13,8 @@
 
 use dynfo_automata::dfa;
 use dynfo_core::programs::{dyck, strings};
-use dynfo_core::{DynFoProgram, Request};
+use dynfo_core::{DynFoMachine, DynFoProgram, MachineError, Request};
+use dynfo_logic::EvalError;
 use dynfo_logic::formula::{eq, le, lit, lt, v};
 use dynfo_logic::strings::{close_rel, open_rel, sym_rel};
 use dynfo_testutil::{
@@ -63,6 +64,20 @@ fn a_star_b_star_point_stream() {
     let oracle = dfa::a_star_b_star();
     let reqs = string_edit_requests(&alphabet, 12, 60, 0.3, &mut rng(605));
     dfa_suite(strings::a_star_b_star_program, &oracle, 12, &reqs);
+}
+
+/// Past the dense boundary: at n = 65 the arity-4 interval table's
+/// tuple space (65⁴ > 2²⁴ bits) is sparse-backed, so every rule and
+/// the query that read it decline to compile and run whole on the
+/// interpreter.
+#[test]
+fn a_star_b_star_past_the_dense_boundary() {
+    let alphabet = ['a', 'b'];
+    let n = 65u32;
+    let reqs = string_edit_requests(&alphabet, n, 8, 0.3, &mut rng(615));
+    let m = assert_dfa_oracle(&strings::a_star_b_star_program, &dfa::a_star_b_star(), n, &reqs);
+    assert_eq!(m.state().rel(strings::INT).backend_kind(), "sparse", "test premise");
+    assert!(m.stats().update_work.rows_built > 0, "the interpreter never ran");
 }
 
 /// Definable bulk edits on the editor buffer: "set every position
@@ -145,4 +160,30 @@ fn dyck_bulk_stream() {
     ];
     assert_dyck_oracle(&|| dyck::dyck_program(2), 2, n, &reqs);
     run_differential(&|| dyck::dyck_program(2), n, &reqs, &[], MODES);
+}
+
+/// The interpreter refuses a table it cannot allocate with a typed
+/// error instead of aborting the process. Dyck(2)'s boolean query at
+/// n = 256 does not compile, and after the second edit of this stream
+/// the interpreter's universe expansion asks for ≈ 38 GB. Premise: the
+/// host refuses an allocation that large (Linux's default heuristic
+/// overcommit does on a host with less memory plus swap than that).
+/// The machine answers what it can, refuses what it cannot, and keeps
+/// applying edits.
+#[test]
+fn oversized_interpreter_tables_are_errors_not_aborts() {
+    let n = 256u32;
+    let reqs = dyck_edit_requests(2, n, 12, &mut rng(7));
+    let mut m = DynFoMachine::new(dyck::dyck_program(2), n);
+    let mut refused = 0;
+    for req in &reqs[..2] {
+        m.apply(req).unwrap_or_else(|e| panic!("{req}: {e}"));
+        match m.query() {
+            Ok(_) => {}
+            Err(MachineError::Eval(EvalError::TableTooLarge { .. })) => refused += 1,
+            Err(e) => panic!("after {req}: {e}"),
+        }
+    }
+    assert!(refused > 0, "test premise: some query needs a table the host refuses");
+    m.apply(&reqs[2]).unwrap_or_else(|e| panic!("{}: {e}", reqs[2]));
 }

@@ -50,6 +50,13 @@ pub enum EvalError {
     UnboundParam(usize),
     /// An unguarded negation would materialize more than the budget.
     ComplementTooLarge { columns: usize, n: Elem },
+    /// Extending a table over the universe needs more rows than can be
+    /// allocated.
+    TableTooLarge { rows: u128 },
+    /// A compiled plan met a structure laid out differently from the one
+    /// it was compiled for: relation `rel` on another backend, or (for
+    /// `None`) another universe size.
+    LayoutMismatch { rel: Option<Sym> },
 }
 
 impl fmt::Display for EvalError {
@@ -65,6 +72,15 @@ impl fmt::Display for EvalError {
                 f,
                 "unguarded negation over {columns} variables with n={n} exceeds the complement budget"
             ),
+            EvalError::TableTooLarge { rows } => {
+                write!(f, "a table of {rows} rows cannot be allocated")
+            }
+            EvalError::LayoutMismatch { rel: Some(rel) } => {
+                write!(f, "relation {rel} is not on the backend the plan was compiled for")
+            }
+            EvalError::LayoutMismatch { rel: None } => {
+                write!(f, "the universe size differs from the one the plan was compiled for")
+            }
         }
     }
 }
@@ -92,7 +108,7 @@ pub struct EvalStats {
     /// ([`plan::Plan`]).
     pub plan_compiled: usize,
     /// Evaluations that wanted a plan but fell back to the interpreter
-    /// (no plan compiled, or the plan bailed at runtime).
+    /// (no plan compiled, or the caller's gate declined it).
     pub plan_fallback: usize,
     /// 64-bit words processed by plan kernels — the bit-parallel
     /// counterpart of `rows_built` (each word covers 64 tuples).
@@ -380,6 +396,11 @@ impl<'a> Evaluator<'a> {
         Ok(out)
     }
 
+    /// `t` with a column `v` ranging over the universe.
+    fn extend(&self, t: &Table, v: Sym) -> Result<Table, EvalError> {
+        t.try_extend(v, self.n()).map_err(|rows| EvalError::TableTooLarge { rows })
+    }
+
     fn complement(&mut self, t: Table) -> Result<Table, EvalError> {
         let k = t.vars().len();
         let cost = (self.n() as u128).pow(k as u32);
@@ -530,7 +551,7 @@ impl<'a> Evaluator<'a> {
             let mut t = self.eval(g)?;
             for &v in &target {
                 if t.col(v).is_none() {
-                    t = t.extend(v, self.n());
+                    t = self.extend(&t, v)?;
                     self.stats.note(&t);
                 }
             }
@@ -658,7 +679,7 @@ impl<'a> Evaluator<'a> {
                 .find(|v| !bound.contains(v));
             match unbound {
                 Some(v) => {
-                    table = table.extend(v, self.n());
+                    table = self.extend(&table, v)?;
                     self.stats.note(&table);
                 }
                 None => break,
@@ -669,7 +690,7 @@ impl<'a> Evaluator<'a> {
         // variable of the conjunction is a column (True-dropped vars).
         for v in whole_free {
             if table.col(v).is_none() {
-                table = table.extend(v, self.n());
+                table = self.extend(&table, v)?;
                 self.stats.note(&table);
             }
         }
@@ -695,7 +716,7 @@ impl<'a> Evaluator<'a> {
             let mut joined = table.join(&t);
             for &v in &target {
                 if joined.col(v).is_none() {
-                    joined = joined.extend(v, self.n());
+                    joined = self.extend(&joined, v)?;
                 }
             }
             acc = acc.union(&joined.project(&target));

@@ -595,7 +595,6 @@ enum OpKey {
     Broadcast(SlotId, usize, Vec<Sym>),
     Fold(SlotId, usize, bool, Vec<Sym>),
     Compose(SlotId, SlotId, usize, Vec<Sym>),
-    Interp(Formula, Vec<Sym>),
 }
 
 fn op_key(op: &Op, vars: &[Sym]) -> OpKey {
@@ -614,7 +613,6 @@ fn op_key(op: &Op, vars: &[Sym]) -> OpKey {
         Op::Broadcast { src, axis, .. } => OpKey::Broadcast(*src, *axis, vars.to_vec()),
         Op::Fold { src, axis, and, .. } => OpKey::Fold(*src, *axis, *and, vars.to_vec()),
         Op::Compose { a, b, z, .. } => OpKey::Compose(*a, *b, *z, vars.to_vec()),
-        Op::Interp { formula, .. } => OpKey::Interp(formula.clone(), vars.to_vec()),
     }
 }
 
@@ -934,7 +932,7 @@ fn split_join(
 /// Visit every source slot of `op`.
 fn for_each_src(op: &Op, mut f: impl FnMut(SlotId)) {
     match op {
-        Op::Const { .. } | Op::Load { .. } | Op::Numeric { .. } | Op::Interp { .. } => {}
+        Op::Const { .. } | Op::Load { .. } | Op::Numeric { .. } => {}
         Op::Combine { srcs, .. } => srcs.iter().for_each(|&(s, _)| f(s)),
         Op::Not { src, .. } | Op::Broadcast { src, .. } | Op::Fold { src, .. } => f(*src),
         Op::Compose { a, b, .. } => {
@@ -947,10 +945,7 @@ fn for_each_src(op: &Op, mut f: impl FnMut(SlotId)) {
 /// Rewrite `op`'s dst to `nd` and its sources through `m`.
 fn renumber(op: &mut Op, nd: SlotId, mut m: impl FnMut(SlotId) -> SlotId) {
     match op {
-        Op::Const { dst, .. }
-        | Op::Load { dst, .. }
-        | Op::Numeric { dst, .. }
-        | Op::Interp { dst, .. } => *dst = nd,
+        Op::Const { dst, .. } | Op::Load { dst, .. } | Op::Numeric { dst, .. } => *dst = nd,
         Op::Combine { dst, srcs, .. } => {
             *dst = nd;
             for (s, _) in srcs.iter_mut() {
@@ -1031,8 +1026,7 @@ mod tests {
             let mut ev = Evaluator::new(s, &[]);
             let t = plan
                 .execute(&mut ev, &mut arena, None)
-                .expect("plan execution failed")
-                .expect("plan bailed out at runtime");
+                .expect("plan execution failed");
             let order: Vec<Sym> = t.vars().to_vec();
             (t.sorted(), order)
         };
@@ -1141,7 +1135,7 @@ mod tests {
         let got = plan.execute(&mut Evaluator::new(&s, &[]), &mut plan.arena(), None);
         let want = crate::eval::naive::naive_evaluate(&l, &s, &[]).unwrap();
         assert!(want.is_empty());
-        assert_eq!(got.unwrap().unwrap().sorted(), want.sorted());
+        assert_eq!(got.unwrap().sorted(), want.sorted());
         // No capture: y is bound again inside, so z := y must not fire.
         let inner = exists(["y"], rel("E", [v("z"), v("y")]));
         let k = exists(["z"], and([eq(v("z"), v("y")), inner.clone()]));
@@ -1157,7 +1151,7 @@ mod tests {
     fn one_point_rule_lowers_past_the_slot_cap() {
         // n = 33 pads to S = 64: the 5-ary block is over the slot cap and
         // the direct lowering has nothing to offer; pinned, the same
-        // formula is two 3-ary conjunctions with no island.
+        // formula is two 3-ary conjunctions.
         use crate::formula::param;
         let vocab = Arc::new(Vocabulary::new().with_relation("T", 3));
         let mut s = Structure::empty(vocab, 33);
@@ -1173,9 +1167,8 @@ mod tests {
         ));
         assert!(Plan::compile_with(&f, &s, false).is_none(), "test premise: raw lowering declines");
         let plan = Plan::compile(&f, &s).expect("one-point rewrite lowers");
-        assert_eq!(plan.interp_islands(), 0);
         let mut ev = Evaluator::new(&s, &[2, 4]);
-        let got = plan.execute(&mut ev, &mut plan.arena(), None).unwrap().unwrap();
+        let got = plan.execute(&mut ev, &mut plan.arena(), None).unwrap();
         let expect = crate::eval::evaluate(&f, &s, &[2, 4]).unwrap();
         assert_eq!(got.clone().sorted(), expect.project(got.vars()).sorted());
         assert!(!got.is_empty());

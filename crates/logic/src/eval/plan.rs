@@ -10,18 +10,15 @@
 //! [`kernels`]), then executes the sequence with 64-tuples-per-instruction
 //! kernels on every request.
 //!
-//! Compilation is total-or-partial with graceful degradation:
-//!
-//! * a subformula the compiler cannot lower (sparse-backed relation atom,
-//!   slot over [`PLAN_SLOT_BITS_CAP`], non-canonical node) becomes an
-//!   [`Op::Interp`] node — the interpreter evaluates just that subtree and
-//!   the result is scattered into a bit-buffer, so the largest compilable
-//!   enclosure still runs on kernels;
-//! * if the *root* cannot be lowered at all, [`Plan::compile`] returns
-//!   `None` and the caller stays on the interpreter (counted as
-//!   `plan_fallback` in [`EvalStats`](super::EvalStats));
-//! * at execution time a relation whose backend changed since compilation
-//!   makes [`Plan::execute`] return `Ok(None)` — fall back, don't crash.
+//! A plan is all kernels or nothing: every op is a word pass whose size
+//! the compiler knows. A subformula the compiler cannot lower
+//! (sparse-backed relation atom, slot over [`PLAN_SLOT_BITS_CAP`],
+//! non-canonical node) makes the whole formula decline —
+//! [`Plan::compile`] returns `None` and the caller evaluates the formula
+//! whole on the interpreter (counted as `plan_fallback` in
+//! [`EvalStats`](super::EvalStats)). A compiled plan is bound to the
+//! layout it was compiled for; running it against another universe size
+//! or a relation on another backend is [`EvalError::LayoutMismatch`].
 //!
 //! Unguarded negation needs **no complement budget** here: on bit-buffers
 //! `¬φ` is a masked NOT over bits that already exist, not an `n^k` row
@@ -127,9 +124,6 @@ pub(crate) enum Op {
     /// into the rows those bits name ([`kernels::compose`]). The
     /// optimizer's op stage emits it in place of broadcast–AND–fold.
     Compose { dst: SlotId, a: SlotId, b: SlotId, z: usize },
-    /// Interpreter island: evaluate the subtree with the [`Evaluator`]
-    /// (sharing its memo) and scatter the rows into bits.
-    Interp { dst: SlotId, formula: Formula },
 }
 
 impl Op {
@@ -142,8 +136,7 @@ impl Op {
             | Op::Not { dst, .. }
             | Op::Broadcast { dst, .. }
             | Op::Fold { dst, .. }
-            | Op::Compose { dst, .. }
-            | Op::Interp { dst, .. } => *dst,
+            | Op::Compose { dst, .. } => *dst,
         }
     }
 }
@@ -180,7 +173,8 @@ pub struct PlanArena {
 impl Plan {
     /// Compile a canonical formula against the structure it will run on
     /// (relation backends are inspected at compile time). Returns `None`
-    /// when the root cannot be lowered — callers keep the interpreter.
+    /// when some subformula cannot be lowered — callers interpret the
+    /// formula whole.
     /// Runs the algebraic optimizer ([`super::opt`]); use
     /// [`Plan::compile_with`] to compare against the raw lowering.
     pub fn compile(f: &Formula, st: &Structure) -> Option<Plan> {
@@ -226,7 +220,7 @@ impl Plan {
         self.slots.iter().map(|s| s.words as u64).sum()
     }
 
-    /// Number of ops (interpreter islands included).
+    /// Number of ops.
     pub fn len(&self) -> usize {
         self.ops.len()
     }
@@ -256,13 +250,6 @@ impl Plan {
         }
     }
 
-    /// Interpreter islands ([`Op::Interp`]) in this plan: subtrees the
-    /// compiler could not lower, evaluated by the [`Evaluator`] on every
-    /// execution. Zero means the plan runs on kernels alone.
-    pub fn interp_islands(&self) -> usize {
-        islands(&self.ops)
-    }
-
     /// ∃-joins the optimizer lowered as [`Op::Compose`]: each costs what
     /// its driving operand holds instead of a broadcast pass over the
     /// joined variables.
@@ -271,14 +258,13 @@ impl Plan {
     }
 
     /// Execute against the evaluator's structure and parameters and
-    /// decode the result; `ev` also serves interpreter islands (sharing
-    /// its memo) and accumulates `kernel_words`/
+    /// decode the result; `ev` accumulates the `kernel_words`/
     /// `plan_compiled` counters. [`Plan::run`] plus [`Plan::decode_root`].
     ///
-    /// Returns `Ok(None)` when the plan no longer matches the structure
-    /// (universe resized, relation backend changed) — the caller falls
-    /// back to the interpreter. Real evaluation failures (unbound
-    /// parameter, unknown symbol) surface as errors, exactly as the
+    /// A structure laid out differently from the one the plan was
+    /// compiled for (another universe size, a relation on another
+    /// backend) is [`EvalError::LayoutMismatch`]. Other failures
+    /// (unbound parameter, unknown symbol) surface exactly as the
     /// interpreter would raise them.
     ///
     /// `pool`: when given, combine passes over at least
@@ -289,22 +275,22 @@ impl Plan {
         ev: &mut Evaluator<'_>,
         arena: &mut PlanArena,
         pool: Option<&EvalPool>,
-    ) -> Result<Option<Table>, EvalError> {
-        Ok(self.run(ev, arena, pool)?.then(|| self.decode_root(arena)))
+    ) -> Result<Table, EvalError> {
+        self.run(ev, arena, pool)?;
+        Ok(self.decode_root(arena))
     }
 
     /// Execute and leave the result in the arena's root buffer, where
     /// [`Plan::decode_root`], [`Plan::root_count`] and
     /// [`Plan::or_root_into`] read it — the update path installs from
-    /// the bits and never materializes a [`Table`]. `Ok(false)` is
-    /// [`Plan::execute`]'s `Ok(None)`: the plan no longer matches the
-    /// structure and nothing usable was computed.
+    /// the bits and never materializes a [`Table`]. Fails as
+    /// [`Plan::execute`] does.
     pub fn run(
         &self,
         ev: &mut Evaluator<'_>,
         arena: &mut PlanArena,
         pool: Option<&EvalPool>,
-    ) -> Result<bool, EvalError> {
+    ) -> Result<(), EvalError> {
         self.run_choosing(ev, arena, pool, None)
     }
 
@@ -319,7 +305,7 @@ impl Plan {
         ev: &mut Evaluator<'_>,
         arena: &mut PlanArena,
         gather: bool,
-    ) -> Result<bool, EvalError> {
+    ) -> Result<(), EvalError> {
         self.run_choosing(ev, arena, None, Some(gather))
     }
 
@@ -329,9 +315,9 @@ impl Plan {
         arena: &mut PlanArena,
         pool: Option<&EvalPool>,
         gather: Option<bool>,
-    ) -> Result<bool, EvalError> {
+    ) -> Result<(), EvalError> {
         if Layout::new(ev.st.size()) != self.lay {
-            return Ok(false);
+            return Err(EvalError::LayoutMismatch { rel: None });
         }
         if arena.bufs.len() != self.slots.len() {
             *arena = self.arena();
@@ -358,10 +344,7 @@ impl Plan {
                     kw += buf.len() as u64;
                 }
                 Op::Load { rel, cols, path, .. } => {
-                    match self.load(ev, buf, &self.slots[dst], *rel, cols, path, gather)? {
-                        Some(words) => kw += words,
-                        None => return Ok(false),
-                    }
+                    kw += self.load(ev, buf, &self.slots[dst], *rel, cols, path, gather)?;
                 }
                 Op::Numeric { atom, negated, .. } => {
                     kw += self.numeric(ev, buf, &self.slots[dst], atom, *negated)?;
@@ -392,25 +375,6 @@ impl Plan {
                     let (ka, kb) = (self.slots[*a].vars.len(), self.slots[*b].vars.len());
                     kw += kernels::compose(buf, &lo[*a], &lo[*b], &self.lay, ka, *z, kb - 1);
                 }
-                Op::Interp { formula, .. } => {
-                    let table = ev.eval(formula)?;
-                    buf.fill(0);
-                    let info = &self.slots[dst];
-                    let axes: Vec<usize> = table
-                        .vars()
-                        .iter()
-                        .map(|v| info.vars.iter().position(|x| x == v).unwrap())
-                        .collect();
-                    let shift = self.lay.shift as usize;
-                    let k = info.vars.len();
-                    for row in table.rows() {
-                        let mut idx = 0usize;
-                        for (col, &axis) in axes.iter().enumerate() {
-                            idx |= (row[col] as usize) << (shift * (k - 1 - axis));
-                        }
-                        buf[idx / 64] |= 1 << (idx % 64);
-                    }
-                }
             }
             if self.slots[dst].stable {
                 arena.stable_done[dst] = true;
@@ -423,7 +387,7 @@ impl Plan {
             obs.kernel_words.add(kw);
             obs.plan_compiled.inc();
         }
-        Ok(true)
+        Ok(())
     }
 
     /// Decode the root slot the last [`Plan::run`] on `arena` left
@@ -505,7 +469,7 @@ impl Plan {
         }
     }
 
-    /// Execute one atom load. `Ok(None)` = backend mismatch, fall back.
+    /// Execute one atom load; the words it touched.
     #[allow(clippy::too_many_arguments)]
     fn load(
         &self,
@@ -516,23 +480,21 @@ impl Plan {
         cols: &[ColSpec],
         path: &LoadPath,
         gather: Option<bool>,
-    ) -> Result<Option<u64>, EvalError> {
+    ) -> Result<u64, EvalError> {
         let id = ev
             .st
             .vocab()
             .relation(name)
             .ok_or(EvalError::UnknownRelation(name))?;
         let rel = ev.st.relation(id);
-        if rel.dense_universe() != Some(self.lay.n) {
-            return Ok(None);
-        }
         let bits = rel
             .dense_bits()
-            .expect("dense_universe implies dense backend");
+            .filter(|_| rel.dense_universe() == Some(self.lay.n))
+            .ok_or(EvalError::LayoutMismatch { rel: Some(name) })?;
         let n = self.lay.n as usize;
         let shift = self.lay.shift as usize;
         let k = info.vars.len();
-        Ok(Some(match path {
+        Ok(match path {
             LoadPath::WordCopy => {
                 buf.copy_from_slice(bits);
                 2 * buf.len() as u64
@@ -570,7 +532,7 @@ impl Plan {
                         grounds[i] = resolve(ev, t)?;
                         if grounds[i] as usize >= n {
                             // A literal outside the universe matches nothing.
-                            return Ok(Some(buf.len() as u64));
+                            return Ok(buf.len() as u64);
                         }
                         s.base += grounds[i] as usize * n.pow((arity - 1 - i) as u32);
                     }
@@ -620,7 +582,7 @@ impl Plan {
                 };
                 buf.len() as u64 + moved
             }
-        }))
+        })
     }
 
     /// Materialize a numeric-predicate mask.
@@ -739,11 +701,6 @@ fn combine_pooled(
 // Compilation
 // ---------------------------------------------------------------------------
 
-/// [`Op::Interp`] nodes in an op sequence.
-fn islands(ops: &[Op]) -> usize {
-    ops.iter().filter(|op| matches!(op, Op::Interp { .. })).count()
-}
-
 /// [`compile_within`] for a formula not known to be canonical.
 fn compile_any(f: &Formula, st: &Structure, optimize: bool, max_words: u64) -> Option<Plan> {
     if is_canonical(f) {
@@ -753,20 +710,19 @@ fn compile_any(f: &Formula, st: &Structure, optimize: bool, max_words: u64) -> O
     }
 }
 
-/// Lower, optimize and seal `f` (canonical), or `None` when the root
-/// cannot be lowered or the sealed plan would exceed `max_words`.
+/// Lower, optimize and seal `f` (canonical), or `None` when some
+/// subformula cannot be lowered or the sealed plan would exceed
+/// `max_words`.
 fn compile_within(f: &Formula, st: &Structure, optimize: bool, max_words: u64) -> Option<Plan> {
     debug_assert!(
         is_canonical(f),
         "compile_canonical caller contract violated: {f}"
     );
     let words = |c: &Compiler<'_>| c.slots.iter().map(|s| s.words as u64).sum::<u64>();
-    // What a lowering costs, dearest component first. An interpreter
-    // island is dearer than any kernel pass and its cost is not in
-    // `work_words` at all, so islands compare before words.
-    let cost = |c: &Compiler<'_>| (islands(&c.ops), words(c), c.ops.len() as u64);
+    // What a lowering costs, dearest component first.
+    let cost = |c: &Compiler<'_>| (words(c), c.ops.len() as u64);
     let seal = |c: Compiler<'_>, root: SlotId, removed: u64, saved: u64| {
-        (words(&c) <= max_words).then(|| finish(c, root, removed, saved)).flatten()
+        (words(&c) <= max_words).then(|| finish(c, root, removed, saved))
     };
     let base = lower(f, st);
     if !optimize {
@@ -800,7 +756,7 @@ fn compile_within(f: &Formula, st: &Structure, optimize: bool, max_words: u64) -
             let (c0, root0) = lower(f, st)?;
             return seal(c0, root0, 0, 0);
         }
-        Some((_, base_words, base_ops)) => (
+        Some((base_words, base_ops)) => (
             base_ops.saturating_sub(c.ops.len() as u64),
             base_words.saturating_sub(words(&c)),
         ),
@@ -814,8 +770,7 @@ fn compile_within(f: &Formula, st: &Structure, optimize: bool, max_words: u64) -
     seal(c, root, removed, saved)
 }
 
-/// Marker: this subtree cannot be lowered; the caller decides whether to
-/// wrap it in an interpreter island or give up.
+/// Marker: this subtree cannot be lowered, so neither can the formula.
 struct Unsupported;
 
 /// Lower a canonical formula to a raw (unoptimized) op sequence.
@@ -832,13 +787,8 @@ fn lower<'a>(f: &Formula, st: &'a Structure) -> Option<(Compiler<'a>, SlotId)> {
 }
 
 /// Seal a lowered (and possibly optimized) op sequence into a [`Plan`]:
-/// reject interp-only plans, build the per-arity valid masks.
-fn finish(c: Compiler<'_>, root: SlotId, opt_ops_removed: u64, opt_words_saved: u64) -> Option<Plan> {
-    // A plan that is a single interpreter island does no kernel work;
-    // plain interpreter fallback is strictly cheaper.
-    if c.ops.len() == 1 && matches!(c.ops[0], Op::Interp { .. }) {
-        return None;
-    }
+/// build the per-arity valid masks.
+fn finish(c: Compiler<'_>, root: SlotId, opt_ops_removed: u64, opt_words_saved: u64) -> Plan {
     let mut valids: Vec<Option<Vec<u64>>> = vec![None; MAX_ARITY + 1];
     for op in &c.ops {
         let arity = match op {
@@ -854,7 +804,7 @@ fn finish(c: Compiler<'_>, root: SlotId, opt_ops_removed: u64, opt_words_saved: 
             }
         }
     }
-    Some(Plan {
+    Plan {
         lay: c.lay,
         slots: c.slots,
         ops: c.ops,
@@ -862,7 +812,7 @@ fn finish(c: Compiler<'_>, root: SlotId, opt_ops_removed: u64, opt_words_saved: 
         valids,
         opt_ops_removed,
         opt_words_saved,
-    })
+    }
 }
 
 struct Compiler<'a> {
@@ -895,23 +845,19 @@ impl Compiler<'_> {
     }
 
     /// Lower `f` to a slot, memoized. `Err` means no kernel lowering
-    /// exists for this subtree — callers may still interp-island it.
+    /// exists for this subtree.
     fn emit(&mut self, f: &Formula) -> Result<SlotId, Unsupported> {
         let key = alpha_normalize(f);
         if let Some((normalized, fv)) = &key {
-            if let Some(s) = self.reuse(f, normalized, fv)? {
+            if let Some(s) = self.reuse(f, normalized, fv) {
                 return Ok(s);
             }
         }
         let s = self.emit_uncached(f)?;
-        self.remember(key, s);
-        Ok(s)
-    }
-
-    fn remember(&mut self, key: Option<(Formula, Vec<Sym>)>, s: SlotId) {
         if let Some((normalized, fv)) = key {
             self.memo.entry(normalized).or_insert((s, fv));
         }
+        Ok(s)
     }
 
     /// A slot for `f` from an α-equivalent subformula already lowered.
@@ -921,15 +867,8 @@ impl Compiler<'_> {
     /// subplan: k-edge connectivity's query instantiates its level-1
     /// forest formulas once per substitution site, each copy over fresh
     /// variable names.
-    fn reuse(
-        &mut self,
-        f: &Formula,
-        normalized: &Formula,
-        fv: &[Sym],
-    ) -> Result<Option<SlotId>, Unsupported> {
-        let Some((src, src_fv)) = self.memo.get(normalized) else {
-            return Ok(None);
-        };
+    fn reuse(&mut self, f: &Formula, normalized: &Formula, fv: &[Sym]) -> Option<SlotId> {
+        let (src, src_fv) = self.memo.get(normalized)?;
         let src = *src;
         let renamed: Vec<Sym> = self.slots[src]
             .vars
@@ -937,7 +876,7 @@ impl Compiler<'_> {
             .map(|v| fv[src_fv.iter().position(|x| x == v).expect("slot var is free")])
             .collect();
         if renamed == self.slots[src].vars {
-            return Ok(Some(src));
+            return Some(src);
         }
         let composite = match f {
             Formula::And(_) | Formula::Or(_) | Formula::Exists(..) => true,
@@ -947,14 +886,14 @@ impl Compiler<'_> {
             ),
             _ => false,
         };
-        let vars = self.slot_vars(f)?;
+        let vars = self.slot_vars(f).ok()?;
         if !composite || renamed != vars {
-            return Ok(None);
+            return None;
         }
         let stable = self.slots[src].stable;
         let dst = self.new_slot(vars, stable);
         self.ops.push(Op::Combine { dst, srcs: vec![(src, false)], and: true, masked: false });
-        Ok(Some(dst))
+        Some(dst)
     }
 
     fn emit_uncached(&mut self, f: &Formula) -> Result<SlotId, Unsupported> {
@@ -974,11 +913,11 @@ impl Compiler<'_> {
                 // complement passes.
                 Exists(vs, h) if matches!(&**h, Not(_)) => {
                     let Not(body) = &**h else { unreachable!() };
-                    let inner = self.emit_or_island(body)?;
+                    let inner = self.emit(body)?;
                     Ok(self.emit_folds(inner, vs, true))
                 }
                 _ => {
-                    let src = self.emit_or_island(g)?;
+                    let src = self.emit(g)?;
                     let stable = self.slots[src].stable;
                     let dst = self.new_slot(vars, stable);
                     self.ops.push(Op::Not { dst, src });
@@ -987,26 +926,11 @@ impl Compiler<'_> {
             },
             And(fs) | Or(fs) => self.emit_connective(fs, matches!(f, And(..)), vars),
             Exists(vs, g) => {
-                let inner = self.emit_or_island(g)?;
+                let inner = self.emit(g)?;
                 Ok(self.emit_folds(inner, vs, false))
             }
             Implies(..) | Iff(..) | Forall(..) => Err(Unsupported),
         }
-    }
-
-    /// Lower a subtree, or box it as an interpreter island if its own
-    /// slot fits. Children of connectives always fit (their free
-    /// variables are a subset of the parent's), so failure only
-    /// propagates past quantifiers that *shrink* the variable set.
-    fn emit_or_island(&mut self, f: &Formula) -> Result<SlotId, Unsupported> {
-        if let Ok(s) = self.emit(f) {
-            return Ok(s);
-        }
-        let vars = self.slot_vars(f)?;
-        let dst = self.new_slot(vars, false);
-        self.ops.push(Op::Interp { dst, formula: f.clone() });
-        self.remember(alpha_normalize(f), dst);
-        Ok(dst)
     }
 
     fn emit_atom(
@@ -1015,10 +939,10 @@ impl Compiler<'_> {
         args: &[Term],
         vars: Vec<Sym>,
     ) -> Result<SlotId, Unsupported> {
-        // Compile against the current backend; execute re-checks and
-        // falls back if it changed. Sparse relations stay interpreted:
-        // scattering a huge sparse relation into a bitmap is exactly the
-        // blow-up the sparse backend exists to avoid.
+        // Compile against the current backend; execute re-checks it.
+        // Sparse relations stay interpreted: scattering a huge sparse
+        // relation into a bitmap is exactly the blow-up the sparse
+        // backend exists to avoid.
         let id = self.st.vocab().relation(name).ok_or(Unsupported)?;
         let rel = self.st.relation(id);
         if rel.dense_universe() != Some(self.lay.n) || args.len() != rel.arity() {
@@ -1144,7 +1068,7 @@ impl Compiler<'_> {
                 }
                 _ => (g, false),
             };
-            let slot = self.emit_or_island(h)?;
+            let slot = self.emit(h)?;
             let slot = self.broadcast_to(slot, &vars);
             srcs.push((slot, neg));
         }
@@ -1215,8 +1139,7 @@ mod tests {
         let mut ev = Evaluator::new(s, params);
         let got = plan
             .execute(&mut ev, &mut arena, None)
-            .expect("plan execution failed")
-            .expect("plan bailed out at runtime");
+            .expect("plan execution failed");
         let expect = crate::eval::evaluate(&canonical, s, params).expect("interpreter failed");
         let order: Vec<Sym> = got.vars().to_vec();
         assert_eq!(
@@ -1226,10 +1149,7 @@ mod tests {
         );
         // Second execution reuses the arena (stable slots cached).
         let mut ev2 = Evaluator::new(s, params);
-        let again = plan
-            .execute(&mut ev2, &mut arena, None)
-            .unwrap()
-            .unwrap();
+        let again = plan.execute(&mut ev2, &mut arena, None).unwrap();
         assert_eq!(again.sorted(), got.sorted());
     }
 
@@ -1323,14 +1243,16 @@ mod tests {
         ));
         let mut ev2 = Evaluator::new(&s, &[]).with_complement_budget(4);
         let mut arena = plan.arena();
-        let got = plan.execute(&mut ev2, &mut arena, None).unwrap().unwrap();
+        let got = plan.execute(&mut ev2, &mut arena, None).unwrap();
         assert_eq!(got.len(), 16 * 16 - 2);
     }
 
     #[test]
-    fn sparse_atom_becomes_interp_island_or_fallback() {
+    fn sparse_atom_declines_the_whole_formula() {
         // Arity-8 relation at n=9: 9^8 bits blow the dense cap, so the
-        // backend is sparse and a lone atom has no plan at all…
+        // backend is sparse. Neither the atom nor a sentence over it
+        // compiles — a plan is all kernels or nothing — and the
+        // interpreter answers the sentence whole.
         let vocab = Arc::new(Vocabulary::new().with_relation("W", 8).with_relation("M", 1));
         let mut s = Structure::empty(vocab, 9);
         s.insert("W", Tuple::from_slice(&[0, 1, 2, 3, 4, 5, 0, 1]));
@@ -1341,20 +1263,20 @@ mod tests {
             [v("a"), v("b"), v("c"), v("d"), v("e"), v("f"), v("g"), v("h")],
         );
         assert!(Plan::compile(&crate::analysis::canonicalize(&atom), &s).is_none());
-        // …but a sentence over it compiles with an interpreter island
-        // under the quantifier and still matches the interpreter.
-        let f = exists(
+        let sentence = exists(
             ["a", "b", "c", "d", "e", "f", "g", "h"],
             and([atom, rel("M", [v("c")])]),
-        ) & rel("M", [v("x")]);
-        check(&f, &s, &[]);
+        );
+        assert!(Plan::compile(&crate::analysis::canonicalize(&sentence), &s).is_none());
+        assert!(crate::eval::satisfies(&sentence, &s, &[]).unwrap());
     }
 
     #[test]
-    fn dense_plan_bails_when_relation_turns_sparse() {
+    fn foreign_layout_is_a_typed_error() {
         // A plan compiled against the dense layout that meets a sparse
-        // relation at execution must decline (`Ok(None)`), not misread
-        // it; the interpreter's answer does not depend on the backend.
+        // relation, or another universe, at execution fails with
+        // `LayoutMismatch` instead of misreading it; the interpreter's
+        // answer does not depend on the backend.
         let mut s = st(6, &[(0, 1), (1, 2), (4, 5)]);
         let f = crate::analysis::canonicalize(&exists(
             ["z"],
@@ -1363,15 +1285,20 @@ mod tests {
         let plan = Plan::compile(&f, &s).expect("dense structure compiles");
         let mut arena = plan.arena();
         let before = crate::eval::evaluate(&f, &s, &[]).unwrap().sorted();
-        assert!(plan.execute(&mut Evaluator::new(&s, &[]), &mut arena, None).unwrap().is_some());
+        let ran = plan.execute(&mut Evaluator::new(&s, &[]), &mut arena, None).unwrap();
+        assert_eq!(ran.sorted(), before);
 
         let id = s.vocab().relation(Sym::new("E")).unwrap();
         // Not `set_relation`: that converts back to the slot's backend.
         *s.relation_mut(id) = s.relation(id).to_sparse();
         assert_eq!(s.rel("E").backend_kind(), "sparse");
-        let bailed = plan.execute(&mut Evaluator::new(&s, &[]), &mut arena, None);
-        assert!(matches!(bailed, Ok(None)), "plan ran against a sparse relation");
+        let err = plan.execute(&mut Evaluator::new(&s, &[]), &mut arena, None).unwrap_err();
+        assert_eq!(err, EvalError::LayoutMismatch { rel: Some(Sym::new("E")) });
         assert_eq!(crate::eval::evaluate(&f, &s, &[]).unwrap().sorted(), before);
+
+        let wider = st(40, &[(0, 1)]);
+        let err = plan.execute(&mut Evaluator::new(&wider, &[]), &mut arena, None).unwrap_err();
+        assert_eq!(err, EvalError::LayoutMismatch { rel: None });
     }
 
     #[test]
@@ -1407,12 +1334,12 @@ mod tests {
         let plan = Plan::compile(&f, &s).unwrap();
         let mut arena = plan.arena();
         let mut ev = Evaluator::new(&s, &[]);
-        let first = plan.execute(&mut ev, &mut arena, None).unwrap().unwrap();
+        let first = plan.execute(&mut ev, &mut arena, None).unwrap();
         assert_eq!(first.len(), 1);
         s.insert("E", [2, 5]);
         s.insert("E", [5, 2]);
         let mut ev = Evaluator::new(&s, &[]);
-        let second = plan.execute(&mut ev, &mut arena, None).unwrap().unwrap();
+        let second = plan.execute(&mut ev, &mut arena, None).unwrap();
         assert_eq!(second.len(), 2);
         assert!(arena.stable_done.iter().any(|&d| d), "no stable slot cached");
     }
@@ -1427,7 +1354,7 @@ mod tests {
         let plan = Plan::compile(&f, &s).unwrap();
         let mut ev = Evaluator::new(&s, &[]);
         let mut arena = plan.arena();
-        plan.execute(&mut ev, &mut arena, None).unwrap().unwrap();
+        plan.execute(&mut ev, &mut arena, None).unwrap();
         let stats = ev.stats();
         assert_eq!(stats.plan_compiled, 1);
         assert!(stats.kernel_words > 0);

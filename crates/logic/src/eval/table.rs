@@ -217,18 +217,31 @@ impl Table {
     /// Cross product with a fresh universe column `var` (all of `{0..n}`).
     ///
     /// # Panics
-    /// Panics if `var` is already a column.
+    /// Panics if `var` is already a column, or if the `|self| · n` rows
+    /// cannot be allocated.
     pub fn extend(&self, var: Sym, n: Elem) -> Table {
+        self.try_extend(var, n)
+            .unwrap_or_else(|rows| panic!("cannot allocate a table of {rows} rows"))
+    }
+
+    /// [`Table::extend`], returning the `|self| · n` rows it needs as
+    /// `Err` when they cannot be allocated instead of aborting.
+    pub fn try_extend(&self, var: Sym, n: Elem) -> Result<Table, u128> {
         assert!(self.col(var).is_none(), "column {var} already present");
+        let want = self.rows.len() as u128 * u128::from(n);
+        let mut rows = Vec::new();
+        usize::try_from(want)
+            .ok()
+            .and_then(|len| rows.try_reserve_exact(len).ok())
+            .ok_or(want)?;
         let mut vars = self.vars.clone();
         vars.push(var);
-        let mut rows = Vec::with_capacity(self.rows.len() * n as usize);
         for r in &self.rows {
             for v in 0..n {
                 rows.push(r.push(v));
             }
         }
-        Table { vars, rows }
+        Ok(Table { vars, rows })
     }
 
     /// Add a column `var` bound to the fixed value `value` in every row.

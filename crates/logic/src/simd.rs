@@ -12,12 +12,12 @@
 //!   scalar loops recompiled under `#[target_feature(enable = "avx2")]`
 //!   (LLVM re-vectorizes them at 256 bits with its own unrolling); the
 //!   blocked fold is hand-written intrinsics.
-//! * `Sse2` — the x86_64 baseline, i.e. what the scalar loops already
-//!   auto-vectorize to: the tier x86_64 hosts without AVX2 detect.
-//! * `Neon` — the aarch64 baseline, same story as SSE2 there.
+//! * `Neon` — the aarch64 baseline.
 //! * `Scalar` — unrolled u64 loops with no `target_feature` attributes
 //!   at all — the tier that must (and does) compile on stable with
-//!   `--no-default-features`.
+//!   `--no-default-features`. On x86_64 the compiler auto-vectorizes
+//!   these loops with SSE2, so it is also what x86_64 hosts without
+//!   AVX2 detect.
 //!
 //! The tier is resolved by hardware detection once (first use) and
 //! cached. [`force_tier`] pins another one in-process, so the tier
@@ -43,8 +43,6 @@ use std::sync::atomic::{AtomicU8, Ordering};
 pub enum Tier {
     /// 4×-unrolled u64 loops; every architecture, no features.
     Scalar,
-    /// 128-bit SSE2 passes (x86_64 baseline).
-    Sse2,
     /// 256-bit AVX2 passes (runtime-detected).
     Avx2,
     /// 128-bit NEON passes (aarch64 baseline).
@@ -56,7 +54,6 @@ impl Tier {
     pub fn name(self) -> &'static str {
         match self {
             Tier::Scalar => "scalar",
-            Tier::Sse2 => "sse2",
             Tier::Avx2 => "avx2",
             Tier::Neon => "neon",
         }
@@ -66,7 +63,7 @@ impl Tier {
     pub fn lanes(self) -> usize {
         match self {
             Tier::Scalar => 1,
-            Tier::Sse2 | Tier::Neon => 2,
+            Tier::Neon => 2,
             Tier::Avx2 => 4,
         }
     }
@@ -75,15 +72,13 @@ impl Tier {
 /// Encoded tier states for the cached atomic: 0 = unresolved.
 const T_UNSET: u8 = 0;
 const T_SCALAR: u8 = 1;
-const T_SSE2: u8 = 2;
-const T_AVX2: u8 = 3;
-const T_NEON: u8 = 4;
+const T_AVX2: u8 = 2;
+const T_NEON: u8 = 3;
 
 static TIER: AtomicU8 = AtomicU8::new(T_UNSET);
 
 fn decode(v: u8) -> Tier {
     match v {
-        T_SSE2 => Tier::Sse2,
         T_AVX2 => Tier::Avx2,
         T_NEON => Tier::Neon,
         _ => Tier::Scalar,
@@ -93,7 +88,6 @@ fn decode(v: u8) -> Tier {
 fn encode(t: Tier) -> u8 {
     match t {
         Tier::Scalar => T_SCALAR,
-        Tier::Sse2 => T_SSE2,
         Tier::Avx2 => T_AVX2,
         Tier::Neon => T_NEON,
     }
@@ -106,7 +100,6 @@ fn detect() -> Tier {
         if std::arch::is_x86_feature_detected!("avx2") {
             return Tier::Avx2;
         }
-        return Tier::Sse2;
     }
     #[cfg(target_arch = "aarch64")]
     {
@@ -122,11 +115,9 @@ fn clamp(requested: Tier) -> Tier {
     match requested {
         Tier::Scalar => Tier::Scalar,
         Tier::Avx2 if hw == Tier::Avx2 => Tier::Avx2,
-        // Sse2/Neon are baseline for their architectures; requesting the
-        // wrong architecture's tier degrades to scalar.
-        Tier::Sse2 if cfg!(target_arch = "x86_64") => Tier::Sse2,
+        // Neon is baseline on aarch64; anything the host cannot run
+        // degrades to scalar.
         Tier::Neon if cfg!(target_arch = "aarch64") => Tier::Neon,
-        Tier::Avx2 if cfg!(target_arch = "x86_64") => Tier::Sse2,
         _ => Tier::Scalar,
     }
 }
@@ -180,15 +171,6 @@ pub fn fold_assign(dst: &mut [u64], src: &[u64], and: bool) {
                 x86::or_assign_avx2(dst, src)
             }
         },
-        #[cfg(target_arch = "x86_64")]
-        Tier::Sse2 => {
-            note_lanes(dst.len());
-            if and {
-                x86::and_assign_sse2(dst, src)
-            } else {
-                x86::or_assign_sse2(dst, src)
-            }
-        }
         #[cfg(target_arch = "aarch64")]
         Tier::Neon => {
             note_lanes(dst.len());
@@ -219,11 +201,6 @@ pub fn combine1(dst: &mut [u64], a: &[u64], fa: u64, valid: Option<&[u64]>) {
             note_lanes(dst.len());
             x86::combine1_avx2(dst, a, fa, valid)
         },
-        #[cfg(target_arch = "x86_64")]
-        Tier::Sse2 => {
-            note_lanes(dst.len());
-            x86::combine1_sse2(dst, a, fa, valid)
-        }
         #[cfg(target_arch = "aarch64")]
         Tier::Neon => {
             note_lanes(dst.len());
@@ -253,11 +230,6 @@ pub fn combine2(
             note_lanes(dst.len());
             x86::combine2_avx2(dst, a, b, and, fa, fb, valid)
         },
-        #[cfg(target_arch = "x86_64")]
-        Tier::Sse2 => {
-            note_lanes(dst.len());
-            x86::combine2_sse2(dst, a, b, and, fa, fb, valid)
-        }
         #[cfg(target_arch = "aarch64")]
         Tier::Neon => {
             note_lanes(dst.len());
@@ -291,11 +263,6 @@ pub fn combine2_count(dst: &mut [u64], a: &[u64], b: &[u64], and: bool, fb: u64)
             note_lanes(dst.len());
             x86::combine2_count_avx2(dst, a, b, and, fb)
         },
-        #[cfg(target_arch = "x86_64")]
-        Tier::Sse2 => {
-            note_lanes(dst.len());
-            x86::combine2_count_sse2(dst, a, b, and, fb)
-        }
         #[cfg(target_arch = "aarch64")]
         Tier::Neon => {
             note_lanes(dst.len());
@@ -317,11 +284,6 @@ pub fn fold_count(dst: &mut [u64], src: &[u64], and: bool, fb: u64) -> u64 {
             note_lanes(dst.len());
             x86::fold_count_avx2(dst, src, and, fb)
         },
-        #[cfg(target_arch = "x86_64")]
-        Tier::Sse2 => {
-            note_lanes(dst.len());
-            x86::fold_count_sse2(dst, src, and, fb)
-        }
         #[cfg(target_arch = "aarch64")]
         Tier::Neon => {
             note_lanes(dst.len());
@@ -354,11 +316,6 @@ pub fn fold_blocks(dst: &mut [u64], src: &[u64], and: bool) {
             note_lanes(src.len());
             x86::fold_blocks_avx2(dst, src, and)
         },
-        #[cfg(target_arch = "x86_64")]
-        Tier::Sse2 => {
-            note_lanes(src.len());
-            x86::fold_blocks_sse2(dst, src, and)
-        }
         #[cfg(target_arch = "aarch64")]
         Tier::Neon => {
             note_lanes(src.len());
@@ -788,50 +745,6 @@ mod x86 {
             pass!(_mm256_or_si256, |)
         }
     }
-
-    // --- SSE2 tier. ---
-    //
-    // SSE2 is baseline on x86_64, so the compiler already auto-
-    // vectorizes the scalar loops with it: this tier is the explicit
-    // name for that codegen (selecting it and selecting `scalar`
-    // produce the same passes on this architecture).
-
-    pub fn or_assign_sse2(dst: &mut [u64], src: &[u64]) {
-        super::scalar::or_assign(dst, src)
-    }
-
-    pub fn and_assign_sse2(dst: &mut [u64], src: &[u64]) {
-        super::scalar::and_assign(dst, src)
-    }
-
-    pub fn combine1_sse2(dst: &mut [u64], a: &[u64], fa: u64, valid: Option<&[u64]>) {
-        super::scalar::combine1(dst, a, fa, valid)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub fn combine2_sse2(
-        dst: &mut [u64],
-        a: &[u64],
-        b: &[u64],
-        and: bool,
-        fa: u64,
-        fb: u64,
-        valid: Option<&[u64]>,
-    ) {
-        super::scalar::combine2(dst, a, b, and, fa, fb, valid)
-    }
-
-    pub fn fold_blocks_sse2(dst: &mut [u64], src: &[u64], and: bool) {
-        super::scalar::fold_blocks(dst, src, and)
-    }
-
-    pub fn combine2_count_sse2(dst: &mut [u64], a: &[u64], b: &[u64], and: bool, fb: u64) -> u64 {
-        super::scalar::combine2_count(dst, a, b, and, fb)
-    }
-
-    pub fn fold_count_sse2(dst: &mut [u64], src: &[u64], and: bool, fb: u64) -> u64 {
-        super::scalar::fold_count(dst, src, and, fb)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -974,7 +887,7 @@ mod tests {
     fn tiers_under_test() -> Vec<Tier> {
         // Every tier the host can actually run (force_tier clamps).
         let mut ts = vec![Tier::Scalar];
-        for t in [Tier::Sse2, Tier::Neon, Tier::Avx2] {
+        for t in [Tier::Neon, Tier::Avx2] {
             let eff = clamp(t);
             if eff == t && !ts.contains(&t) {
                 ts.push(t);

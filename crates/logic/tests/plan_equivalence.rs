@@ -125,7 +125,7 @@ proptest! {
             let Some(plan) = Plan::compile(&canonical, &st) else { continue };
             let mut arena = plan.arena();
             let mut ev = Evaluator::new(&st, &params);
-            let got = plan.execute(&mut ev, &mut arena, None).unwrap().unwrap();
+            let got = plan.execute(&mut ev, &mut arena, None).unwrap();
             let expect = evaluate(&canonical, &st, &params).unwrap();
             prop_assert_eq!(got.as_bool(), expect.as_bool(), "{}", canonical);
         }
@@ -146,7 +146,7 @@ fn plan_ignores_complement_budget() {
     let plan = Plan::compile(&f, &st).expect("negation compiles");
     let mut arena = plan.arena();
     let mut ev = Evaluator::new(&st, &[]).with_complement_budget(64);
-    let got = plan.execute(&mut ev, &mut arena, None).unwrap().unwrap();
+    let got = plan.execute(&mut ev, &mut arena, None).unwrap();
     assert_eq!(got.len(), 16 * 16 - 3);
     // With a roomy budget the interpreter agrees tuple-for-tuple.
     let expect = evaluate(&f, &st, &[]).unwrap();
@@ -192,7 +192,7 @@ mod awkward_shapes {
 
     /// Every SIMD tier this host runs.
     fn tiers() -> Vec<Tier> {
-        [Tier::Scalar, Tier::Sse2, Tier::Neon, Tier::Avx2]
+        [Tier::Scalar, Tier::Neon, Tier::Avx2]
             .into_iter()
             .filter(|&t| force_tier(t) == t)
             .collect()
@@ -281,11 +281,11 @@ mod awkward_shapes {
                             force_tier(tier);
                             for gather in [true, false] {
                                 let mut ev = Evaluator::new(&st, &params);
-                                assert!(plan.run_with_loads(&mut ev, &mut arena, gather).unwrap());
+                                plan.run_with_loads(&mut ev, &mut arena, gather).unwrap();
                                 tables.push(plan.decode_root(&arena).sorted());
                             }
                             let mut ev = Evaluator::new(&st, &params);
-                            assert!(plan.run(&mut ev, &mut arena, None).unwrap());
+                            plan.run(&mut ev, &mut arena, None).unwrap();
                             tables.push(plan.decode_root(&arena).sorted());
                         }
                         gathers += 1;
@@ -393,7 +393,7 @@ mod awkward_shapes {
         // Bitmap route: run, restride into the target's layout, install.
         let plan = Plan::compile(f, st).expect("dense formula compiles");
         let mut arena = plan.arena();
-        assert!(plan.run(&mut Evaluator::new(st, &[]), &mut arena, None).unwrap());
+        plan.run(&mut Evaluator::new(st, &[]), &mut arena, None).unwrap();
         let axes: Vec<Option<usize>> = vars
             .iter()
             .map(|var| plan.vars().iter().position(|r| r == var))
@@ -437,7 +437,7 @@ mod awkward_shapes {
             force_tier(tier);
             for plan in [&off, &on] {
                 let mut arena = plan.arena();
-                assert!(plan.run(&mut Evaluator::new(st, &[]), &mut arena, None).unwrap());
+                plan.run(&mut Evaluator::new(st, &[]), &mut arena, None).unwrap();
                 tables.push(plan.decode_root(&arena).sorted());
             }
         }
