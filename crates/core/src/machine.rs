@@ -14,13 +14,12 @@ use crate::rules::{
     Residual, Round, RulePlan, Witness, WitnessRows, BULK_DELTA_REL,
 };
 use dynfo_logic::analysis::canonicalize;
-use dynfo_logic::eval::delta::{install_plan, DeltaMode, InstallPlan};
 use dynfo_logic::eval::{probe, Evaluator};
 use dynfo_logic::formula::Formula;
 use dynfo_logic::parallel::EvalPool;
 use dynfo_logic::relation::fits_dense;
 use dynfo_logic::{
-    Elem, EvalError, EvalStats, RelId, Relation, Structure, Sym, Tuple, MAX_ARITY,
+    DeltaMode, Elem, EvalError, EvalStats, RelId, Relation, Structure, Sym, Tuple, MAX_ARITY,
 };
 use dynfo_obs::{Counter, Histogram, ObsHandle};
 use std::collections::BTreeMap;
@@ -52,17 +51,8 @@ struct MachineObs {
     /// `machine.bind_join.witnesses` — tuples in the witness relation
     /// each of those decisions was taken from.
     bind_witnesses: Arc<Histogram>,
-    /// `machine.install.{bitmap,tuples}` — general-rule results that
-    /// reached their target as a counted bitmap pass, or as a decoded,
-    /// diffed tuple list (sparse target or interpreter).
-    install_route: [Arc<Counter>; 2],
     /// `machine.batch_size` — requests per `apply_batch` call.
     batch_size: Arc<Histogram>,
-    /// `machine.batch_fast_runs` — coalesced fast-only runs executed.
-    batch_fast_runs: Arc<Counter>,
-    /// `machine.batch_coalesced` — requests skipped inside a fast run
-    /// as consecutive duplicates.
-    batch_coalesced: Arc<Counter>,
     /// `machine.bulk_tuples` — live Δ tuples materialized by definable
     /// bulk changes (the popcount admission control weighs).
     bulk_tuples: Arc<Counter>,
@@ -88,9 +78,6 @@ const GUARD_FULL: usize = 3;
 const BIND_BOUND: usize = 0;
 const BIND_UNBOUND: usize = 1;
 
-const INSTALL_BITMAP: usize = 0;
-const INSTALL_TUPLES: usize = 1;
-
 impl MachineObs {
     fn new(handle: &ObsHandle) -> MachineObs {
         MachineObs {
@@ -102,11 +89,7 @@ impl MachineObs {
             bind_join: ["bound", "unbound"]
                 .map(|r| handle.counter(&format!("machine.bind_join.{r}"))),
             bind_witnesses: handle.histogram("machine.bind_join.witnesses"),
-            install_route: ["bitmap", "tuples"]
-                .map(|r| handle.counter(&format!("machine.install.{r}"))),
             batch_size: handle.histogram("machine.batch_size"),
-            batch_fast_runs: handle.counter("machine.batch_fast_runs"),
-            batch_coalesced: handle.counter("machine.batch_coalesced"),
             bulk_tuples: handle.counter("machine.bulk_tuples"),
             bulk_plan_ns: handle.histogram("machine.bulk_plan_ns"),
             bulk_fallback: handle.counter("machine.bulk_fallback"),
@@ -223,9 +206,8 @@ pub struct MachineStats {
 /// unchanged target costs no allocation (`unchanged` counts those).
 #[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
 pub struct InstallStats {
-    /// General-rule evaluations whose install plan was empty: the
-    /// target was already correct, so nothing was written, allocated,
-    /// or invalidated.
+    /// General-rule evaluations whose install changed nothing: the
+    /// target was already correct.
     pub unchanged: usize,
     /// In-place delta installs (≥ 1 tuple added or removed).
     pub delta: usize,
@@ -249,18 +231,6 @@ pub struct InstallStats {
     pub full_evals: usize,
 }
 
-/// How one general rule's result reaches its target relation.
-#[derive(Clone, Debug)]
-enum Install {
-    /// The guards alone decided the target is already correct.
-    Noop,
-    /// The new value (for [`DeltaMode::Grow`]: the additions) sits in
-    /// the rule's [`CompiledRule::out`] bitmap.
-    Bits(DeltaMode),
-    /// Decoded, diffed tuple lists.
-    Tuples(InstallPlan),
-}
-
 /// What guard refinement left of a general rule for one request: the
 /// install mode the surviving disjuncts admit and which of them must be
 /// evaluated (bit `i` = `disjuncts[i]`); `None` when they are all the
@@ -278,8 +248,10 @@ struct Scratch {
     selected: Vec<Selected>,
     /// Per witness of the kind.
     witnesses: Vec<WitnessRows>,
-    /// `(index into the kind's rules, how to install)`.
-    installs: Vec<(usize, Install)>,
+    /// `(index into the kind's rules, how to install)`: the rule's
+    /// [`CompiledRule::out`] under its [`DeltaMode`], or nothing where
+    /// the guards alone decided the target is already correct.
+    installs: Vec<(usize, Option<DeltaMode>)>,
     /// `(target, is_insert)` per input-copy rule of the kind.
     fast_ops: Vec<(RelId, bool)>,
 }
@@ -646,7 +618,7 @@ impl DynFoMachine {
             // schedule. Interpreter work may be higher: each job's
             // evaluator has its own empty memo, so an interpreted rule
             // rebuilds subformulas the serial evaluator would share.
-            type WorkerOut = (Result<Install, EvalError>, EvalStats);
+            type WorkerOut = (Result<Option<DeltaMode>, EvalError>, EvalStats);
             let pool = EvalPool::global(self.parallelism);
             let slots: Vec<Mutex<Option<WorkerOut>>> =
                 generals().map(|_| Mutex::new(None)).collect();
@@ -694,24 +666,12 @@ impl DynFoMachine {
     fn install(&mut self, req: &Request, params: &[Elem], scratch: &mut Scratch) {
         let rules = rules_for(&self.tables, req.kind());
         let installs = &mut self.stats.installs;
-        for (i, install) in scratch.installs.drain(..) {
+        for (i, mode) in scratch.installs.drain(..) {
             let cr = &rules[i];
-            let (added, removed) = match install {
-                // The evaluation confirmed the target: no write, no
-                // allocation.
-                Install::Noop => (0, 0),
-                Install::Bits(mode) => {
-                    let bits = cr.out.0.lock().expect("out bitmap lock");
-                    self.state
-                        .relation_mut(cr.target)
-                        .install_bits(mode, &bits)
-                        .expect("bitmap install planned against a dense target")
-                }
-                Install::Tuples(plan) => {
-                    self.state.apply_delta(cr.target, &plan.added, &plan.removed);
-                    (plan.added.len(), plan.removed.len())
-                }
-            };
+            // No mode: the guards confirmed the target, nothing to write.
+            let (added, removed) = mode.map_or((0, 0), |mode| {
+                self.state.relation_mut(cr.target).install(mode, &cr.out.lock())
+            });
             if added + removed == 0 {
                 installs.unchanged += 1;
             } else {
@@ -752,18 +712,13 @@ impl DynFoMachine {
         Ok(())
     }
 
-    /// Apply a batch of requests as one pipeline pass.
+    /// Apply a batch of requests.
     ///
     /// The whole batch is validated up front, so a malformed frame
     /// rejects the batch with *nothing* applied (`applied == 0`) and
     /// the machine untouched — a serving layer can refuse the frame
     /// before journaling anything. After validation the batch is
-    /// equivalent to sequential [`DynFoMachine::apply_all`], but runs
-    /// of consecutive requests whose kinds compile entirely to
-    /// input-copy fast paths are coalesced: they mutate tuples directly,
-    /// and consecutive duplicate requests are skipped outright —
-    /// insert/delete copies are idempotent, so the repeat cannot change
-    /// state and its tuple is never even built.
+    /// sequential [`DynFoMachine::apply_all`].
     ///
     /// Returns the summed evaluator work. An evaluation failure
     /// mid-batch leaves the prefix applied and reports both the failing
@@ -780,78 +735,15 @@ impl DynFoMachine {
         }
         self.obs.batch_size.observe(reqs.len() as u64);
         let mut work = EvalStats::default();
-        let mut i = 0;
-        while i < reqs.len() {
-            let run = reqs[i..]
-                .iter()
-                .take_while(|r| self.is_fast_only(r))
-                .count();
-            if run > 0 {
-                self.obs.batch_fast_runs.inc();
-                self.apply_fast_run(&reqs[i..i + run]);
-                i += run;
-            } else {
-                match self.apply_validated(&reqs[i]) {
-                    Ok(w) => work.absorb(&w),
-                    Err(error) => {
-                        return Err(BatchError {
-                            index: i,
-                            applied: i,
-                            error,
-                        })
-                    }
-                }
-                i += 1;
-            }
+        for (index, r) in reqs.iter().enumerate() {
+            let w = self.apply_validated(r).map_err(|error| BatchError {
+                index,
+                applied: index,
+                error,
+            })?;
+            work.absorb(&w);
         }
         Ok(work)
-    }
-
-    /// True iff every rule for this request's kind is an input-copy
-    /// fast path — applying it cannot evaluate a formula. (A kind with
-    /// no rules at all is vacuously fast: the request is a no-op.)
-    fn is_fast_only(&self, req: &Request) -> bool {
-        // `set` rebinds a constant and a bulk change runs its own
-        // maintenance pipeline; neither is a tuple fast path.
-        if matches!(req, Request::Set(..)) || req.is_bulk() {
-            return false;
-        }
-        rules_for(&self.tables, req.kind())
-            .iter()
-            .all(|cr| !matches!(cr.route, RulePlan::General(_)))
-    }
-
-    /// Apply a coalesced run of fast-only requests (see
-    /// [`DynFoMachine::apply_batch`]). Infallible: the requests are
-    /// pre-validated and no evaluation happens.
-    fn apply_fast_run(&mut self, reqs: &[Request]) {
-        let mut params = std::mem::take(&mut self.scratch.params);
-        let mut prev: Option<&Request> = None;
-        for req in reqs {
-            self.stats.requests += 1;
-            self.obs.requests.inc();
-            if prev == Some(req) {
-                self.obs.batch_coalesced.inc();
-                continue;
-            }
-            prev = Some(req);
-            let rules = rules_for(&self.tables, req.kind());
-            if rules.is_empty() {
-                continue;
-            }
-            req.params_into(&mut params);
-            let tuple = Tuple::from_slice(&params);
-            for cr in rules {
-                let rel = self.state.relation_mut(cr.target);
-                match cr.route {
-                    RulePlan::InsertCopy => rel.insert(tuple),
-                    RulePlan::DeleteCopy => rel.remove(&tuple),
-                    RulePlan::General(_) => unreachable!("fast run contains general rule"),
-                };
-            }
-        }
-        params.clear();
-        self.scratch.params = params;
     }
 
     /// Apply a validated definable bulk change (Schwentick–Vortmeier–
@@ -925,7 +817,7 @@ impl DynFoMachine {
     /// compiled plan whenever one lowers — there is no density gate:
     /// the interpreter has no delta shortcut for δ, which is a fresh
     /// formula every request — and its root is ORed straight into the
-    /// relation's bitmap; the interpreter evaluates δ only when no plan
+    /// defined set; the interpreter evaluates δ only when no plan
     /// lowers (a sparse-backed read, a plan past the compile cap).
     fn eval_delta_set(
         &self,
@@ -939,23 +831,13 @@ impl DynFoMachine {
         if let Some(bp) = BitPlan::compile(&canonical, &self.state) {
             let mut arena = bp.arena.lock().expect("plan arena lock");
             bp.plan.run(&mut ev, &mut arena, None)?;
-            match defined.dense_words() {
-                Some(words) => {
-                    let axes: Vec<Option<usize>> = (0..arity)
-                        .map(|i| {
-                            let x = Sym::new(&format!("x{i}"));
-                            bp.plan.vars().iter().position(|&v| v == x)
-                        })
-                        .collect();
-                    let mut bits = vec![0u64; words];
-                    bp.plan.or_root_into(&arena, &axes, &mut bits, ev.stats_mut());
-                    defined.install_bits(DeltaMode::Grow, &bits);
-                }
-                None => {
-                    let rows = delta_rows(bp.plan.decode_root(&arena), arity, n);
-                    defined.insert_all(&rows);
-                }
-            }
+            let axes: Vec<Option<usize>> = (0..arity)
+                .map(|i| {
+                    let x = Sym::new(&format!("x{i}"));
+                    bp.plan.vars().iter().position(|&v| v == x)
+                })
+                .collect();
+            bp.plan.or_root_into(&arena, &axes, &mut defined, ev.stats_mut());
             return Ok((defined, ev.stats()));
         }
         let table = ev.eval(&canonical)?;
@@ -968,10 +850,10 @@ impl DynFoMachine {
     /// The state is copied and extended with Δ as a scratch relation.
     /// Each round runs every rule's closed residual — compiled once, at
     /// construction ([`Round::Closed`]) — against the pre-round copy
-    /// and ORs its root into the rule's `out` bitmap, then installs
+    /// and ORs its root into the rule's `out` relation, then installs
     /// them all together (simultaneous semantics): a Grow rule's
-    /// additions by one OR pass, a Shrink rule's removals by one
-    /// AND-NOT pass, each counted, and the copies by Δ itself. The loop
+    /// additions by a union, a Shrink rule's removals by a difference,
+    /// each counted, and the copies by Δ itself. The loop
     /// stops at the first round that counts no change. Eligibility
     /// guarantees the operator is monotone (targets only grow, or only
     /// shrink), so the loop terminates and its fixpoint equals the
@@ -994,6 +876,7 @@ impl DynFoMachine {
                 Round::Copy => None,
             })
         };
+        let n = self.n();
         let mut ext = self.state.extended(BULK_DELTA_REL, delta.clone());
         // Tuples each rule's target gained (bulk insert) or lost (delete).
         let mut moved = vec![0usize; rules.len()];
@@ -1003,9 +886,7 @@ impl DynFoMachine {
                 let mut ev = Evaluator::new(&ext, &[]);
                 let mut arena = l.bits.arena.lock().expect("plan arena lock");
                 l.bits.plan.run(&mut ev, &mut arena, None)?;
-                let mut out = cr.out.0.lock().expect("out bitmap lock");
-                out.clear();
-                out.resize(ext.relation(cr.target).dense_words().expect("dense target"), 0);
+                let mut out = cr.out.cleared(ext.relation(cr.target), n);
                 l.bits.plan.or_root_into(&arena, &l.axes, &mut out, ev.stats_mut());
                 work.absorb(&ev.stats());
                 evals += 1;
@@ -1017,14 +898,8 @@ impl DynFoMachine {
                 match (round, is_ins) {
                     (Round::Copy, true) => target.union_assign(delta),
                     (Round::Copy, false) => target.difference_assign(delta),
-                    (Round::Closed(_), true) => {
-                        let out = cr.out.0.lock().expect("out bitmap lock");
-                        target.install_bits(DeltaMode::Grow, &out).expect("dense target");
-                    }
-                    (Round::Closed(_), false) => {
-                        let out = cr.out.0.lock().expect("out bitmap lock");
-                        target.remove_bits(&out).expect("dense target");
-                    }
+                    (Round::Closed(_), true) => target.union_assign(&cr.out.lock()),
+                    (Round::Closed(_), false) => target.difference_assign(&cr.out.lock()),
                 }
                 let changed = target.len().abs_diff(before);
                 *moved += changed;
@@ -1141,10 +1016,8 @@ impl DynFoMachine {
         // passes may slice across the pool.
         let pool = (self.parallelism > 1).then(|| EvalPool::global(self.parallelism));
         let mut ev = Evaluator::new(&self.state, &[]);
-        let ans = match run_plan(self.query_plan.as_ref(), pool.as_deref(), &mut ev)? {
-            Some(t) => t.as_bool(),
-            None => ev.eval(self.program.query())?.as_bool(),
-        };
+        let ans = run_plan(self.query_plan.as_ref(), self.program.query(), pool.as_deref(), &mut ev)?
+            .as_bool();
         self.stats.queries += 1;
         self.stats.query_work.absorb(&ev.stats());
         Ok(ans)
@@ -1159,22 +1032,18 @@ impl DynFoMachine {
         let f = self
             .program
             .named_query(name)
-            .ok_or_else(|| MachineError::UnknownQuery(Sym::new(name)))?
-            .clone();
+            .ok_or_else(|| MachineError::UnknownQuery(Sym::new(name)))?;
         let sym = Sym::new(name);
         if !self.named_plans.contains_key(&sym) {
             // Plans are parameter-generic (`?i` resolves at execution),
             // so one compilation serves every argument vector.
-            let bp = BitPlan::compile(&f, &self.state);
+            let bp = BitPlan::compile(f, &self.state);
             self.named_plans.insert(sym, bp);
         }
         let pool = (self.parallelism > 1).then(|| EvalPool::global(self.parallelism));
         let mut ev = Evaluator::new(&self.state, args);
         let plan = self.named_plans.get(&sym).and_then(|o| o.as_ref());
-        let ans = match run_plan(plan, pool.as_deref(), &mut ev)? {
-            Some(t) => t.as_bool(),
-            None => ev.eval(&f)?.as_bool(),
-        };
+        let ans = run_plan(plan, f, pool.as_deref(), &mut ev)?.as_bool();
         self.stats.queries += 1;
         self.stats.query_work.absorb(&ev.stats());
         Ok(ans)
@@ -1204,25 +1073,25 @@ impl InstallStats {
     }
 }
 
-/// Execute a rule's or query's compiled plan over the dense backends,
-/// provided the caller's gate admitted it (for unguarded rules,
-/// [`BitPlan::profitable`]). `Ok(None)` means the caller interprets
-/// instead — compilation or the gate declined — with `plan_fallback`
-/// counted. Evaluation errors surface exactly like the interpreter's.
+/// Evaluate `f` by its compiled plan when there is one, and on the
+/// interpreter — with `plan_fallback` counted — when compilation or the
+/// caller's gate declined. Evaluation errors surface exactly like the
+/// interpreter's.
 fn run_plan(
     plan: Option<&BitPlan>,
+    f: &Formula,
     pool: Option<&EvalPool>,
     ev: &mut Evaluator<'_>,
-) -> Result<Option<dynfo_logic::Table>, EvalError> {
+) -> Result<dynfo_logic::Table, EvalError> {
     if let Some(bp) = plan {
         let mut arena = bp.arena.lock().unwrap();
-        return bp.plan.execute(ev, &mut arena, pool).map(Some);
+        return bp.plan.execute(ev, &mut arena, pool);
     }
     ev.stats_mut().plan_fallback += 1;
     if dynfo_obs::ENABLED {
         dynfo_logic::obs::eval_obs().plan_fallback.inc();
     }
-    Ok(None)
+    ev.eval(f)
 }
 
 /// Put every relation of `state` on the backend [`Relation::with_universe`]
@@ -1336,86 +1205,73 @@ struct RuleCtx<'a> {
     witnesses: &'a [WitnessRows],
 }
 
-/// Evaluate one general rule's selected bodies against the pre-state
-/// and say how to install the result: as a bitmap when every body ran
-/// compiled against a dense target, as diffed tuples otherwise.
+/// Evaluate one general rule's selected residuals against the
+/// pre-state into the rule's [`CompiledRule::out`] relation and say how
+/// to install it (`None`: the guards alone confirmed the target). Each
+/// residual is routed on its own: one whose compiled route this request
+/// admits ORs its plan roots into `out`, any other is interpreted and
+/// its rows inserted.
 fn eval_general(
     ctx: &RuleCtx<'_>,
     cr: &CompiledRule,
     sel: &Selected,
     ev: &mut Evaluator<'_>,
-) -> Result<Install, EvalError> {
+) -> Result<Option<DeltaMode>, EvalError> {
     let Some((mode, _)) = *sel else {
-        return Ok(Install::Noop);
+        return Ok(None);
     };
-    if eval_bits(ctx, cr, sel, ev)? {
-        ctx.obs.install_route[INSTALL_BITMAP].inc();
-        return Ok(Install::Bits(mode));
-    }
-    ctx.obs.install_route[INSTALL_TUPLES].inc();
-    let mut rows: Vec<Tuple> = Vec::new();
+    let st = ctx.st;
+    let mut out = cr.out.cleared(st.relation(cr.target), st.size());
     for r in selected_residuals(cr, sel) {
-        // A residual that is one plain plan can still run compiled and
-        // be decoded; bind joins install from bits or not at all.
-        let plan = match &r.parts[..] {
-            [Part::Plain(l)] => Some(&l.bits),
-            _ => None,
-        };
-        let admitted = plan.filter(|bp| cr.guarded || bp.profitable(ctx.st));
-        // No pool: rule plans may already be running on pool workers,
-        // and pools must not nest.
-        let table = match run_plan(admitted, None, ev)? {
-            Some(table) => table,
-            None => ev.eval(&r.formula)?,
-        };
-        rows.extend(align_to_rule(table, &cr.rule, ctx.st.size()));
+        match admitted_route(ctx, cr, r) {
+            Some(parts) => run_compiled(ctx, parts, &mut out, ev)?,
+            None => {
+                // No pool: rule plans may already be running on pool
+                // workers, and pools must not nest.
+                let table = run_plan(None, &r.formula, None, ev)?;
+                out.insert_all(&align_to_rule(table, &cr.rule, st.size()));
+            }
+        }
     }
-    rows.sort_unstable();
-    rows.dedup();
-    Ok(Install::Tuples(install_plan(mode, ctx.st.relation(cr.target), &rows)))
+    Ok(Some(mode))
 }
 
-/// Run every selected body compiled and OR the roots into the rule's
-/// `out` bitmap, in the target's own layout. `Ok(false)` — nothing
-/// usable in `out` — when the target is not densely backed or some body
-/// has no compiled route this request admits, both decided before
-/// anything runs, so declining costs no kernel work.
-fn eval_bits(
+/// The parts residual `r` runs compiled for this request, or `None`
+/// where the interpreter evaluates it: it has no route
+/// ([`Residual::route`]), or the density gate ([`BitPlan::profitable`])
+/// declines one of its plans on an unguarded rule. Records the bind-join
+/// decision of a residual that has one.
+fn admitted_route<'a>(
     ctx: &RuleCtx<'_>,
     cr: &CompiledRule,
-    sel: &Selected,
+    r: &'a Residual,
+) -> Option<&'a [Part]> {
+    let route = r.route(ctx.witnesses);
+    if let Some(w) = r.parts.iter().find_map(|p| match p {
+        Part::Bound { witness, .. } => Some(*witness),
+        _ => None,
+    }) {
+        ctx.obs.bind_join[if route.is_some() { BIND_BOUND } else { BIND_UNBOUND }].inc();
+        ctx.obs.bind_witnesses.observe(ctx.witnesses[w].count as u64);
+    }
+    let admitted = |bp: &BitPlan| cr.guarded || bp.profitable(ctx.st);
+    route.filter(|parts| {
+        parts.iter().all(|p| match p {
+            Part::Plain(l) | Part::Bound { body: l, .. } => admitted(&l.bits),
+            Part::Witness { .. } => true,
+        })
+    })
+}
+
+/// Run one residual's compiled parts and OR their roots into `out`, in
+/// the target's own layout.
+fn run_compiled(
+    ctx: &RuleCtx<'_>,
+    parts: &[Part],
+    out: &mut Relation,
     ev: &mut Evaluator<'_>,
-) -> Result<bool, EvalError> {
-    let st = ctx.st;
-    let target = st.relation(cr.target);
-    let Some(words) = target.dense_words() else {
-        return Ok(false);
-    };
-    let admitted = |bp: &BitPlan| cr.guarded || bp.profitable(st);
-    let mut compiled = true;
-    for r in selected_residuals(cr, sel) {
-        let route = r.route(ctx.witnesses);
-        if let Some(w) = r.parts.iter().find_map(|p| match p {
-            Part::Bound { witness, .. } => Some(*witness),
-            _ => None,
-        }) {
-            ctx.obs.bind_join[if route.is_some() { BIND_BOUND } else { BIND_UNBOUND }].inc();
-            ctx.obs.bind_witnesses.observe(ctx.witnesses[w].count as u64);
-        }
-        compiled &= route.is_some_and(|parts| {
-            parts.iter().all(|p| match p {
-                Part::Plain(l) | Part::Bound { body: l, .. } => admitted(&l.bits),
-                Part::Witness { .. } => true,
-            })
-        });
-    }
-    if !compiled {
-        return Ok(false);
-    }
-    let mut out = cr.out.0.lock().expect("out bitmap lock");
-    out.clear();
-    out.resize(words, 0);
-    let run = |l: &Lowered, ev: &mut Evaluator<'_>, out: &mut [u64]| -> Result<(), EvalError> {
+) -> Result<(), EvalError> {
+    let run = |l: &Lowered, ev: &mut Evaluator<'_>, out: &mut Relation| -> Result<(), EvalError> {
         let mut arena = l.bits.arena.lock().expect("plan arena lock");
         // No pool: rule plans may already be running on pool workers,
         // and pools must not nest.
@@ -1423,61 +1279,49 @@ fn eval_bits(
         l.bits.plan.or_root_into(&arena, &l.axes, out, ev.stats_mut());
         Ok(())
     };
-    for r in selected_residuals(cr, sel) {
-        let parts = r
-            .route(ctx.witnesses)
-            .expect("every selected body has a compiled route");
-        for part in parts {
-            match part {
-                Part::Plain(l) => run(l, ev, &mut out)?,
-                Part::Witness { witness, axes } => {
-                    let bits = &ctx.kind_witnesses[*witness].bits;
-                    let arena = bits.arena.lock().expect("witness arena lock");
-                    bits.plan.or_root_into(&arena, axes, &mut out, ev.stats_mut());
-                }
-                Part::Bound { witness, body } => {
-                    // The witness tuple rides behind the request's own
-                    // parameters: `?p…` in the bound body.
-                    let p = ctx.params.len();
-                    let mut bound = [0 as Elem; 2 * MAX_ARITY];
-                    bound[..p].copy_from_slice(ctx.params);
-                    for row in &ctx.witnesses[*witness].rows {
-                        bound[p..p + row.len()].copy_from_slice(row.as_slice());
-                        let mut inner = Evaluator::new(st, &bound[..p + row.len()]);
-                        run(body, &mut inner, &mut out)?;
-                        ev.stats_mut().absorb(&inner.stats());
-                    }
+    for part in parts {
+        match part {
+            Part::Plain(l) => run(l, ev, out)?,
+            Part::Witness { witness, axes } => {
+                let bits = &ctx.kind_witnesses[*witness].bits;
+                let arena = bits.arena.lock().expect("witness arena lock");
+                bits.plan.or_root_into(&arena, axes, out, ev.stats_mut());
+            }
+            Part::Bound { witness, body } => {
+                // The witness tuple rides behind the request's own
+                // parameters: `?p…` in the bound body.
+                let p = ctx.params.len();
+                let mut bound = [0 as Elem; 2 * MAX_ARITY];
+                bound[..p].copy_from_slice(ctx.params);
+                for row in &ctx.witnesses[*witness].rows {
+                    bound[p..p + row.len()].copy_from_slice(row.as_slice());
+                    let mut inner = Evaluator::new(ctx.st, &bound[..p + row.len()]);
+                    run(body, &mut inner, out)?;
+                    ev.stats_mut().absorb(&inner.stats());
                 }
             }
         }
     }
-    Ok(true)
+    Ok(())
 }
 
-/// Project an evaluated table to the rule's declared variables and
-/// return its rows sorted and duplicate-free — the merge diff's
-/// precondition, re-asserted cheaply (near-linear on sorted input) so
-/// it never depends on table internals.
+/// Project an evaluated table to the rule's declared variables, in
+/// column order.
 fn align_to_rule(table: dynfo_logic::Table, rule: &UpdateRule, n: Elem) -> Vec<Tuple> {
-    let aligned = if rule.vars.is_empty() {
-        table
-    } else {
-        // Simplification may erase a declared variable from the stored
-        // formula (e.g. a tautological `x = x` conjunct); such a
-        // variable is unconstrained — extend it over the whole universe
-        // before projecting to column order.
-        let mut t = table;
-        for &v in &rule.vars {
-            if t.col(v).is_none() {
-                t = t.extend(v, n);
-            }
+    if rule.vars.is_empty() {
+        return table.into_rows();
+    }
+    // Simplification may erase a declared variable from the stored
+    // formula (e.g. a tautological `x = x` conjunct); such a variable is
+    // unconstrained — extend it over the whole universe before
+    // projecting to column order.
+    let mut t = table;
+    for &v in &rule.vars {
+        if t.col(v).is_none() {
+            t = t.extend(v, n);
         }
-        t.project(&rule.vars)
-    };
-    let mut rows = aligned.into_rows();
-    rows.sort_unstable();
-    rows.dedup();
-    rows
+    }
+    t.project(&rule.vars).into_rows()
 }
 
 /// Run the machine and an input-structure replay side by side over a
@@ -1752,7 +1596,7 @@ mod tests {
     }
 
     #[test]
-    fn bulk_in_batch_is_not_coalesced() {
+    fn bulk_in_batch_matches_sequential() {
         let mut batch = DynFoMachine::new(toy(), 8);
         let mut seq = DynFoMachine::new(toy(), 8);
         let reqs = [
@@ -1852,6 +1696,23 @@ mod tests {
             seq.query_named("connected", &[0, 3]).unwrap(),
             batched.query_named("connected", &[0, 3]).unwrap()
         );
+        // Input copies only, with consecutive duplicates: every request
+        // is applied and counted.
+        let reqs = vec![
+            Request::ins("M", [1]),
+            Request::ins("M", [1]),
+            Request::ins("M", [2]),
+            Request::del("M", [1]),
+            Request::del("M", [1]),
+            Request::ins("M", [3]),
+        ];
+        let mut seq = DynFoMachine::new(toy(), 8);
+        seq.apply_all(&reqs).unwrap();
+        let mut batched = DynFoMachine::new(toy(), 8);
+        batched.apply_batch(&reqs).unwrap();
+        assert_eq!(seq.state(), batched.state());
+        assert_eq!(batched.stats().requests, reqs.len(), "duplicates still count");
+        assert!(batched.query().unwrap());
     }
 
     #[test]
@@ -1870,27 +1731,6 @@ mod tests {
         assert!(matches!(err.error, MachineError::Request(_)));
         assert_eq!(*m.state(), before, "machine untouched by rejected batch");
         assert_eq!(m.stats().requests, 1);
-    }
-
-    #[test]
-    fn fast_run_coalescing_skips_duplicates_and_matches_sequential() {
-        // The toy program is all input-copy fast paths, so the whole
-        // batch coalesces into one run with one invalidation pass.
-        let reqs = vec![
-            Request::ins("M", [1]),
-            Request::ins("M", [1]), // consecutive duplicate: skipped
-            Request::ins("M", [2]),
-            Request::del("M", [1]),
-            Request::del("M", [1]), // skipped
-            Request::ins("M", [3]),
-        ];
-        let mut seq = DynFoMachine::new(toy(), 8);
-        seq.apply_all(&reqs).unwrap();
-        let mut batched = DynFoMachine::new(toy(), 8);
-        batched.apply_batch(&reqs).unwrap();
-        assert_eq!(seq.state(), batched.state());
-        assert_eq!(batched.stats().requests, reqs.len(), "duplicates still count");
-        assert!(batched.query().unwrap());
     }
 
     #[test]

@@ -17,9 +17,9 @@ use dynfo_logic::analysis::{canonicalize, free_vars, positive_in};
 use dynfo_logic::eval::opt::optimize_formula;
 use dynfo_logic::eval::{alpha_normalize, is_ground};
 use dynfo_logic::formula::{Formula, Term};
-use dynfo_logic::{Plan, PlanArena, RelId, Relation, Structure, Sym, Tuple};
+use dynfo_logic::{Elem, Plan, PlanArena, RelId, Relation, Structure, Sym, Tuple};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// How one update rule is executed (compiled once per machine).
 #[derive(Clone, Debug)]
@@ -36,7 +36,7 @@ pub(crate) enum RulePlan {
 }
 
 /// The shape detected for a general rule (see
-/// [`dynfo_logic::eval::delta`]). Detection is purely syntactic on the
+/// [`dynfo_logic::DeltaMode`]). Detection is purely syntactic on the
 /// canonical stored formula, so a shape is a *guarantee*, never a guess.
 /// It labels the rule for [`InstallStats`](crate::InstallStats) and the
 /// bulk fixpoint; execution is uniform over [`CompiledRule::disjuncts`].
@@ -55,13 +55,13 @@ pub(crate) enum RulePlan {
 ///   guard fails are dropped, and the install for the *surviving*
 ///   disjuncts is chosen at runtime: all-identity → no-op without
 ///   scanning the target, identity + ψ → grow, self-restrictions only →
-///   shrink, anything else → full diff of the pruned disjunction. This
+///   shrink, anything else → the pruned disjunction's value. This
 ///   is the delta pipeline's parameter restriction: the common REACH_u
 ///   delete of a non-forest edge costs one `F(?0,?1)` probe instead of
 ///   an O(n³) PV copy.
-/// * `Full` — anything else: evaluate the whole formula and diff.
-///   Still installs in place; "full" refers to the evaluation, not to
-///   any relation rebuild.
+/// * `Full` — anything else: evaluate the whole formula, whose value
+///   replaces the target. Still installs in place; "full" refers to the
+///   evaluation, not to any relation rebuild.
 #[derive(Clone, Debug)]
 pub(crate) enum GeneralPlan {
     Grow(Formula),
@@ -309,15 +309,36 @@ impl Clone for BitPlan {
     }
 }
 
-/// The base-`n` bitmap a rule's compiled bodies OR their roots into
-/// and the install phase hands to `Relation::install_bits`. Sized on
-/// first use; a cloned machine starts with an empty one.
+/// The relation a rule's selected residuals write their result into —
+/// compiled roots ORed in, interpreted rows inserted — and
+/// [`Relation::install`] then puts in place. It sits on the target's
+/// backend, is sized on first use, and a cloned machine starts with an
+/// empty one.
 #[derive(Debug, Default)]
-pub(crate) struct OutBits(pub Mutex<Vec<u64>>);
+pub(crate) struct RuleOut(Mutex<Relation>);
 
-impl Clone for OutBits {
-    fn clone(&self) -> OutBits {
-        OutBits::default()
+impl RuleOut {
+    /// The result relation, emptied, on the backend
+    /// [`Relation::with_universe`] gives `target` over `{0..n}`.
+    pub fn cleared(&self, target: &Relation, n: Elem) -> MutexGuard<'_, Relation> {
+        let mut out = self.lock();
+        if out.arity() == target.arity() && out.dense_universe() == target.dense_universe() {
+            out.clear();
+        } else {
+            *out = Relation::with_universe(target.arity(), n);
+        }
+        out
+    }
+
+    /// The result relation as the last evaluation left it.
+    pub fn lock(&self) -> MutexGuard<'_, Relation> {
+        self.0.lock().expect("rule result lock")
+    }
+}
+
+impl Clone for RuleOut {
+    fn clone(&self) -> RuleOut {
+        RuleOut::default()
     }
 }
 
@@ -341,7 +362,7 @@ pub(crate) struct CompiledRule {
     /// runs, and what they select runs compiled whenever it compiled.
     /// Unguarded rules keep the density gate ([`BitPlan::profitable`]).
     pub guarded: bool,
-    pub out: OutBits,
+    pub out: RuleOut,
 }
 
 impl CompiledRule {
@@ -376,7 +397,7 @@ pub(crate) enum Round {
     /// The rule's residual closed over the whole change ([`close`]):
     /// a round's additions (Grow) or removals (Shrink), as a plan over
     /// the state extended with [`BULK_DELTA_REL`], ORed into the rule's
-    /// `out` bitmap.
+    /// `out` relation.
     Closed(Lowered),
 }
 
@@ -422,7 +443,7 @@ pub(crate) fn compile_tables(
             rule: rule.clone(),
             route,
             disjuncts,
-            out: OutBits::default(),
+            out: RuleOut::default(),
         });
     }
     // The fixpoint extends the state with a scratch Δ relation; a
@@ -452,8 +473,7 @@ pub(crate) fn compile_tables(
 /// closed over the change ([`close`]) and compiled once, against `st`
 /// extended with an empty Δ relation of the kind's `arity`. `None`
 /// when a closed residual does not lower or its target is not densely
-/// backed: the rounds install by bitmap, so such a kind replays bulk
-/// changes per tuple.
+/// backed: such a kind replays bulk changes per tuple.
 fn compile_closure(rules: &[CompiledRule], st: &Structure, arity: usize) -> Option<Vec<Round>> {
     let n = st.size();
     let template = st.extended(BULK_DELTA_REL, Relation::with_universe(arity, n));

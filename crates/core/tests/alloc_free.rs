@@ -2,10 +2,11 @@
 //!
 //! A REACH_u request the guards resolve — an insert inside a tree, a
 //! delete outside the forest — and any `set` runs a few probes and at
-//! most two small plans with bitmap installs; every buffer involved
-//! (parameters, selections, plan arenas, install bitmaps, changed-set)
-//! is owned by the machine and reused. This binary counts allocations
-//! under a wrapping global allocator and requires zero for each.
+//! most two small plans installed through the rules' result relations;
+//! every buffer involved (parameters, selections, plan arenas, result
+//! relations, changed-set) is owned by the machine and reused. This
+//! binary counts allocations under a wrapping global allocator and
+//! requires zero for each.
 
 use dynfo_core::{programs, DynFoMachine, Request};
 use std::alloc::{GlobalAlloc, Layout, System};

@@ -155,8 +155,8 @@ fn all_programs_reproduce_state_and_work_profile() {
     }
 }
 
-/// The counters must also reproduce through the batched pipeline, whose
-/// coalescing and fast-run detection add more control flow to pin.
+/// The counters must also reproduce through `apply_batch`, which
+/// validates a whole chunk before applying any of it.
 #[test]
 fn batched_runs_reproduce_work_profile() {
     let reqs = undirected(367);

@@ -359,3 +359,73 @@ fn sparse_relations_and_uncompiled_queries_interpret() {
     let query = m.stats().query_work;
     assert_eq!((query.plan_compiled, query.plan_fallback), (0, 1), "{query:?}");
 }
+
+/// One guarded rule whose two selected residuals split: a bind join
+/// `∃u (A(u) ∧ B(u, x))`, which runs compiled, and a projection of the
+/// arity-4 relation `Q` at n = 65, which is sparse by size and so
+/// cannot compile. Each residual is routed on its own: the bind join
+/// ORs its roots into the rule's result and adds no interpreter rows —
+/// the split rule interprets exactly the rows of a sibling rule that
+/// has only the `Q` arm — and the state is Definition 3.1's after every
+/// request.
+#[test]
+fn residuals_route_on_their_own() {
+    use dynfo_core::RequestKind;
+    use dynfo_logic::formula::{eq, exists, not, param, rel, v, Formula};
+    use dynfo_obs::{ObsHandle, Registry};
+    use std::sync::Arc;
+    let cols = ["x", "y", "z", "w"];
+    let copy = |name: &str, vars: &[&str]| {
+        rel(name, vars.iter().map(|&c| v(c)))
+            | vars
+                .iter()
+                .enumerate()
+                .map(|(i, &c)| eq(v(c), param(i)))
+                .reduce(|a, b| a & b)
+                .expect("a column")
+    };
+    let program = |with_bind_join: bool| {
+        let bind = not(rel("M", [param(0)]))
+            & exists(["u"], rel("A", [v("u")]) & rel("B", [v("u"), v("x")]));
+        let wide = not(rel("B", [param(0), param(0)])) & exists(["y", "z", "w"], rel("Q", cols.map(v)));
+        let grow = if with_bind_join { bind | wide } else { wide };
+        let mut b = DynFoProgram::builder("split")
+            .input_relation("M", 1)
+            .input_relation("A", 1)
+            .input_relation("B", 2)
+            .input_relation("Q", 4)
+            .aux_relation("T", 1);
+        for (name, vars) in [("M", &["x"][..]), ("A", &["x"]), ("B", &["x", "y"]), ("Q", &cols)] {
+            b = b.on(RequestKind::ins(name), name, vars, copy(name, vars));
+        }
+        b.on(RequestKind::ins("M"), "T", &["x"], rel("T", [v("x")]) | grow)
+            .query(Formula::True)
+            .build()
+    };
+    let registry = Arc::new(Registry::new());
+    let mut split = DynFoMachine::new(program(true), 65).with_obs(&ObsHandle::with_registry(registry.clone()));
+    let mut alone = DynFoMachine::new(program(false), 65);
+    assert_eq!(split.state().rel("Q").backend_kind(), "sparse", "test premise");
+    let mut reqs = vec![Request::ins("A", [1]), Request::ins("A", [2])];
+    reqs.extend([[1, 3], [2, 4], [5, 6]].map(|t| Request::ins("B", t)));
+    reqs.extend([[7, 0, 0, 0], [8, 1, 2, 3]].map(|t| Request::ins("Q", t)));
+    reqs.extend([10, 11, 12].map(|a| Request::ins("M", [a])));
+    let bound = registry.counter("machine.bind_join.bound");
+    for req in &reqs {
+        let pre = split.state().clone();
+        let (w, w_alone) = (split.apply(req).unwrap(), alone.apply(req).unwrap());
+        assert_eq!(split.state(), &dynfo_testutil::reference_step(&split.program().clone(), &pre, req), "{req}");
+        if req.kind() == RequestKind::ins("M") {
+            assert!(w_alone.rows_built > 0, "{req}: the Q arm did not interpret");
+            assert_eq!(w.rows_built, w_alone.rows_built, "{req}: the bind join interpreted");
+            assert_eq!(w.plan_fallback, 1, "{req}: {w:?}");
+            assert!(w.plan_compiled > w_alone.plan_compiled, "{req}: {w:?}");
+        }
+    }
+    for x in [3, 4, 7, 8] {
+        assert!(split.holds("T", [x]), "T({x})");
+    }
+    if dynfo_obs::ENABLED {
+        assert_eq!(bound.get(), 3, "one bound bind join per M insert");
+    }
+}

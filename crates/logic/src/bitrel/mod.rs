@@ -239,35 +239,20 @@ impl BitRel {
         }
     }
 
-    /// Counted bitmap install: make this relation `self ∪ new` (`grow`)
-    /// or exactly `new`, where `new` is a bitmap in this relation's own
-    /// base-`n` layout with no bit past `n^arity` set. Returns
-    /// `(added, removed)` — the sizes of `new ∖ old` and `old ∖ new` —
-    /// read off the fused combine-and-popcount passes, so a whole-
-    /// relation install costs one or two word sweeps and no per-tuple
-    /// work.
-    pub(crate) fn install_words(&mut self, new: &[u64], grow: bool) -> (usize, usize) {
-        assert_eq!(new.len(), self.words.len(), "bitmap length mismatch");
-        let old = self.len;
-        if grow {
-            self.len = crate::simd::fold_count(&mut self.words, new, false, 0) as usize;
-            return (self.len - old, 0);
-        }
-        // old ∩ new survives; OR-ing `new` back in then leaves exactly
-        // `new`, and the two counts give both sides of the difference.
-        let kept = crate::simd::fold_count(&mut self.words, new, true, 0) as usize;
-        self.len = crate::simd::fold_count(&mut self.words, new, false, 0) as usize;
-        (self.len - kept, old - kept)
+    /// Counted OR of `src`, a bitmap in this relation's own base-`n`
+    /// layout with no bit past `n^arity` set: one fused
+    /// combine-and-popcount pass.
+    pub(crate) fn or_words(&mut self, src: &[u64]) {
+        assert_eq!(src.len(), self.words.len(), "bitmap length mismatch");
+        self.len = crate::simd::fold_count(&mut self.words, src, false, 0) as usize;
     }
 
-    /// Counted bitmap removal: make this relation `self ∖ gone` (same
-    /// layout contract as [`BitRel::install_words`]) by one fused
-    /// AND-NOT-and-popcount pass; returns how many tuples left.
-    pub(crate) fn remove_words(&mut self, gone: &[u64]) -> usize {
-        assert_eq!(gone.len(), self.words.len(), "bitmap length mismatch");
-        let old = self.len;
-        self.len = crate::simd::fold_count(&mut self.words, gone, true, !0) as usize;
-        old - self.len
+    /// Hand the words to a same-crate kernel that writes them in place
+    /// (in base-`n` layout, no bit past `n^arity` set), then recount.
+    pub(crate) fn write_words<R>(&mut self, write: impl FnOnce(&mut [u64]) -> R) -> R {
+        let out = write(&mut self.words);
+        self.len = self.words.iter().map(|w| w.count_ones() as usize).sum();
+        out
     }
 
     /// Word slice access for same-crate kernels: when the universe is a

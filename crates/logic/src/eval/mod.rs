@@ -16,7 +16,6 @@
 //! The invariant throughout: `eval(φ)` returns a table whose column set is
 //! exactly the free variables of `φ`.
 
-pub mod delta;
 pub(crate) mod kernels;
 pub mod naive;
 pub mod opt;
@@ -24,7 +23,6 @@ pub mod plan;
 pub mod probe;
 mod table;
 
-pub use delta::{install_plan, DeltaMode, InstallPlan};
 pub use probe::{is_ground, probe};
 pub use table::Table;
 

@@ -36,6 +36,7 @@ use crate::analysis::{free_vars, is_canonical, mentions_param_or_const};
 use crate::formula::{Formula, Term};
 use crate::intern::Sym;
 use crate::parallel::EvalPool;
+use crate::relation::Relation;
 use crate::structure::Structure;
 use crate::tuple::{Elem, Tuple, MAX_ARITY};
 use std::collections::HashMap;
@@ -423,23 +424,26 @@ impl Plan {
         arena.bufs[self.root].iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// OR the root slot of the last [`Plan::run`] into `out`, a bitmap
-    /// in a dense relation's base-`n` layout: column `c` of the relation
-    /// is root axis `axes[c]` (an index into [`Plan::vars`]), or, for
-    /// `None`, a column the root does not constrain — it ranges over the
-    /// universe. Every root axis must feed exactly one column. The
-    /// padding the slot layout carries when `n` is not a power of two
-    /// is dropped: only digits below `n` are visited.
+    /// OR the root slot of the last [`Plan::run`] into `out`: column `c`
+    /// of the relation is root axis `axes[c]` (an index into
+    /// [`Plan::vars`]), or, for `None`, a column the root does not
+    /// constrain — it ranges over the universe. Every root axis must
+    /// feed exactly one column. The padding the slot layout carries when
+    /// `n` is not a power of two is dropped: only digits below `n` are
+    /// visited. `out.len()` stays exact.
     ///
-    /// This is the install half of a compiled update: word-wise OR when
-    /// the two layouts coincide, `n`-bit runs when the innermost column
-    /// is the root's innermost axis, bit probes otherwise. The words
-    /// touched are added to `stats.kernel_words`.
+    /// This is how a compiled update lands in its result relation. A
+    /// dense `out` takes a fused word-wise OR-and-popcount when the two
+    /// layouts coincide, otherwise a gather (`n`-bit runs when the
+    /// innermost column is the root's innermost axis, bit probes
+    /// otherwise) and a recount; the words the OR or the gather touched
+    /// are added to `stats.kernel_words`. A sparse `out` gets the root's
+    /// tuples decoded through `axes` and inserted.
     pub fn or_root_into(
         &self,
         arena: &PlanArena,
         axes: &[Option<usize>],
-        out: &mut [u64],
+        out: &mut Relation,
         stats: &mut super::EvalStats,
     ) {
         let root = &arena.bufs[self.root];
@@ -449,11 +453,17 @@ impl Plan {
             (0..kr).all(|a| axes.iter().filter(|&&x| x == Some(a)).count() == 1),
             "root axes {axes:?} do not cover a {kr}-ary root exactly once"
         );
+        debug_assert_eq!(out.arity(), k, "result relation arity");
         let n = self.lay.n as usize;
+        let Some(bits) = out.bits_mut() else {
+            self.insert_root_tuples(arena, axes, out);
+            return;
+        };
+        debug_assert_eq!(bits.universe() as usize, n, "result relation universe");
         let aligned = n == self.lay.stride();
         let words = if aligned && kr == k && axes.iter().enumerate().all(|(c, &a)| a == Some(c)) {
-            crate::simd::fold_assign(out, root, false);
-            2 * out.len() as u64
+            bits.or_words(root);
+            2 * root.len() as u64
         } else {
             let shift = self.lay.shift as usize;
             let (mut d, mut s) = (Strides::default(), Strides::default());
@@ -461,11 +471,40 @@ impl Plan {
                 d.step[c] = n.pow((k - 1 - c) as u32);
                 s.step[c] = axis.map_or(0, |a| 1usize << (shift * (kr - 1 - a)));
             }
-            kernels::gather(out, &d, root, &s, n, k)
+            bits.write_words(|words| kernels::gather(words, &d, root, &s, n, k))
         };
         stats.kernel_words += words;
         if dynfo_obs::ENABLED {
             crate::obs::eval_obs().kernel_words.add(words);
+        }
+    }
+
+    /// [`Plan::or_root_into`] for a sparse `out`: every root tuple,
+    /// its digits placed by `axes`, inserted once per assignment of the
+    /// columns the root does not constrain.
+    fn insert_root_tuples(&self, arena: &PlanArena, axes: &[Option<usize>], out: &mut Relation) {
+        let (k, n) = (axes.len(), self.lay.n);
+        let mut rows = Vec::new();
+        self.root_rows(arena, &mut rows);
+        let mut items = [0 as Elem; MAX_ARITY];
+        for row in rows {
+            for (item, axis) in items.iter_mut().zip(axes) {
+                *item = axis.map_or(0, |a| row[a]);
+            }
+            // Count the unconstrained columns through `0..n`, the last
+            // one fastest.
+            loop {
+                out.insert(Tuple::from_slice(&items[..k]));
+                let Some(c) = (0..k).rev().find(|&c| axes[c].is_none() && items[c] + 1 < n) else {
+                    break;
+                };
+                items[c] += 1;
+                for later in c + 1..k {
+                    if axes[later].is_none() {
+                        items[later] = 0;
+                    }
+                }
+            }
         }
     }
 

@@ -31,7 +31,7 @@ pub use eval::{evaluate, satisfies, EvalError, EvalStats, Evaluator, Table};
 pub use formula::{Formula, Term};
 pub use intern::{sym, Sym};
 pub use bitrel::BitRel;
-pub use relation::Relation;
+pub use relation::{DeltaMode, Relation};
 pub use structure::Structure;
 pub use tuple::{Elem, Tuple, MAX_ARITY};
 pub use vocab::{ConstId, RelId, Vocabulary};

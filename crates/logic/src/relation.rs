@@ -18,7 +18,6 @@
 //! compares tuple *sets*, never representations.
 
 use crate::bitrel::{capacity_bits, BitRel};
-use crate::eval::delta::DeltaMode;
 use crate::tuple::{all_tuples, Elem, Tuple};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -32,6 +31,21 @@ pub const DENSE_BITS_CAP: u128 = 1 << 24;
 /// backend under [`DENSE_BITS_CAP`].
 pub fn fits_dense(arity: usize, n: Elem) -> bool {
     capacity_bits(n, arity) <= DENSE_BITS_CAP
+}
+
+/// What an update rule's syntactic shape guarantees about the
+/// direction of change, and so what [`Relation::install`] does with
+/// the rule's result.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum DeltaMode {
+    /// The rule is `T(x̄) ∨ ψ`: the result holds ψ's tuples, and the
+    /// target only gains them.
+    Grow,
+    /// The rule is `T(x̄) ∧ ψ`: the result is the new value, a subset of
+    /// the old one.
+    Shrink,
+    /// No guarantee: the result is the new value.
+    Full,
 }
 
 #[derive(Clone, Eq, PartialEq, Debug)]
@@ -234,12 +248,20 @@ impl Relation {
     }
 
     /// Bulk in-place insert; returns how many tuples were newly added.
+    /// The relation stays on its backend; an empty `BTreeSet` is built
+    /// in one sorted pass instead of tuple by tuple.
     ///
-    /// This is the install half of a delta update: the relation mutates
-    /// in place on its existing backend, so an empty slice costs nothing
-    /// and no reallocation or backend conversion ever happens.
+    /// # Panics
+    /// Panics if a tuple's length differs from the arity.
     pub fn insert_all(&mut self, tuples: &[Tuple]) -> usize {
-        tuples.iter().filter(|t| self.insert(**t)).count()
+        match &mut self.repr {
+            Repr::Sparse(s) if s.is_empty() => {
+                assert!(tuples.iter().all(|t| t.len() == self.arity), "tuple arity != relation arity");
+                *s = tuples.iter().copied().collect();
+                s.len()
+            }
+            _ => tuples.iter().filter(|t| self.insert(**t)).count(),
+        }
     }
 
     /// Bulk in-place remove; returns how many tuples were present.
@@ -247,43 +269,54 @@ impl Relation {
         tuples.iter().filter(|t| self.remove(t)).count()
     }
 
-    /// Install a whole new value from a bitmap, in place: the relation
-    /// becomes `self ∪ bits` under [`DeltaMode::Grow`] and exactly
-    /// `bits` otherwise. `bits` is in this relation's base-`n` index
-    /// order ([`Plan::or_root_into`] writes it). Returns `(added,
-    /// removed)`, the same counts [`install_plan`] + `insert_all`/
-    /// `remove_all` would report, or `None` when the relation is not
-    /// densely backed (callers keep the tuple install).
-    ///
-    /// [`Plan::or_root_into`]: crate::eval::plan::Plan::or_root_into
-    /// [`install_plan`]: crate::eval::delta::install_plan
-    pub fn install_bits(&mut self, mode: DeltaMode, bits: &[u64]) -> Option<(usize, usize)> {
-        let Repr::Dense(b) = &mut self.repr else {
-            return None;
+    /// Put a rule's result `new` in place: this relation becomes
+    /// `self ∪ new` under [`DeltaMode::Grow`] and exactly `new`
+    /// otherwise. Returns `(added, removed)` — the sizes of `new ∖ old`
+    /// and `old ∖ new`. Both are read off the counted set operations the
+    /// install is built from: `Grow` is a union (one fused
+    /// OR-and-popcount pass when both sides are dense over one
+    /// universe), anything else an intersection then a union (an AND
+    /// pass, then an OR pass). Two `BTreeSet`s instead count both
+    /// differences by one sorted walk each and, if they differ, take
+    /// `new` wholesale — a per-tuple intersection and union would look
+    /// every tuple up twice.
+    pub fn install(&mut self, mode: DeltaMode, new: &Relation) -> (usize, usize) {
+        let old = self.len();
+        if mode == DeltaMode::Grow {
+            self.union_assign(new);
+            return (self.len() - old, 0);
+        }
+        let (added, removed) = match (&mut self.repr, &new.repr) {
+            (Repr::Sparse(a), Repr::Sparse(b)) => {
+                let counts = (b.difference(a).count(), a.difference(b).count());
+                if counts != (0, 0) {
+                    a.clone_from(b);
+                }
+                counts
+            }
+            _ => {
+                // old ∩ new survives; OR-ing `new` back in then leaves
+                // exactly `new`, and the two counts give both sides of
+                // the difference.
+                self.intersection_assign(new);
+                let kept = self.len();
+                self.union_assign(new);
+                (self.len() - kept, old - kept)
+            }
         };
-        let (added, removed) = b.install_words(bits, mode == DeltaMode::Grow);
         debug_assert!(
             mode != DeltaMode::Shrink || added == 0,
             "shrink rule produced tuples outside the old relation"
         );
-        Some((added, removed))
+        (added, removed)
     }
 
-    /// Remove every tuple `bits` holds, in place (`bits` in this
-    /// relation's base-`n` index order, as for
-    /// [`Relation::install_bits`]). Returns how many were present, or
-    /// `None` when the relation is not densely backed.
-    pub fn remove_bits(&mut self, bits: &[u64]) -> Option<usize> {
-        let Repr::Dense(b) = &mut self.repr else {
-            return None;
-        };
-        Some(b.remove_words(bits))
-    }
-
-    /// Words in this relation's bitmap when densely backed — the length
-    /// [`Relation::install_bits`] expects.
-    pub fn dense_words(&self) -> Option<usize> {
-        self.dense_bits().map(<[u64]>::len)
+    /// The dense bitmap, for same-crate kernels that write it in place.
+    pub(crate) fn bits_mut(&mut self) -> Option<&mut BitRel> {
+        match &mut self.repr {
+            Repr::Sparse(_) => None,
+            Repr::Dense(b) => Some(b),
+        }
     }
 
     /// Remove all tuples.

@@ -207,28 +207,6 @@ impl Structure {
         rels + consts
     }
 
-    /// Mutate relation `id` in place: insert every tuple of `added`,
-    /// remove every tuple of `removed`. Returns the number of tuples
-    /// whose membership actually changed.
-    ///
-    /// This is the install primitive of the delta update pipeline: in
-    /// contrast to [`Structure::set_relation`], nothing is allocated,
-    /// no backend conversion happens, and an empty delta is free — the
-    /// cost is proportional to the change, not to `|R|`.
-    ///
-    /// # Panics
-    /// Panics if a tuple's arity differs from the relation's, or an
-    /// added tuple lies outside the universe.
-    pub fn apply_delta(&mut self, id: RelId, added: &[Tuple], removed: &[Tuple]) -> usize {
-        let size = self.size;
-        debug_assert!(
-            added.iter().all(|t| t.iter().all(|v| v < size)),
-            "added tuple outside universe of size {size}"
-        );
-        let rel = &mut self.relations[id.0 as usize];
-        rel.insert_all(added) + rel.remove_all(removed)
-    }
-
     /// A copy of this structure whose vocabulary gains one extra
     /// relation `name` (arity taken from `rel`) interpreted as `rel`.
     ///

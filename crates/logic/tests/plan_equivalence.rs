@@ -169,18 +169,19 @@ fn plan_matches_interpreter_at_aligned_universe() {
 }
 
 // ---------------------------------------------------------------------------
-// Gather loads, bitmap installs and compose joins on awkward shapes
+// Gather loads, result installs and compose joins on awkward shapes
 // ---------------------------------------------------------------------------
 
 mod awkward_shapes {
-    use dynfo_logic::eval::delta::{install_plan, DeltaMode};
     use dynfo_logic::analysis::canonicalize;
     use dynfo_logic::formula::{exists, param, rel, v, Formula, Term};
     use dynfo_logic::simd::{force_tier, Tier};
     use dynfo_logic::{
-        evaluate, Elem, EvalStats, Evaluator, Plan, Structure, Tuple, Vocabulary,
+        evaluate, DeltaMode, Elem, EvalStats, Evaluator, Plan, Relation, Structure, Tuple,
+        Vocabulary,
     };
     use rand::{rngs::StdRng, Rng, SeedableRng};
+    use std::collections::BTreeSet;
     use std::sync::Arc;
 
     /// Universe sizes around the word and padding boundaries.
@@ -316,12 +317,15 @@ mod awkward_shapes {
         }
     }
 
-    /// The counted bitmap install leaves the relation, its `len()` and
-    /// the added/removed counts exactly where `install_plan` +
-    /// `apply_delta` leave them — through column permutations, columns
-    /// the root lacks, and universes whose padding must be dropped.
+    /// A plan's root ORed into a result relation, dense or sparse, and
+    /// put in place by `Relation::install` on a target of the same
+    /// backend, leaves the target, its `len()` and the added/removed
+    /// counts where set semantics puts them — through column
+    /// permutations, columns the root lacks, and universes whose
+    /// padding must be dropped. The old/new pairs include no change,
+    /// growth only and shrinkage only.
     #[test]
-    fn plan_bitmap_install_matches_tuple_install() {
+    fn plan_result_install_matches_set_semantics() {
         let tiers = tiers();
         for k in 1..=3usize {
             for n in SIZES {
@@ -334,32 +338,23 @@ mod awkward_shapes {
                     // (old, new) density pairs: growth from nothing,
                     // shrinkage to nothing, overlap, and no change.
                     for (o, w) in [(0, 2), (1, 3), (2, 4), (3, 3), (4, 0), (3, 1), (4, 3), (1, 1)] {
-                        {
-                            let (old, new) = (&sets[o], &sets[w]);
-                            let st = structure(n, k, &["R", "N"], &[old, new]);
-                            // The new value: N itself, N restricted to
-                            // the old value, or — one column short —
-                            // whatever the first column allows.
-                            let whole = rel("N", args.clone());
-                            let restricted = whole.clone() & rel("R", args.clone());
-                            let mut cases: Vec<(Formula, DeltaMode)> = vec![
-                                (whole.clone(), DeltaMode::Full),
-                                (whole.clone(), DeltaMode::Grow),
-                                (restricted, DeltaMode::Shrink),
-                            ];
-                            if k == 2 {
-                                let first = dynfo_logic::formula::exists(
-                                    [NAMES[cols[1]]],
-                                    rel("N", args.clone()),
-                                );
-                                cases.push((first, DeltaMode::Full));
-                            }
-                            for (f, mode) in cases {
-                                for &tier in &tiers {
-                                    force_tier(tier);
-                                    check_install(&st, &f, &args, mode, (n, o, w));
-                                }
-                            }
+                        let (old, new) = (&sets[o], &sets[w]);
+                        let st = structure(n, k, &["R", "N"], &[old, new]);
+                        // The new value: N itself, N restricted to the
+                        // old value, or — one column short — whatever
+                        // the first column allows.
+                        let whole = rel("N", args.clone());
+                        let restricted = whole.clone() & rel("R", args.clone());
+                        let mut cases: Vec<(Formula, &[DeltaMode])> = vec![
+                            (whole, &[DeltaMode::Full, DeltaMode::Grow]),
+                            (restricted, &[DeltaMode::Shrink]),
+                        ];
+                        if k == 2 {
+                            let first = exists([NAMES[cols[1]]], rel("N", args.clone()));
+                            cases.push((first, &[DeltaMode::Full]));
+                        }
+                        for (f, modes) in cases {
+                            check_install(&st, &f, &args, modes, &tiers, (n, o, w));
                         }
                     }
                 }
@@ -367,30 +362,30 @@ mod awkward_shapes {
         }
     }
 
+    /// Hold `f`'s root, ORed into a result relation and put in place
+    /// under each of `modes` on a target of the same backend — both
+    /// dense, on every tier, and both sparse — to set semantics.
     fn check_install(
         st: &Structure,
         f: &Formula,
         columns: &[Term],
-        mode: DeltaMode,
+        modes: &[DeltaMode],
+        tiers: &[Tier],
         at: (Elem, usize, usize),
     ) {
         let n = st.size();
+        let k = columns.len();
         let vars: Vec<_> = columns.iter().map(|t| t.as_var().unwrap()).collect();
         let id = st.vocab().relation("R").unwrap();
-        // Tuple route: evaluate, align to the target's columns, diff, apply.
+        // Reference: evaluate and align to the target's columns.
         let mut table = evaluate(f, st, &[]).unwrap();
         for &var in &vars {
             if table.col(var).is_none() {
                 table = table.extend(var, n);
             }
         }
-        let mut rows = table.project(&vars).into_rows();
-        rows.sort_unstable();
-        rows.dedup();
-        let plan_t = install_plan(mode, st.relation(id), &rows);
-        let mut by_tuples = st.clone();
-        by_tuples.apply_delta(id, &plan_t.added, &plan_t.removed);
-        // Bitmap route: run, restride into the target's layout, install.
+        let new: BTreeSet<Tuple> = table.project(&vars).into_rows().into_iter().collect();
+        let old: BTreeSet<Tuple> = st.relation(id).iter().collect();
         let plan = Plan::compile(f, st).expect("dense formula compiles");
         let mut arena = plan.arena();
         plan.run(&mut Evaluator::new(st, &[]), &mut arena, None).unwrap();
@@ -398,17 +393,48 @@ mod awkward_shapes {
             .iter()
             .map(|var| plan.vars().iter().position(|r| r == var))
             .collect();
-        let mut by_bits = st.clone();
-        let mut out = vec![0u64; by_bits.relation(id).dense_words().unwrap()];
-        plan.or_root_into(&arena, &axes, &mut out, &mut EvalStats::default());
-        let counts = by_bits.relation_mut(id).install_bits(mode, &out).unwrap();
-        assert_eq!(
-            counts,
-            (plan_t.added.len(), plan_t.removed.len()),
-            "{f} as {mode:?} at (n, old, new) = {at:?}: added/removed counts"
-        );
-        assert_eq!(by_bits.relation(id).len(), by_tuples.relation(id).len(), "{f} {at:?}: len()");
-        assert_eq!(by_bits, by_tuples, "{f} as {mode:?} at {at:?}: state");
+        // Per mode, the new value set semantics gives the target, and
+        // the counts `(|want ∖ old|, |old ∖ want|)`.
+        let wants: Vec<(DeltaMode, BTreeSet<Tuple>, (usize, usize))> = modes
+            .iter()
+            .map(|&mode| {
+                let want: BTreeSet<Tuple> = match mode {
+                    DeltaMode::Grow => old.union(&new).copied().collect(),
+                    DeltaMode::Shrink | DeltaMode::Full => new.clone(),
+                };
+                let counts = (want.difference(&old).count(), old.difference(&want).count());
+                (mode, want, counts)
+            })
+            .collect();
+        let dense = (Relation::dense(k, n), st.relation(id).clone());
+        // The sparse pair walks a `BTreeSet` per tuple: every arity-1 and
+        // arity-2 size and the small arity-3 ones.
+        let sparse = (u64::from(n).pow(k as u32) <= 5_000)
+            .then(|| (Relation::new(k), st.relation(id).to_sparse()));
+        let runs = tiers
+            .iter()
+            .map(|&tier| (Some(tier), &dense))
+            .chain(sparse.as_ref().map(|pair| (None, pair)));
+        for (tier, (empty, target)) in runs {
+            if let Some(tier) = tier {
+                force_tier(tier);
+            }
+            let mut out = empty.clone();
+            plan.or_root_into(&arena, &axes, &mut out, &mut EvalStats::default());
+            let on = format!("{} result and target, {tier:?}", out.backend_kind());
+            assert_eq!(out.len(), new.len(), "{f}, {on} at {at:?}: result len()");
+            assert!(out.iter().eq(new.iter().copied()), "{f}, {on} at {at:?}: result");
+            for (mode, want, counts) in &wants {
+                let mut installed = target.clone();
+                assert_eq!(
+                    installed.install(*mode, &out),
+                    *counts,
+                    "{f} as {mode:?}, {on} at (n, old, new) = {at:?}: added/removed counts"
+                );
+                assert_eq!(installed.len(), want.len(), "{f} as {mode:?}, {on} at {at:?}: len()");
+                assert!(installed.iter().eq(want.iter().copied()), "{f} as {mode:?}, {on} at {at:?}");
+            }
+        }
     }
 
     /// Two relations of arities `ka` and `kb`.
