@@ -1861,14 +1861,16 @@ impl E26Row {
 /// whole buffer (`Dfa::run` replay, `dyck_valid` stack scan) after
 /// every edit.
 ///
-/// The FO machine validates these programs at small n (the INT aux
-/// relation is arity 4; dense bitsets at n = 2²⁰ are infeasible by
-/// design — see E14's expansion dichotomy); this section carries the
-/// same update algebra to editor-buffer scale through the automata
-/// structures the FO programs were compiled from, so the ≥10× claim is
-/// about the *maintenance strategy*, not the logic encoding. Each cell
-/// also cross-checks the dynamic answer against its rescan oracle at
-/// the end — a divergence fails the run, so the table doubles as a
+/// The native rows carry the update algebra of the FO string programs
+/// to editor-buffer scale through the automata structures those
+/// programs were compiled from, so the ≥10× claim is about the
+/// *maintenance strategy*, not the logic encoding. The `machine` rows
+/// are a different system: the Dyn-FO machine running
+/// `strings::a_star_b_star_program`, whose |Q|² binary interval tables
+/// (n² bits each) are recomposed on the word kernels at every edit —
+/// Θ(|Q|²·n²/64) words, so they stop at n = 1 024. Each cell also
+/// cross-checks the dynamic answer against its rescan oracle at the
+/// end — a divergence fails the run, so the table doubles as a
 /// megabyte-scale differential test.
 fn e26_megabyte_strings() {
     use dynfo_automata::dyck::{dyck_valid, DynDyck, Paren};
@@ -1933,6 +1935,62 @@ fn e26_megabyte_strings() {
             dyn_us: dyn_secs * 1e6 / EDITS as f64,
             rescan_us: rescan_secs * 1e6 / EDITS as f64,
         }
+    }
+
+    // The Dyn-FO machine from an empty buffer (pre-filling it would cost
+    // as many machine edits), with the edit sequence of `regular_cell`.
+    fn machine_cell(n: usize) -> E26Row {
+        const EDITS: usize = 100;
+        let dfa = dfa::a_star_b_star();
+        let alphabet = dfa.alphabet().to_vec();
+        let mut m = DynFoMachine::new(programs::strings::a_star_b_star_program(), n as u32);
+        let mut shadow: Vec<Option<char>> = vec![None; n];
+        let edit = |e: usize, pos: &mut usize| {
+            *pos = pos.wrapping_mul(2654435761).wrapping_add(17) % n;
+            let sym = if (e + *pos).is_multiple_of(5) { None } else { Some(alphabet[(e + *pos) % 2]) };
+            (*pos, sym)
+        };
+        let accepts = |buf: &[Option<char>]| {
+            dfa.is_accepting(dfa.run(buf.iter().flatten().filter_map(|&c| dfa.symbol(c))))
+        };
+        let mut pos = 1usize;
+        let (_, dyn_secs) = timed(|| {
+            for e in 0..EDITS {
+                let (p, sym) = edit(e, &mut pos);
+                if let Some(req) = programs::strings::set_request(p as u32, sym, shadow[p]) {
+                    m.apply(&req).expect("string edit");
+                }
+                shadow[p] = sym;
+                std::hint::black_box(m.query().expect("string query"));
+            }
+        });
+        let mut rescan_shadow = vec![None; n];
+        let mut pos = 1usize;
+        let (_, rescan_secs) = timed(|| {
+            for e in 0..EDITS {
+                let (p, sym) = edit(e, &mut pos);
+                rescan_shadow[p] = sym;
+                std::hint::black_box(accepts(&rescan_shadow));
+            }
+        });
+        assert_eq!(
+            m.query().expect("string query"),
+            accepts(&shadow),
+            "machine a*b* n={n}: answer diverged from the rescan oracle"
+        );
+        let work = m.stats().update_work;
+        assert_eq!(work.plan_fallback, 0, "machine a*b* n={n}: a rule interpreted");
+        E26Row {
+            workload: "machine a*b* (Dyn-FO program)",
+            n,
+            edits: EDITS,
+            dyn_us: dyn_secs * 1e6 / EDITS as f64,
+            rescan_us: rescan_secs * 1e6 / EDITS as f64,
+        }
+    }
+
+    for n in [256, 1024] {
+        rows.push(machine_cell(n));
     }
 
     for exp in [16u32, 18, 20] {

@@ -17,7 +17,6 @@ use dynfo_logic::analysis::canonicalize;
 use dynfo_logic::eval::{probe, Evaluator};
 use dynfo_logic::formula::Formula;
 use dynfo_logic::parallel::EvalPool;
-use dynfo_logic::relation::fits_dense;
 use dynfo_logic::{
     DeltaMode, Elem, EvalError, EvalStats, RelId, Relation, Structure, Sym, Tuple, MAX_ARITY,
 };
@@ -124,6 +123,15 @@ pub enum MachineError {
     /// [`DynFoMachine::from_state`] got a structure that does not fit
     /// the program (wrong vocabulary or relation arity).
     StateMismatch(String),
+    /// The program's relations over the requested universe would take
+    /// `bits` bits of bitmap, past the `budget`
+    /// ([`DynFoProgram::check_size`]). Nothing was allocated.
+    TooLarge {
+        /// Bits the relations would take.
+        bits: u128,
+        /// The most bits one structure may take.
+        budget: u128,
+    },
 }
 
 impl fmt::Display for MachineError {
@@ -133,6 +141,10 @@ impl fmt::Display for MachineError {
             MachineError::Eval(e) => write!(f, "evaluation failed: {e}"),
             MachineError::UnknownQuery(s) => write!(f, "unknown named query {s}"),
             MachineError::StateMismatch(why) => write!(f, "state does not fit program: {why}"),
+            MachineError::TooLarge { bits, budget } => write!(
+                f,
+                "the program's relations need {bits} bits, past the budget of {budget}"
+            ),
         }
     }
 }
@@ -280,6 +292,12 @@ pub struct DynFoMachine {
 
 impl DynFoMachine {
     /// Initialize for universe size `n` (runs the program's `f(∅)`).
+    ///
+    /// # Panics
+    /// Panics if `n == 0`, or if the program's relations over `{0..n}`
+    /// pass [`STRUCTURE_BITS_BUDGET`](dynfo_logic::structure::STRUCTURE_BITS_BUDGET)
+    /// — [`DynFoProgram::check_size`] says so without panicking, for an
+    /// `n` that comes from outside the process.
     pub fn new(program: DynFoProgram, n: Elem) -> DynFoMachine {
         let state = program.initial_structure(n);
         DynFoMachine::over(program, state)
@@ -290,8 +308,7 @@ impl DynFoMachine {
     ///
     /// The structure must interpret exactly the program's auxiliary
     /// vocabulary — same relation names and arities, same constants —
-    /// and is adopted as the machine's state, each relation on the
-    /// backend [`Relation::with_universe`] picks. Statistics start
+    /// and is adopted as the machine's state. Statistics start
     /// at zero (a freshly restored machine has done no work), so a
     /// restored machine is indistinguishable from the uninterrupted one
     /// in state and answers, not in counters.
@@ -332,11 +349,9 @@ impl DynFoMachine {
         Ok(DynFoMachine::over(program, state))
     }
 
-    /// The one construction path: put `state` in the compiled layout,
-    /// compile every rule and the boolean query against it and start
-    /// with shipped defaults.
-    fn over(program: DynFoProgram, mut state: Structure) -> DynFoMachine {
-        adopt_compiled_layout(&mut state);
+    /// The one construction path: compile every rule and the boolean
+    /// query against `state` and start with shipped defaults.
+    fn over(program: DynFoProgram, state: Structure) -> DynFoMachine {
         DynFoMachine {
             tables: compile_tables(&program, &state),
             query_plan: BitPlan::compile(program.query(), &state),
@@ -426,23 +441,21 @@ impl DynFoMachine {
     }
 
     /// Start over now: run the program's recompute closure against the
-    /// current state and adopt the result, each relation on the backend
-    /// the compiled plans expect. Returns `Ok(false)` when the program
-    /// carries no closure. The rebuilt structure must keep the same
-    /// universe and vocabulary — anything else is a
+    /// current state and adopt the result. Returns `Ok(false)` when the
+    /// program carries no closure. The rebuilt structure must keep the
+    /// same universe and vocabulary — anything else is a
     /// [`MachineError::StateMismatch`].
     pub fn recompute(&mut self) -> Result<bool, MachineError> {
         let Some(f) = self.program.recompute_fn().cloned() else {
             return Ok(false);
         };
         let _span = dynfo_obs::span("machine.recompute");
-        let mut fresh = f(&self.state);
+        let fresh = f(&self.state);
         if fresh.size() != self.state.size() || !Arc::ptr_eq(fresh.vocab(), self.state.vocab()) {
             return Err(MachineError::StateMismatch(
                 "recompute closure changed the universe or vocabulary".into(),
             ));
         }
-        adopt_compiled_layout(&mut fresh);
         self.state = fresh;
         self.stats.recomputes += 1;
         self.obs.recomputes.inc();
@@ -787,10 +800,9 @@ impl DynFoMachine {
     /// current state (the auxiliary structure mirrors the input
     /// relations), keeping only the tuples the change actually toggles
     /// — absent tuples for an insert, present ones for a delete: one
-    /// AND-NOT / AND pass against the target's bitmap when both are
-    /// dense. Its tuples, in sorted order, are exactly the set the
-    /// equivalent single-tuple stream walks. Also returns δ's
-    /// evaluation work.
+    /// AND-NOT / AND pass against the target's bitmap. Its tuples, in
+    /// sorted order, are exactly the set the equivalent single-tuple
+    /// stream walks. Also returns δ's evaluation work.
     fn bulk_delta(
         &self,
         rel: Sym,
@@ -812,13 +824,12 @@ impl DynFoMachine {
         Ok((live, work))
     }
 
-    /// Evaluate δ to its full defined set over columns `x0…x_{k−1}`, on
-    /// the backend the target's arity gets at this universe. δ runs its
-    /// compiled plan whenever one lowers — there is no density gate:
-    /// the interpreter has no delta shortcut for δ, which is a fresh
-    /// formula every request — and its root is ORed straight into the
-    /// defined set; the interpreter evaluates δ only when no plan
-    /// lowers (a sparse-backed read, a plan past the compile cap).
+    /// Evaluate δ to its full defined set over columns `x0…x_{k−1}`. δ
+    /// runs its compiled plan whenever one lowers — there is no density
+    /// gate: the interpreter has no delta shortcut for δ, which is a
+    /// fresh formula every request — and its root is ORed straight into
+    /// the defined set; the interpreter evaluates δ only when no plan
+    /// lowers (a plan past the compile cap).
     fn eval_delta_set(
         &self,
         delta: &Formula,
@@ -876,7 +887,6 @@ impl DynFoMachine {
                 Round::Copy => None,
             })
         };
-        let n = self.n();
         let mut ext = self.state.extended(BULK_DELTA_REL, delta.clone());
         // Tuples each rule's target gained (bulk insert) or lost (delete).
         let mut moved = vec![0usize; rules.len()];
@@ -886,7 +896,7 @@ impl DynFoMachine {
                 let mut ev = Evaluator::new(&ext, &[]);
                 let mut arena = l.bits.arena.lock().expect("plan arena lock");
                 l.bits.plan.run(&mut ev, &mut arena, None)?;
-                let mut out = cr.out.cleared(ext.relation(cr.target), n);
+                let mut out = cr.out.cleared(ext.relation(cr.target));
                 l.bits.plan.or_root_into(&arena, &l.axes, &mut out, ev.stats_mut());
                 work.absorb(&ev.stats());
                 evals += 1;
@@ -1094,25 +1104,6 @@ fn run_plan(
     ev.eval(f)
 }
 
-/// Put every relation of `state` on the backend [`Relation::with_universe`]
-/// picks — the layout the machine's plans are compiled for, so a plan
-/// never meets a relation it cannot read. Relations already there are
-/// not touched, so a state in that layout costs one check per relation.
-fn adopt_compiled_layout(state: &mut Structure) {
-    let n = state.size();
-    let vocab = Arc::clone(state.vocab());
-    for (id, sym) in vocab.relations() {
-        let want = fits_dense(sym.arity, n).then_some(n);
-        let rel = state.relation(id);
-        if rel.dense_universe() != want {
-            *state.relation_mut(id) = match want {
-                Some(n) => rel.to_dense(n),
-                None => rel.to_sparse(),
-            };
-        }
-    }
-}
-
 /// Guard refinement: probe each disjunct's ground guards against the
 /// pre-state, drop the disjuncts whose guard fails, and pick the
 /// cheapest sound install strategy for the survivors. No evaluator, no
@@ -1221,7 +1212,7 @@ fn eval_general(
         return Ok(None);
     };
     let st = ctx.st;
-    let mut out = cr.out.cleared(st.relation(cr.target), st.size());
+    let mut out = cr.out.cleared(st.relation(cr.target));
     for r in selected_residuals(cr, sel) {
         match admitted_route(ctx, cr, r) {
             Some(parts) => run_compiled(ctx, parts, &mut out, ev)?,

@@ -17,9 +17,11 @@
 //! simultaneously; relations with no rule for a request kind are copied
 //! unchanged.
 
+use crate::machine::MachineError;
 use crate::request::RequestKind;
 use dynfo_logic::analysis::{canonicalize, free_vars, quantifier_depth};
 use dynfo_logic::formula::{eq, or, param, rel, v, Formula};
+use dynfo_logic::structure::STRUCTURE_BITS_BUDGET;
 use dynfo_logic::{Elem, Structure, Sym, Vocabulary};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -136,6 +138,22 @@ impl DynFoProgram {
     /// The initialization mode.
     pub fn init(&self) -> &Init {
         &self.init
+    }
+
+    /// `Ok` iff the program's relations fit
+    /// [`STRUCTURE_BITS_BUDGET`] as bitmaps over `{0..n}`, and
+    /// [`MachineError::TooLarge`] otherwise. Allocates nothing; every
+    /// path that takes `n` from outside the process asks this before it
+    /// builds a structure.
+    pub fn check_size(&self, n: Elem) -> Result<(), MachineError> {
+        let bits = Structure::bits_needed(&self.aux_vocab, n);
+        if bits > STRUCTURE_BITS_BUDGET {
+            return Err(MachineError::TooLarge {
+                bits,
+                budget: STRUCTURE_BITS_BUDGET,
+            });
+        }
+        Ok(())
     }
 
     /// Build the initial auxiliary structure for universe size `n`.
@@ -386,6 +404,30 @@ pub fn input_copy_rules(name: &str, k: usize) -> (Vec<String>, Formula, Formula)
 mod tests {
     use super::*;
     use dynfo_logic::formula::{and, exists, not};
+
+    /// REACH_u and MSF build at n = 512, the size the budget is chosen
+    /// for, and the first size past the budget is refused without
+    /// allocating.
+    #[test]
+    fn the_size_budget_admits_n_512_and_refuses_one_past_it() {
+        use crate::programs::{msf, reach_u};
+        use crate::DynFoMachine;
+        for program in [reach_u::program(), msf::program()] {
+            assert_eq!(program.check_size(512), Ok(()), "{}", program.name());
+            assert_eq!(DynFoMachine::new(program.clone(), 512).n(), 512);
+            let past = (512..)
+                .find(|&n| Structure::bits_needed(program.aux_vocab(), n) > STRUCTURE_BITS_BUDGET)
+                .unwrap();
+            assert_eq!(program.check_size(past - 1), Ok(()), "{}", program.name());
+            match program.check_size(past) {
+                Err(MachineError::TooLarge { bits, budget }) => {
+                    assert_eq!(budget, STRUCTURE_BITS_BUDGET);
+                    assert!(bits > budget, "{} n={past}: {bits} bits", program.name());
+                }
+                other => panic!("{} n={past}: expected TooLarge, got {other:?}", program.name()),
+            }
+        }
+    }
 
     fn toy_program() -> DynFoProgram {
         // Membership bit: maintain M (unary input copy) and query ∃x M(x).

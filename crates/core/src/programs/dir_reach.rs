@@ -44,7 +44,7 @@ pub fn recompute_closure(st: &Structure) -> Structure {
     for t in st.rel(E).iter() {
         adj[t[0] as usize].push(t[1]);
     }
-    let mut tc = Relation::new(2);
+    let mut tc = Relation::with_universe(2, st.size());
     let mut seen = vec![false; n];
     let mut queue = VecDeque::new();
     for s in 0..n as u32 {

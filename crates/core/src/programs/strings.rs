@@ -3,32 +3,39 @@
 //! ⟨{0..n−1}, ≤, (S_c)_{c∈Σ}⟩ (Schmidt–Schwentick–Tantau–Vortmeier–
 //! Zeume 2021, monoid/interval decomposition, specialized to FO).
 //!
-//! The auxiliary relation is the *full interval table*
+//! The auxiliary state is the *interval table*, one binary relation per
+//! pair of DFA states `q, r`:
 //!
 //! ```text
-//! INT(i, j, q, r)  ≡  reading positions i..=j (gaps skipped) from
-//!                     DFA state q ends in state r        (i ≤ j)
+//! INT_q_r(i, j)  ≡  reading positions i..=j (gaps skipped) from
+//!                   DFA state q ends in state r        (i ≤ j)
 //! ```
 //!
 //! — the state-transformation monoid element of every maintained
-//! interval at once. A point edit at position `p` touches exactly the
+//! interval at once, with the states in the relation names rather than
+//! the universe. A point edit at position `p` touches exactly the
 //! intervals containing `p`, and each is recomposed from two untouched
-//! sub-intervals and the edited letter in one quantifier block:
+//! sub-intervals and the edited letter:
 //!
 //! ```text
-//! INT'(i,j,q,r) ≡ ¬(i ≤ p ≤ j) ∧ INT(i,j,q,r)
-//!               ∨ i ≤ p ≤ j ∧ ∃q₁q₂ ( L(i,q,q₁) ∧ Δ_c(q₁,q₂) ∧ R(j,q₂,r) )
-//! L(i,q,q₁) ≡ (i = p ∧ q = q₁) ∨ ∃m (succ(m,p) ∧ INT(i,m,q,q₁))
-//! R(j,q₂,r) ≡ (j = p ∧ q₂ = r) ∨ ∃s (succ(p,s) ∧ INT(s,j,q₂,r))
+//! INT'_q_r(i,j) ≡ ¬(i ≤ p ≤ j) ∧ INT_q_r(i,j)
+//!               ∨ i ≤ p ≤ j ∧ ⋁_{q₁} ( L_q_q₁(i) ∧ R_δc(q₁)_r(j) )
+//! L_q_q₁(i) ≡ (i = p ∧ q = q₁) ∨ ∃m (succ(m,p) ∧ INT_q_q₁(i,m))
+//! R_q₂_r(j) ≡ (j = p ∧ q₂ = r) ∨ ∃s (succ(p,s) ∧ INT_q₂_r(s,j))
 //! ```
 //!
-//! with `Δ_c` the (finite) transition relation of the edited symbol,
-//! inlined as a disjunction of state literals. Deletion composes the
+//! with `δ_c` the edited symbol's transition function, unrolled when
+//! the program is built: `q = q₁` and `δ_c(q₁)` are constants, so no
+//! rule quantifies a state and every rule is a formula over two
+//! positions that compiles to word kernels. Deletion composes the
 //! identity at `p` instead, guarded on `S_c(p)` actually holding so a
 //! mismatched delete is a no-op. Updates are constant quantifier depth
 //! — the paper's parallel claim — and the empty string initializes
-//! every interval to the identity, a genuinely precomputed (Dyn-FO⁺)
-//! structure.
+//! every interval to the identity (`INT_q_q(i, j)` for every `i ≤ j`), a
+//! genuinely precomputed (Dyn-FO⁺) structure.
+//!
+//! An edit's work is the `|Q|²` tables' intervals that contain `p`:
+//! Θ(|Q|²·n²/64) words per edit.
 //!
 //! **Semantics: overwrite.** `ins(S_c, p)` *sets* position `p` to `c`,
 //! deleting any other symbol's copy at `p` in the same simultaneous
@@ -38,96 +45,83 @@
 //! per-tuple fallback (the rules are guarded, not Grow/Shrink), so the
 //! bulk path is supported with stream-identical state — the
 //! oracle-differential suites drive it.
-//!
-//! DFA states live in the same universe as positions, so the machine
-//! needs `n ≥ dfa.num_states()` — asserted at initialization.
 
 use crate::program::DynFoProgram;
 use crate::request::{Request, RequestKind};
-use dynfo_automata::Dfa;
-use dynfo_logic::formula::{and, eq, exists, le, lit, not, or, rel, v, Formula, Term};
+use dynfo_automata::{Dfa, State};
+use dynfo_logic::formula::{and, eq, exists, le, lit, not, or, rel, v, Term};
 use dynfo_logic::strings::{succ, sym_rel};
-use dynfo_logic::Elem;
+use dynfo_logic::{Elem, Tuple};
 
-/// The interval state-transform relation maintained by every compiled
-/// string program.
-pub const INT: &str = "INT";
+/// The interval relation for the DFA states `q`, `r`:
+/// `INT_q_r(i, j)` holds iff reading positions `i..=j` from `q` ends in
+/// `r`.
+pub fn int_rel(q: State, r: State) -> String {
+    format!("INT_{q}_{r}")
+}
 
 /// Compile `dfa` into a Dyn-FO⁺ program deciding membership of the
 /// current string (gaps skipped) in `L(dfa)`. `name` labels the
 /// program in reports.
 pub fn dfa_program(name: &str, dfa: &Dfa) -> DynFoProgram {
-    let states: Vec<Elem> = (0..dfa.num_states()).map(|q| q as Elem).collect();
+    let states: Vec<State> = (0..dfa.num_states()).collect();
     let alphabet: Vec<char> = dfa.alphabet().to_vec();
 
     let mut b = DynFoProgram::builder(name);
     for &c in &alphabet {
         b = b.input_relation(&sym_rel(c), 1);
     }
-    b = b.aux_relation(INT, 4);
+    for &q in &states {
+        for &r in &states {
+            b = b.aux_relation(&int_rel(q, r), 2);
+        }
+    }
 
     // Dyn-FO⁺ init: the empty string, i.e. every interval i ≤ j is the
     // identity transform.
-    {
-        let num_states = states.len() as Elem;
-        b = b.precomputed(move |vocab, n| {
-            assert!(
-                n >= num_states,
-                "universe must fit the DFA's states: n = {n} < {num_states}"
-            );
-            let mut st = dynfo_logic::Structure::empty(std::sync::Arc::clone(vocab), n);
+    let identities: Vec<String> = states.iter().map(|&q| int_rel(q, q)).collect();
+    b = b.precomputed(move |vocab, n| {
+        let mut st = dynfo_logic::Structure::empty(std::sync::Arc::clone(vocab), n);
+        for name in &identities {
+            let int = st.rel_mut(name);
             for i in 0..n {
                 for j in i..n {
-                    for q in 0..num_states {
-                        st.insert(INT, [i, j, q, q]);
-                    }
+                    int.insert(Tuple::pair(i, j));
                 }
             }
-            st
-        });
-    }
+        }
+        st
+    });
 
-    // Shared pieces. Positions: i, j free; the edit position is ?0.
+    // Positions: i, j free; the edit position is ?0.
     let p = || Term::Param(0);
     let inside = || and([le(v("i"), p()), le(p(), v("j"))]);
-    let int = |i, j, q, r| rel(INT, [i, j, q, r]);
-    let copy_int = || int(v("i"), v("j"), v("q"), v("r"));
-    // L(i, q, q1): the transform of the part strictly left of p.
-    let left = |q1: Term| {
-        or([
-            and([eq(v("i"), p()), eq(v("q"), q1)]),
-            exists(
-                ["pm"],
-                and([succ(v("pm"), p()), int(v("i"), v("pm"), v("q"), q1)]),
-            ),
-        ])
+    let int = |q, r, i, j| rel(&int_rel(q, r), [i, j]);
+    let copy_int = |q, r| int(q, r, v("i"), v("j"));
+    // L_q_q1(i): the transform of the part strictly left of p.
+    let left = |q: State, q1: State| {
+        let before = exists(["pm"], and([succ(v("pm"), p()), int(q, q1, v("i"), v("pm"))]));
+        if q == q1 {
+            or([eq(v("i"), p()), before])
+        } else {
+            before
+        }
     };
-    // R(j, q2, r): the transform of the part strictly right of p.
-    let right = |q2: Term| {
-        or([
-            and([eq(v("j"), p()), eq(q2, v("r"))]),
-            exists(
-                ["ps"],
-                and([succ(p(), v("ps")), int(v("ps"), v("j"), q2, v("r"))]),
-            ),
-        ])
+    // R_q2_r(j): the transform of the part strictly right of p.
+    let right = |q2: State, r: State| {
+        let after = exists(["ps"], and([succ(p(), v("ps")), int(q2, r, v("ps"), v("j"))]));
+        if q2 == r {
+            or([eq(v("j"), p()), after])
+        } else {
+            after
+        }
     };
-    // Δ_c(q1, q2): the edited symbol's transition relation, inlined.
-    let delta_c = |sym_id: usize| {
-        or(states.iter().map(|&q| {
-            let q2 = dfa.step(q as u8, sym_id) as Elem;
-            and([eq(v("q1"), lit(q)), eq(v("q2"), lit(q2))])
-        }))
-    };
-    // Recompose an inside interval around p through `mid(q1, q2)`.
-    let recompose = |mid: Formula| {
-        exists(
-            ["q1", "q2"],
-            and([left(v("q1")), mid, right(v("q2"))]),
-        )
+    // Recompose an inside interval around p, reading p as `step(q1)`.
+    let recompose = |q: State, r: State, step: &dyn Fn(State) -> State| {
+        or(states.iter().map(|&q1| and([left(q, q1), right(step(q1), r)])))
     };
 
-    let int_vars = ["i", "j", "q", "r"];
+    let int_vars = ["i", "j"];
     for (sym_id, &c) in alphabet.iter().enumerate() {
         let sc = sym_rel(c);
         // ins(S_c, p): set position p to c (overwrite).
@@ -146,13 +140,6 @@ pub fn dfa_program(name: &str, dfa: &Dfa) -> DynFoProgram {
                 rel(&sd, [v("x")]) & !eq(v("x"), p()),
             );
         }
-        b = b.on(
-            RequestKind::ins(&sc),
-            INT,
-            &int_vars,
-            (not(inside()) & copy_int()) | (inside() & recompose(delta_c(sym_id))),
-        );
-
         // del(S_c, p): clear position p iff it carries c. The closed
         // guard S_c(?0) keeps a mismatched delete a no-op and gets the
         // efficient Guarded classification.
@@ -162,32 +149,39 @@ pub fn dfa_program(name: &str, dfa: &Dfa) -> DynFoProgram {
             &["x"],
             rel(&sc, [v("x")]) & !eq(v("x"), p()),
         );
-        let identity = eq(v("q1"), v("q2"));
-        b = b.on(
-            RequestKind::del(&sc),
-            INT,
-            &int_vars,
-            (not(rel(&sc, [p()])) & copy_int())
-                | (rel(&sc, [p()])
-                    & ((not(inside()) & copy_int()) | (inside() & recompose(identity)))),
-        );
+        for &q in &states {
+            for &r in &states {
+                let target = int_rel(q, r);
+                let written = recompose(q, r, &|q1| dfa.step(q1, sym_id));
+                b = b.on(
+                    RequestKind::ins(&sc),
+                    &target,
+                    &int_vars,
+                    (not(inside()) & copy_int(q, r)) | (inside() & written),
+                );
+                let cleared = recompose(q, r, &|q1| q1);
+                b = b.on(
+                    RequestKind::del(&sc),
+                    &target,
+                    &int_vars,
+                    (not(rel(&sc, [p()])) & copy_int(q, r))
+                        | (rel(&sc, [p()])
+                            & ((not(inside()) & copy_int(q, r)) | (inside() & cleared))),
+                );
+            }
+        }
     }
 
     // Membership: the whole-string interval [min, max] maps the start
     // state into an accepting state.
-    let accept = or(states
-        .iter()
-        .filter(|&&q| dfa.is_accepting(q as u8))
-        .map(|&q| eq(v("f"), lit(q))));
-    let query = exists(
-        ["f"],
-        and([
-            rel(INT, [Term::Min, Term::Max, lit(dfa.start() as Elem), v("f")]),
-            accept,
-        ]),
-    );
+    let start = dfa.start();
+    let whole = |f| rel(&int_rel(start, f), [Term::Min, Term::Max]);
+    let accepting = states.iter().filter(|&&f| dfa.is_accepting(f));
+    let query = or(accepting.map(|&f| whole(f)));
     // in_state(q): general operation asking which state the run ends in.
-    let named = rel(INT, [Term::Min, Term::Max, lit(dfa.start() as Elem), Term::Param(0)]);
+    let named = or(states
+        .iter()
+        .map(|&f| and([eq(Term::Param(0), lit(Elem::from(f))), whole(f)])));
     b.query(query).named_query("in_state", named).build()
 }
 
@@ -313,6 +307,23 @@ mod tests {
         }
         // Three a's: the run ends in state 3 mod 3 = 0.
         assert!(m.query_named("in_state", &[0]).unwrap());
+        assert!(!m.query_named("in_state", &[1]).unwrap());
+    }
+
+    #[test]
+    fn universe_smaller_than_the_state_set() {
+        // States are relation names, not universe elements: a 3-state
+        // DFA runs over a 2-position buffer. The run ends in state 2,
+        // which no in_state parameter over {0, 1} can name.
+        let dfa = count_mod(&['a', 'b'], 'a', 3, 2);
+        let mut m = DynFoMachine::new(dfa_program("count_mod", &dfa), 2);
+        let mut shadow = vec![None; 2];
+        for (pos, sym) in [(0, Some('a')), (1, Some('a')), (0, Some('b')), (0, Some('a'))] {
+            set(&mut m, &mut shadow, pos, sym);
+            assert_eq!(m.query().unwrap(), oracle_accepts(&dfa, &shadow), "{shadow:?}");
+        }
+        assert!(m.query().unwrap(), "two a's: 2 mod 3");
+        assert!(!m.query_named("in_state", &[0]).unwrap());
         assert!(!m.query_named("in_state", &[1]).unwrap());
     }
 

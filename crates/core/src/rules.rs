@@ -17,7 +17,7 @@ use dynfo_logic::analysis::{canonicalize, free_vars, positive_in};
 use dynfo_logic::eval::opt::optimize_formula;
 use dynfo_logic::eval::{alpha_normalize, is_ground};
 use dynfo_logic::formula::{Formula, Term};
-use dynfo_logic::{Elem, Plan, PlanArena, RelId, Relation, Structure, Sym, Tuple};
+use dynfo_logic::{Plan, PlanArena, RelId, Relation, Structure, Sym, Tuple};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -107,8 +107,8 @@ impl Body {
 
 /// A guard-stripped body and how it runs compiled: the OR of its
 /// [`Part`]s' root bitmaps. `parts` is empty where compilation declined
-/// (a sparse-only relation, a plan past [`PLAN_COMPILE_WORDS_CAP`]) and
-/// the interpreter evaluates `formula` instead.
+/// (a plan past [`PLAN_COMPILE_WORDS_CAP`]) and the interpreter
+/// evaluates `formula` instead.
 #[derive(Clone, Debug)]
 pub(crate) struct Residual {
     pub formula: Formula,
@@ -311,21 +311,26 @@ impl Clone for BitPlan {
 
 /// The relation a rule's selected residuals write their result into —
 /// compiled roots ORed in, interpreted rows inserted — and
-/// [`Relation::install`] then puts in place. It sits on the target's
-/// backend, is sized on first use, and a cloned machine starts with an
-/// empty one.
-#[derive(Debug, Default)]
+/// [`Relation::install`] then puts in place. It is sized like the
+/// target on first use; until then, and in a cloned machine, it is a
+/// one-bit placeholder.
+#[derive(Debug)]
 pub(crate) struct RuleOut(Mutex<Relation>);
 
+impl Default for RuleOut {
+    fn default() -> RuleOut {
+        RuleOut(Mutex::new(Relation::with_universe(0, 1)))
+    }
+}
+
 impl RuleOut {
-    /// The result relation, emptied, on the backend
-    /// [`Relation::with_universe`] gives `target` over `{0..n}`.
-    pub fn cleared(&self, target: &Relation, n: Elem) -> MutexGuard<'_, Relation> {
+    /// The result relation, emptied, shaped like `target`.
+    pub fn cleared(&self, target: &Relation) -> MutexGuard<'_, Relation> {
         let mut out = self.lock();
-        if out.arity() == target.arity() && out.dense_universe() == target.dense_universe() {
+        if out.arity() == target.arity() && out.universe() == target.universe() {
             out.clear();
         } else {
-            *out = Relation::with_universe(target.arity(), n);
+            *out = Relation::with_universe(target.arity(), target.universe());
         }
         out
     }
@@ -472,8 +477,8 @@ pub(crate) fn compile_tables(
 /// The rounds of an eligible kind's one-shot fixpoint: every residual
 /// closed over the change ([`close`]) and compiled once, against `st`
 /// extended with an empty Δ relation of the kind's `arity`. `None`
-/// when a closed residual does not lower or its target is not densely
-/// backed: such a kind replays bulk changes per tuple.
+/// when a closed residual does not lower: such a kind replays bulk
+/// changes per tuple.
 fn compile_closure(rules: &[CompiledRule], st: &Structure, arity: usize) -> Option<Vec<Round>> {
     let n = st.size();
     let template = st.extended(BULK_DELTA_REL, Relation::with_universe(arity, n));
@@ -486,9 +491,6 @@ fn compile_closure(rules: &[CompiledRule], st: &Structure, arity: usize) -> Opti
                 RulePlan::General(GeneralPlan::Shrink(psi)) => (psi, true),
                 RulePlan::General(_) => unreachable!("eligibility admits copy/grow/shrink only"),
             };
-            if st.relation(cr.target).dense_universe() != Some(n) {
-                return None;
-            }
             lower(&close(psi, negate, arity), &cr.rule.vars, &template).map(Round::Closed)
         })
         .collect()

@@ -521,56 +521,55 @@ fn relation_free_delta_runs_compiled() {
     assert_eq!(m.stats().update_work.rows_built, 0);
 }
 
-/// The bulk path's interpreter caller: `Q`'s tuple space at n = 65
-/// (65⁴ > 2²⁴ bits) is sparse-backed from construction, so δ, which
-/// reads it, does not lower to kernels and is materialized by the
-/// interpreter. `S = π₀(Q)`'s closed residual reads `Q` too, so the
-/// kind's closure never compiles and the kind is not one-shot eligible:
-/// the change replays per tuple — `machine.bulk_fallback`'s one cause —
-/// and lands on the expanded stream's state.
+/// The bulk path's interpreter caller: δ holds a 5-variable block, past
+/// the compile cap at n = 64 ([`dynfo_testutil::clique`]), so it is
+/// materialized by the interpreter. `S` collects the vertices that
+/// start a 5-clique of `E`; its closed residual holds the same block,
+/// so the kind's closure never compiles and the kind is not one-shot
+/// eligible: the change replays per tuple — `machine.bulk_fallback`'s
+/// one cause — and lands on the expanded stream's state.
 #[test]
-fn bulk_interprets_what_reads_a_sparse_relation() {
-    let cols = ["x", "y", "z", "w"];
-    let q = rel("Q", cols.map(v));
-    let copy = q.clone()
-        | cols
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| eq(v(c), param(i)))
-            .reduce(|a, b| a & b)
-            .expect("four columns");
-    let project = rel("S", [v("x")]) | eq(v("x"), param(0)) | exists(["y", "z", "w"], q);
-    let program = DynFoProgram::builder("sparse_projection")
-        .input_relation("Q", 4)
+fn bulk_interprets_what_does_not_compile() {
+    let vars = ["x", "y"];
+    let copy = rel("E", vars.map(v)) | (eq(v("x"), param(0)) & eq(v("y"), param(1)));
+    let starts_clique = |x: &str| {
+        exists(["a", "b", "c", "d"], dynfo_testutil::clique("E", &[x, "a", "b", "c", "d"]))
+    };
+    let program = DynFoProgram::builder("clique_starts")
+        .input_relation("E", 2)
         .aux_relation("S", 1)
         .memoryless()
-        .on(RequestKind::ins("Q"), "Q", &cols, copy)
-        .on(RequestKind::ins("Q"), "S", &["x"], project)
+        .on(RequestKind::ins("E"), "E", &vars, copy)
+        .on(RequestKind::ins("E"), "S", &["x"], rel("S", [v("x")]) | starts_clique("x"))
         .query(Formula::True)
         .build();
-    let n = 65;
+    let n = 64;
     let registry = std::sync::Arc::new(dynfo_obs::Registry::new());
+    // Two 5-cliques, each ordered by its pairs' first members.
+    let seeds: Vec<Request> = [0u32, 20]
+        .into_iter()
+        .flat_map(|lo| (lo..lo + 5).flat_map(move |a| (a + 1..lo + 5).map(move |b| Request::ins("E", [a, b]))))
+        .collect();
     let machine = |obs: &dynfo_obs::ObsHandle| {
         let mut m = DynFoMachine::new(program.clone(), n).with_obs(obs);
-        m.apply_all(&[Request::ins("Q", [1, 2, 3, 4]), Request::ins("Q", [64, 0, 0, 1])]).unwrap();
+        m.apply_all(&seeds).unwrap();
         m
     };
     let mut bulk = machine(&dynfo_obs::ObsHandle::with_registry(registry.clone()));
     let mut stream = machine(&dynfo_obs::ObsHandle::default());
-    assert_eq!(bulk.state().rel("Q").backend_kind(), "sparse", "test premise");
-    // Every tuple with its first two columns swapped.
-    let delta = rel("Q", [v("x1"), v("x0"), v("x2"), v("x3")]);
+    // An edge to 63 from every vertex that starts a 5-clique.
+    let delta = eq(v("x1"), lit(63)) & starts_clique("x0");
     let canonical = dynfo_logic::analysis::canonicalize(&delta);
     assert!(dynfo_logic::Plan::compile(&canonical, bulk.state()).is_none(), "test premise");
-    let req = Request::bulk_ins("Q", delta);
+    let req = Request::bulk_ins("E", delta);
     let expanded = stream.expand_bulk(&req).unwrap();
-    assert_eq!(expanded.len(), 2, "(2,1,3,4), (0,64,0,1)");
+    assert_eq!(expanded.len(), 2, "(0, 63), (20, 63)");
     stream.apply_all(&expanded).unwrap();
     let before = bulk.stats().update_work;
     bulk.apply(&req).unwrap();
     assert_eq!(bulk.state(), stream.state());
-    assert!(bulk.holds("S", [0u32]) && bulk.holds("S", [2u32]), "S projects the new tuples");
-    assert_eq!(bulk.stats().requests, 4, "2 seeds + the 2 expanded tuples");
+    assert!(bulk.holds("S", [0u32]) && bulk.holds("S", [20u32]), "S holds both clique starts");
+    assert_eq!(bulk.stats().requests, seeds.len() + 2, "the seeds + the 2 expanded tuples");
     let work = bulk.stats().update_work;
     assert!(work.rows_built > before.rows_built, "the replay interpreted: {work:?}");
     assert_eq!(registry.counter("machine.bulk_fallback").get(), 1, "ineligible kind");

@@ -233,9 +233,9 @@ fn opt_corpus_formulas_match() {
 }
 
 /// An edge copy and its transitive closure, grown per insert — one
-/// compiled rule against the dense layout. The recompute closure hands
-/// `TC` back on the sparse backend, the layout no plan reads.
-fn sparse_handing_closure() -> DynFoProgram {
+/// compiled rule. The recompute closure rebuilds `TC` as a fresh
+/// relation holding the same tuples.
+fn rebuilding_closure() -> DynFoProgram {
     use dynfo_core::RequestKind;
     use dynfo_logic::formula::{eq, param, rel, v, Term};
     DynFoProgram::builder("closure")
@@ -258,7 +258,8 @@ fn sparse_handing_closure() -> DynFoProgram {
         .recompute(|st| {
             let mut fresh = st.clone();
             let id = fresh.vocab().relation(dynfo_logic::Sym::new("TC")).expect("TC in vocab");
-            *fresh.relation_mut(id) = st.relation(id).to_sparse();
+            let tc = st.relation(id).iter();
+            fresh.set_relation(id, dynfo_logic::Relation::from_tuples_with_universe(2, st.size(), tc));
             fresh
         })
         .query(rel("TC", [Term::Min, Term::Max]))
@@ -273,87 +274,65 @@ fn closure_step(program: &DynFoProgram, m: &mut DynFoMachine, a: u32, b: u32) {
     assert_eq!(m.state(), &dynfo_testutil::reference_step(program, &pre, &req));
 }
 
-/// `recompute()` adopts its closure's structure in the compiled layout:
-/// a closure that hands `TC` back sparse leaves it dense again, and the
-/// TC rule keeps running its plan — no fallback, no bail.
+/// `recompute()` adopts its closure's structure, and the TC rule keeps
+/// running its plan against it — no fallback, no bail.
 #[test]
-fn recompute_keeps_the_compiled_layout() {
-    let program = sparse_handing_closure();
+fn recompute_keeps_rules_compiled() {
+    let program = rebuilding_closure();
     let mut m = DynFoMachine::new(program.clone(), 8);
     closure_step(&program, &mut m, 0, 1);
     closure_step(&program, &mut m, 1, 2);
-    let dense = m.stats().update_work;
-    assert!(dense.plan_compiled > 0 && dense.plan_fallback == 0, "{dense:?}");
+    let before = m.stats().update_work;
+    assert!(before.plan_compiled > 0 && before.plan_fallback == 0, "{before:?}");
 
     assert!(m.recompute().unwrap());
-    assert_eq!(m.state().rel("TC").backend_kind(), "dense");
     closure_step(&program, &mut m, 2, 7);
     closure_step(&program, &mut m, 5, 0);
     let work = m.stats().update_work;
-    assert!(work.plan_compiled > dense.plan_compiled, "the TC rule stopped running compiled");
+    assert!(work.plan_compiled > before.plan_compiled, "the TC rule stopped running compiled");
     assert_eq!(work.plan_fallback, 0, "{work:?}");
     assert!(m.query().unwrap(), "0 →* 7");
 }
 
-/// `from_state` puts a structure handed over on foreign backends into
-/// the compiled layout before compiling anything against it.
-#[test]
-fn from_state_adopts_the_compiled_layout() {
-    let program = sparse_handing_closure();
-    let mut seed = DynFoMachine::new(program.clone(), 8);
-    closure_step(&program, &mut seed, 0, 1);
-    closure_step(&program, &mut seed, 1, 2);
-    let mut state = seed.state().clone();
-    for name in ["E", "TC"] {
-        let id = state.vocab().relation(dynfo_logic::Sym::new(name)).expect("in vocab");
-        *state.relation_mut(id) = seed.state().relation(id).to_sparse();
-    }
-    assert_eq!(state.rel("TC").backend_kind(), "sparse", "test premise");
-
-    let mut m = DynFoMachine::from_state(program.clone(), state).unwrap();
-    assert_eq!(m.state(), seed.state());
-    assert_eq!(m.state().rel("E").backend_kind(), "dense");
-    assert_eq!(m.state().rel("TC").backend_kind(), "dense");
-    closure_step(&program, &mut m, 2, 7);
-    closure_step(&program, &mut m, 5, 0);
-    let work = m.stats().update_work;
-    assert!(work.plan_compiled > 0, "{work:?}");
-    assert_eq!(work.plan_fallback, 0, "{work:?}");
-    assert!(m.query().unwrap(), "0 →* 7");
+/// `∃a b c d` around a 5-clique of `rel` on `x, a, b, c, d`: past the
+/// compile cap at n = 64 ([`dynfo_testutil::clique`]).
+fn in_5_clique(rel: &str, x: &str) -> dynfo_logic::Formula {
+    use dynfo_logic::formula::exists;
+    exists(["a", "b", "c", "d"], dynfo_testutil::clique(rel, &[x, "a", "b", "c", "d"]))
 }
 
-/// A relation whose tuple space passes 2^24 bits is sparse-backed from
-/// construction (a 4-ary one at n = 65), and nothing reading it lowers
-/// to kernels: the rule that projects it interprets, and so does the
-/// query, which never compiled — on Definition 3.1's state.
+/// Formulas that do not compile over any relations run on the
+/// interpreter: a rule whose residual holds a 5-variable block at
+/// n = 64, and a query that is one — on Definition 3.1's state.
 #[test]
-fn sparse_relations_and_uncompiled_queries_interpret() {
+fn uncompiled_rules_and_queries_interpret() {
     use dynfo_core::RequestKind;
     use dynfo_logic::formula::{eq, exists, param, rel, v};
-    let cols = ["x", "y", "z", "w"];
-    let q = rel("Q", cols.map(v));
-    let copy = q.clone()
-        | cols
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| eq(v(c), param(i)))
-            .reduce(|a, b| a & b)
-            .expect("four columns");
-    let program = DynFoProgram::builder("wide")
-        .input_relation("Q", 4)
+    let members = ["x", "a", "b", "c", "d"];
+    let program = DynFoProgram::builder("clique")
+        .input_relation("E", 2)
         .aux_relation("S", 1)
-        .on(RequestKind::ins("Q"), "Q", &cols, copy)
-        .on(RequestKind::ins("Q"), "S", &["x"], rel("S", [v("x")]) | exists(["y", "z", "w"], q.clone()))
-        .query(exists(cols, q))
+        .on(
+            RequestKind::ins("E"),
+            "E",
+            &["x", "y"],
+            rel("E", [v("x"), v("y")]) | (eq(v("x"), param(0)) & eq(v("y"), param(1))),
+        )
+        .on(RequestKind::ins("E"), "S", &["y"], rel("S", [v("y")]) | in_5_clique("E", "y"))
+        .query(exists(members, dynfo_testutil::clique("E", &members)))
         .build();
-    let mut m = DynFoMachine::new(program.clone(), 65);
-    assert_eq!(m.state().rel("Q").backend_kind(), "sparse", "test premise");
-    for t in [[1, 2, 3, 4], [5, 6, 7, 8], [64, 0, 0, 1]] {
-        let (req, pre) = (Request::ins("Q", t), m.state().clone());
-        m.apply(&req).unwrap();
-        assert_eq!(m.state(), &dynfo_testutil::reference_step(&program, &pre, &req), "{req}");
+    let mut m = DynFoMachine::new(program.clone(), 64);
+    let mut reqs: Vec<Request> = (10..15)
+        .flat_map(|a| (a + 1..15).map(move |b| Request::ins("E", [a, b])))
+        .collect();
+    reqs.push(Request::ins("E", [0, 63]));
+    for req in &reqs {
+        let pre = m.state().clone();
+        m.apply(req).unwrap();
+        assert_eq!(m.state(), &dynfo_testutil::reference_step(&program, &pre, req), "{req}");
     }
-    assert!(m.holds("S", [5u32]), "S lags Q by one request: it reads the pre-state");
+    assert!(m.holds("S", [10u32]), "the clique's first member, on the last request");
+    assert!(!m.holds("S", [11u32]), "clique() orders its pairs: only 10 comes first");
     assert!(m.stats().update_work.rows_built > 0, "{:?}", m.stats().update_work);
     assert!(m.query().unwrap());
     let query = m.stats().query_work;
@@ -361,20 +340,18 @@ fn sparse_relations_and_uncompiled_queries_interpret() {
 }
 
 /// One guarded rule whose two selected residuals split: a bind join
-/// `∃u (A(u) ∧ B(u, x))`, which runs compiled, and a projection of the
-/// arity-4 relation `Q` at n = 65, which is sparse by size and so
-/// cannot compile. Each residual is routed on its own: the bind join
-/// ORs its roots into the rule's result and adds no interpreter rows —
-/// the split rule interprets exactly the rows of a sibling rule that
-/// has only the `Q` arm — and the state is Definition 3.1's after every
-/// request.
+/// `∃u (A(u) ∧ B(u, x))`, which runs compiled, and a 5-clique block over
+/// `K` at n = 64, which is past the compile cap. Each residual is
+/// routed on its own: the bind join ORs its roots into the rule's
+/// result and adds no interpreter rows — the split rule interprets
+/// exactly the rows of a sibling rule that has only the clique arm —
+/// and the state is Definition 3.1's after every request.
 #[test]
 fn residuals_route_on_their_own() {
     use dynfo_core::RequestKind;
     use dynfo_logic::formula::{eq, exists, not, param, rel, v, Formula};
     use dynfo_obs::{ObsHandle, Registry};
     use std::sync::Arc;
-    let cols = ["x", "y", "z", "w"];
     let copy = |name: &str, vars: &[&str]| {
         rel(name, vars.iter().map(|&c| v(c)))
             | vars
@@ -387,15 +364,15 @@ fn residuals_route_on_their_own() {
     let program = |with_bind_join: bool| {
         let bind = not(rel("M", [param(0)]))
             & exists(["u"], rel("A", [v("u")]) & rel("B", [v("u"), v("x")]));
-        let wide = not(rel("B", [param(0), param(0)])) & exists(["y", "z", "w"], rel("Q", cols.map(v)));
+        let wide = not(rel("B", [param(0), param(0)])) & in_5_clique("K", "x");
         let grow = if with_bind_join { bind | wide } else { wide };
         let mut b = DynFoProgram::builder("split")
             .input_relation("M", 1)
             .input_relation("A", 1)
             .input_relation("B", 2)
-            .input_relation("Q", 4)
+            .input_relation("K", 2)
             .aux_relation("T", 1);
-        for (name, vars) in [("M", &["x"][..]), ("A", &["x"]), ("B", &["x", "y"]), ("Q", &cols)] {
+        for (name, vars) in [("M", &["x"][..]), ("A", &["x"]), ("B", &["x", "y"]), ("K", &["x", "y"])] {
             b = b.on(RequestKind::ins(name), name, vars, copy(name, vars));
         }
         b.on(RequestKind::ins("M"), "T", &["x"], rel("T", [v("x")]) | grow)
@@ -403,12 +380,11 @@ fn residuals_route_on_their_own() {
             .build()
     };
     let registry = Arc::new(Registry::new());
-    let mut split = DynFoMachine::new(program(true), 65).with_obs(&ObsHandle::with_registry(registry.clone()));
-    let mut alone = DynFoMachine::new(program(false), 65);
-    assert_eq!(split.state().rel("Q").backend_kind(), "sparse", "test premise");
+    let mut split = DynFoMachine::new(program(true), 64).with_obs(&ObsHandle::with_registry(registry.clone()));
+    let mut alone = DynFoMachine::new(program(false), 64);
     let mut reqs = vec![Request::ins("A", [1]), Request::ins("A", [2])];
     reqs.extend([[1, 3], [2, 4], [5, 6]].map(|t| Request::ins("B", t)));
-    reqs.extend([[7, 0, 0, 0], [8, 1, 2, 3]].map(|t| Request::ins("Q", t)));
+    reqs.extend((7..12).flat_map(|a| (a + 1..12).map(move |b| Request::ins("K", [a, b]))));
     reqs.extend([10, 11, 12].map(|a| Request::ins("M", [a])));
     let bound = registry.counter("machine.bind_join.bound");
     for req in &reqs {
@@ -416,15 +392,16 @@ fn residuals_route_on_their_own() {
         let (w, w_alone) = (split.apply(req).unwrap(), alone.apply(req).unwrap());
         assert_eq!(split.state(), &dynfo_testutil::reference_step(&split.program().clone(), &pre, req), "{req}");
         if req.kind() == RequestKind::ins("M") {
-            assert!(w_alone.rows_built > 0, "{req}: the Q arm did not interpret");
+            assert!(w_alone.rows_built > 0, "{req}: the clique arm did not interpret");
             assert_eq!(w.rows_built, w_alone.rows_built, "{req}: the bind join interpreted");
             assert_eq!(w.plan_fallback, 1, "{req}: {w:?}");
             assert!(w.plan_compiled > w_alone.plan_compiled, "{req}: {w:?}");
         }
     }
-    for x in [3, 4, 7, 8] {
+    for x in [3, 4, 7] {
         assert!(split.holds("T", [x]), "T({x})");
     }
+    assert!(!split.holds("T", [8u32]), "only the clique's first member is in T");
     if dynfo_obs::ENABLED {
         assert_eq!(bound.get(), 3, "one bound bind join per M insert");
     }

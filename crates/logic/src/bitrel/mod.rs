@@ -10,10 +10,8 @@
 //! 64-at-a-time through ALU words.
 //!
 //! The base-`n` index order equals the lexicographic tuple order, so
-//! iteration yields tuples in exactly the order a sorted
-//! [`BTreeSet<Tuple>`](std::collections::BTreeSet) would — deterministic
-//! benchmarks and whole-structure comparisons (memorylessness checks)
-//! behave identically on either backend.
+//! iteration is sorted — deterministic benchmarks and whole-structure
+//! comparisons (memorylessness checks) follow from it.
 
 use crate::tuple::{Elem, Tuple};
 use std::fmt;
@@ -28,17 +26,18 @@ pub struct BitRel {
     words: Vec<u64>,
 }
 
-/// Number of tuple slots (`n^arity`) as a u128 (overflow-safe).
+/// Number of tuple slots (`n^arity`) as a u128, saturating at
+/// `u128::MAX` instead of overflowing.
 pub fn capacity_bits(n: Elem, arity: usize) -> u128 {
-    (n as u128).pow(arity as u32)
+    (n as u128).saturating_pow(arity as u32)
 }
 
 impl BitRel {
     /// The empty dense relation of the given arity over `{0..n}`.
     ///
     /// # Panics
-    /// Panics if `n^arity` overflows `usize` — callers gate on
-    /// [`capacity_bits`] before choosing this backend.
+    /// Panics if `n^arity` overflows `usize` — structures gate on
+    /// [`capacity_bits`] before they build their relations.
     pub fn new(arity: usize, n: Elem) -> BitRel {
         let bits = usize::try_from(capacity_bits(n, arity))
             .expect("BitRel capacity exceeds usize");

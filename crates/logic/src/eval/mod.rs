@@ -51,10 +51,9 @@ pub enum EvalError {
     /// Extending a table over the universe needs more rows than can be
     /// allocated.
     TableTooLarge { rows: u128 },
-    /// A compiled plan met a structure laid out differently from the one
-    /// it was compiled for: relation `rel` on another backend, or (for
-    /// `None`) another universe size.
-    LayoutMismatch { rel: Option<Sym> },
+    /// A compiled plan met a structure (or one of its relations) over
+    /// another universe size than the one it was compiled for.
+    LayoutMismatch,
 }
 
 impl fmt::Display for EvalError {
@@ -73,10 +72,7 @@ impl fmt::Display for EvalError {
             EvalError::TableTooLarge { rows } => {
                 write!(f, "a table of {rows} rows cannot be allocated")
             }
-            EvalError::LayoutMismatch { rel: Some(rel) } => {
-                write!(f, "relation {rel} is not on the backend the plan was compiled for")
-            }
-            EvalError::LayoutMismatch { rel: None } => {
+            EvalError::LayoutMismatch => {
                 write!(f, "the universe size differs from the one the plan was compiled for")
             }
         }

@@ -11,14 +11,13 @@
 //! kernels on every request.
 //!
 //! A plan is all kernels or nothing: every op is a word pass whose size
-//! the compiler knows. A subformula the compiler cannot lower
-//! (sparse-backed relation atom, slot over [`PLAN_SLOT_BITS_CAP`],
-//! non-canonical node) makes the whole formula decline —
-//! [`Plan::compile`] returns `None` and the caller evaluates the formula
-//! whole on the interpreter (counted as `plan_fallback` in
-//! [`EvalStats`](super::EvalStats)). A compiled plan is bound to the
-//! layout it was compiled for; running it against another universe size
-//! or a relation on another backend is [`EvalError::LayoutMismatch`].
+//! the compiler knows. A subformula the compiler cannot lower (slot
+//! over [`PLAN_SLOT_BITS_CAP`], non-canonical node) makes the whole
+//! formula decline — [`Plan::compile`] returns `None` and the caller
+//! evaluates the formula whole on the interpreter (counted as
+//! `plan_fallback` in [`EvalStats`](super::EvalStats)). A compiled plan
+//! is bound to the universe size it was compiled for; running it
+//! against another is [`EvalError::LayoutMismatch`].
 //!
 //! Unguarded negation needs **no complement budget** here: on bit-buffers
 //! `¬φ` is a masked NOT over bits that already exist, not an `n^k` row
@@ -42,11 +41,11 @@ use crate::tuple::{Elem, Tuple, MAX_ARITY};
 use std::collections::HashMap;
 
 /// Cap on one slot's padded tuple space (`S^k` bits, 32 MiB of bitmap).
-/// Wider than the dense-relation cap because padding can double each
-/// axis; anything bigger falls back to the interpreter. This is a
-/// *feasibility* bound, not a profitability one — callers that must not
-/// regress a cheap interpreter path (the machine's rule plans) apply
-/// their own work budget on top via [`Plan::work_words`].
+/// Padding can double each axis of a slot; anything bigger falls back
+/// to the interpreter. This is a *feasibility* bound, not a
+/// profitability one — callers that must not regress a cheap
+/// interpreter path (the machine's rule plans) apply their own work
+/// budget on top via [`Plan::work_words`].
 pub const PLAN_SLOT_BITS_CAP: u128 = 1 << 28;
 
 /// Combine passes at least this many words wide are sliced across the
@@ -173,7 +172,7 @@ pub struct PlanArena {
 
 impl Plan {
     /// Compile a canonical formula against the structure it will run on
-    /// (relation backends are inspected at compile time). Returns `None`
+    /// (its universe size fixes the layout). Returns `None`
     /// when some subformula cannot be lowered — callers interpret the
     /// formula whole.
     /// Runs the algebraic optimizer ([`super::opt`]); use
@@ -262,9 +261,8 @@ impl Plan {
     /// decode the result; `ev` accumulates the `kernel_words`/
     /// `plan_compiled` counters. [`Plan::run`] plus [`Plan::decode_root`].
     ///
-    /// A structure laid out differently from the one the plan was
-    /// compiled for (another universe size, a relation on another
-    /// backend) is [`EvalError::LayoutMismatch`]. Other failures
+    /// A structure over another universe size than the one the plan was
+    /// compiled for is [`EvalError::LayoutMismatch`]. Other failures
     /// (unbound parameter, unknown symbol) surface exactly as the
     /// interpreter would raise them.
     ///
@@ -318,7 +316,7 @@ impl Plan {
         gather: Option<bool>,
     ) -> Result<(), EvalError> {
         if Layout::new(ev.st.size()) != self.lay {
-            return Err(EvalError::LayoutMismatch { rel: None });
+            return Err(EvalError::LayoutMismatch);
         }
         if arena.bufs.len() != self.slots.len() {
             *arena = self.arena();
@@ -432,13 +430,12 @@ impl Plan {
     /// `n` is not a power of two is dropped: only digits below `n` are
     /// visited. `out.len()` stays exact.
     ///
-    /// This is how a compiled update lands in its result relation. A
-    /// dense `out` takes a fused word-wise OR-and-popcount when the two
+    /// This is how a compiled update lands in its result relation:
+    /// `out` takes a fused word-wise OR-and-popcount when the two
     /// layouts coincide, otherwise a gather (`n`-bit runs when the
     /// innermost column is the root's innermost axis, bit probes
     /// otherwise) and a recount; the words the OR or the gather touched
-    /// are added to `stats.kernel_words`. A sparse `out` gets the root's
-    /// tuples decoded through `axes` and inserted.
+    /// are added to `stats.kernel_words`.
     pub fn or_root_into(
         &self,
         arena: &PlanArena,
@@ -455,10 +452,7 @@ impl Plan {
         );
         debug_assert_eq!(out.arity(), k, "result relation arity");
         let n = self.lay.n as usize;
-        let Some(bits) = out.bits_mut() else {
-            self.insert_root_tuples(arena, axes, out);
-            return;
-        };
+        let bits = out.bits_mut();
         debug_assert_eq!(bits.universe() as usize, n, "result relation universe");
         let aligned = n == self.lay.stride();
         let words = if aligned && kr == k && axes.iter().enumerate().all(|(c, &a)| a == Some(c)) {
@@ -476,35 +470,6 @@ impl Plan {
         stats.kernel_words += words;
         if dynfo_obs::ENABLED {
             crate::obs::eval_obs().kernel_words.add(words);
-        }
-    }
-
-    /// [`Plan::or_root_into`] for a sparse `out`: every root tuple,
-    /// its digits placed by `axes`, inserted once per assignment of the
-    /// columns the root does not constrain.
-    fn insert_root_tuples(&self, arena: &PlanArena, axes: &[Option<usize>], out: &mut Relation) {
-        let (k, n) = (axes.len(), self.lay.n);
-        let mut rows = Vec::new();
-        self.root_rows(arena, &mut rows);
-        let mut items = [0 as Elem; MAX_ARITY];
-        for row in rows {
-            for (item, axis) in items.iter_mut().zip(axes) {
-                *item = axis.map_or(0, |a| row[a]);
-            }
-            // Count the unconstrained columns through `0..n`, the last
-            // one fastest.
-            loop {
-                out.insert(Tuple::from_slice(&items[..k]));
-                let Some(c) = (0..k).rev().find(|&c| axes[c].is_none() && items[c] + 1 < n) else {
-                    break;
-                };
-                items[c] += 1;
-                for later in c + 1..k {
-                    if axes[later].is_none() {
-                        items[later] = 0;
-                    }
-                }
-            }
         }
     }
 
@@ -526,10 +491,10 @@ impl Plan {
             .relation(name)
             .ok_or(EvalError::UnknownRelation(name))?;
         let rel = ev.st.relation(id);
-        let bits = rel
-            .dense_bits()
-            .filter(|_| rel.dense_universe() == Some(self.lay.n))
-            .ok_or(EvalError::LayoutMismatch { rel: Some(name) })?;
+        if rel.universe() != self.lay.n {
+            return Err(EvalError::LayoutMismatch);
+        }
+        let bits = rel.bits();
         let n = self.lay.n as usize;
         let shift = self.lay.shift as usize;
         let k = info.vars.len();
@@ -978,13 +943,9 @@ impl Compiler<'_> {
         args: &[Term],
         vars: Vec<Sym>,
     ) -> Result<SlotId, Unsupported> {
-        // Compile against the current backend; execute re-checks it.
-        // Sparse relations stay interpreted: scattering a huge sparse
-        // relation into a bitmap is exactly the blow-up the sparse
-        // backend exists to avoid.
         let id = self.st.vocab().relation(name).ok_or(Unsupported)?;
         let rel = self.st.relation(id);
-        if rel.dense_universe() != Some(self.lay.n) || args.len() != rel.arity() {
+        if args.len() != rel.arity() {
             return Err(Unsupported);
         }
         let mut cols = Vec::with_capacity(args.len());
@@ -1286,58 +1247,66 @@ mod tests {
         assert_eq!(got.len(), 16 * 16 - 2);
     }
 
+    /// `∃ a b c d e` over the edges of the complete graph on those five
+    /// variables: no quantifier moves inward past a conjunct, so some
+    /// slot spans all five, and at n = 64 that is 2³⁰ bits — past
+    /// [`PLAN_SLOT_BITS_CAP`].
+    fn k5(extra: Formula) -> Formula {
+        let names = ["a", "b", "c", "d", "e"];
+        let mut conj = vec![extra];
+        for (i, x) in names.iter().enumerate() {
+            for y in &names[i + 1..] {
+                conj.push(rel("E", [v(x), v(y)]));
+            }
+        }
+        exists(names, and(conj))
+    }
+
     #[test]
-    fn sparse_atom_declines_the_whole_formula() {
-        // Arity-8 relation at n=9: 9^8 bits blow the dense cap, so the
-        // backend is sparse. Neither the atom nor a sentence over it
-        // compiles — a plan is all kernels or nothing — and the
-        // interpreter answers the sentence whole.
-        let vocab = Arc::new(Vocabulary::new().with_relation("W", 8).with_relation("M", 1));
-        let mut s = Structure::empty(vocab, 9);
-        s.insert("W", Tuple::from_slice(&[0, 1, 2, 3, 4, 5, 0, 1]));
-        s.insert("M", [2]);
-        assert_eq!(s.rel("W").backend_kind(), "sparse", "test premise");
-        let atom = rel(
-            "W",
-            [v("a"), v("b"), v("c"), v("d"), v("e"), v("f"), v("g"), v("h")],
-        );
-        assert!(Plan::compile(&crate::analysis::canonicalize(&atom), &s).is_none());
-        let sentence = exists(
-            ["a", "b", "c", "d", "e", "f", "g", "h"],
-            and([atom, rel("M", [v("c")])]),
-        );
-        assert!(Plan::compile(&crate::analysis::canonicalize(&sentence), &s).is_none());
-        assert!(crate::eval::satisfies(&sentence, &s, &[]).unwrap());
+    fn wide_block_declines_the_whole_formula() {
+        // Neither the block nor a sentence around it compiles — a plan
+        // is all kernels or nothing — and the interpreter answers the
+        // sentence whole.
+        let mut edges = vec![];
+        for a in 0..5 {
+            for b in a + 1..5 {
+                edges.push((a, b));
+            }
+        }
+        let s = st(64, &edges);
+        let block = k5(rel("M", [v("a")]));
+        assert!(Plan::compile(&crate::analysis::canonicalize(&block), &s).is_none());
+        assert!(crate::eval::satisfies(&block, &s, &[]).unwrap());
+        let shifted = k5(not(rel("M", [v("a")])));
+        assert!(Plan::compile(&crate::analysis::canonicalize(&shifted), &s).is_none());
+        assert!(!crate::eval::satisfies(&shifted, &s, &[]).unwrap());
     }
 
     #[test]
     fn foreign_layout_is_a_typed_error() {
-        // A plan compiled against the dense layout that meets a sparse
-        // relation, or another universe, at execution fails with
-        // `LayoutMismatch` instead of misreading it; the interpreter's
-        // answer does not depend on the backend.
+        // A plan that meets another universe at execution — the whole
+        // structure's, or one relation's written in through
+        // `relation_mut` — fails with `LayoutMismatch` instead of
+        // misreading the bits.
         let mut s = st(6, &[(0, 1), (1, 2), (4, 5)]);
         let f = crate::analysis::canonicalize(&exists(
             ["z"],
             and([rel("E", [v("x"), v("z")]), rel("E", [v("z"), v("y")])]),
         ));
-        let plan = Plan::compile(&f, &s).expect("dense structure compiles");
+        let plan = Plan::compile(&f, &s).expect("structure compiles");
         let mut arena = plan.arena();
         let before = crate::eval::evaluate(&f, &s, &[]).unwrap().sorted();
         let ran = plan.execute(&mut Evaluator::new(&s, &[]), &mut arena, None).unwrap();
         assert_eq!(ran.sorted(), before);
 
-        let id = s.vocab().relation(Sym::new("E")).unwrap();
-        // Not `set_relation`: that converts back to the slot's backend.
-        *s.relation_mut(id) = s.relation(id).to_sparse();
-        assert_eq!(s.rel("E").backend_kind(), "sparse");
-        let err = plan.execute(&mut Evaluator::new(&s, &[]), &mut arena, None).unwrap_err();
-        assert_eq!(err, EvalError::LayoutMismatch { rel: Some(Sym::new("E")) });
-        assert_eq!(crate::eval::evaluate(&f, &s, &[]).unwrap().sorted(), before);
-
         let wider = st(40, &[(0, 1)]);
         let err = plan.execute(&mut Evaluator::new(&wider, &[]), &mut arena, None).unwrap_err();
-        assert_eq!(err, EvalError::LayoutMismatch { rel: None });
+        assert_eq!(err, EvalError::LayoutMismatch);
+
+        let id = s.vocab().relation(Sym::new("E")).unwrap();
+        *s.relation_mut(id) = wider.relation(id).clone();
+        let err = plan.execute(&mut Evaluator::new(&s, &[]), &mut arena, None).unwrap_err();
+        assert_eq!(err, EvalError::LayoutMismatch);
     }
 
     #[test]

@@ -6,11 +6,19 @@
 //! an initial segment of the naturals, which gives meaning to the numeric
 //! predicates `≤`, `BIT`, `min`, `max`.
 
+use crate::bitrel::capacity_bits;
 use crate::relation::Relation;
 use crate::tuple::{Elem, Tuple};
 use crate::vocab::{ConstId, RelId, Vocabulary};
 use std::fmt;
 use std::sync::Arc;
+
+/// Most bits one structure's relations may take together: 2³⁰, or
+/// 128 MiB of bitmaps. Every relation is an `n^arity`-bit bitmap, so
+/// this bounds a structure's memory before it is built. It admits
+/// REACH_u and MSF at n = 512 (MSF's two ternary relations there are
+/// 2 × 2²⁷ bits).
+pub const STRUCTURE_BITS_BUDGET: u128 = 1 << 30;
 
 /// A finite structure over a fixed vocabulary.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -31,11 +39,17 @@ impl Structure {
     /// it explicitly.
     ///
     /// # Panics
-    /// Panics if `n == 0` (universes are nonempty by definition).
+    /// Panics if `n == 0` (universes are nonempty by definition), or if
+    /// the relations' bitmaps together pass [`STRUCTURE_BITS_BUDGET`]
+    /// (check [`Structure::bits_needed`] first where `n` comes from
+    /// outside the process).
     pub fn empty(vocab: Arc<Vocabulary>, n: Elem) -> Structure {
         assert!(n > 0, "universe must be nonempty");
-        // Per-relation backend choice: dense bitmap when n^arity fits
-        // the cap, BTreeSet otherwise (see relation.rs).
+        let bits = Structure::bits_needed(&vocab, n);
+        assert!(
+            bits <= STRUCTURE_BITS_BUDGET,
+            "a structure over n = {n} needs {bits} bits, past the budget of {STRUCTURE_BITS_BUDGET}"
+        );
         let relations = vocab
             .relations()
             .map(|(_, sym)| Relation::with_universe(sym.arity, n))
@@ -47,6 +61,15 @@ impl Structure {
             relations,
             constants,
         }
+    }
+
+    /// Bits the relations of `vocab` take as bitmaps over `{0..n}`:
+    /// `Σ n^arity`, saturating instead of overflowing.
+    pub fn bits_needed(vocab: &Vocabulary, n: Elem) -> u128 {
+        vocab
+            .relations()
+            .map(|(_, sym)| capacity_bits(n, sym.arity))
+            .fold(0, u128::saturating_add)
     }
 
     /// The vocabulary.
@@ -64,7 +87,8 @@ impl Structure {
         &self.relations[id.0 as usize]
     }
 
-    /// Mutable interpretation of relation `id`.
+    /// Mutable interpretation of relation `id`. What is written through
+    /// it must stay over this structure's universe.
     pub fn relation_mut(&mut self, id: RelId) -> &mut Relation {
         &mut self.relations[id.0 as usize]
     }
@@ -160,14 +184,11 @@ impl Structure {
 
     /// Insert tuple `t` into relation `name`. Convenience for tests and
     /// structure construction.
+    ///
+    /// # Panics
+    /// Panics if the name is unknown or `t` lies outside the universe.
     pub fn insert(&mut self, name: &str, t: impl Into<Tuple>) -> bool {
-        let t = t.into();
-        assert!(
-            t.iter().all(|v| v < self.size),
-            "tuple {t} outside universe of size {}",
-            self.size
-        );
-        self.rel_mut(name).insert(t)
+        self.rel_mut(name).insert(t.into())
     }
 
     /// Remove tuple `t` from relation `name`.
@@ -217,18 +238,14 @@ impl Structure {
     /// converge — without ever widening the real state's vocabulary.
     ///
     /// # Panics
-    /// Panics if `name` is already in the vocabulary or a tuple of
-    /// `rel` lies outside the universe.
+    /// Panics if `name` is already in the vocabulary or `rel` is over
+    /// another universe.
     pub fn extended(&self, name: &str, rel: Relation) -> Structure {
         assert!(
             self.vocab.relation(name).is_none(),
             "relation {name} already in the vocabulary"
         );
-        assert!(
-            rel.dense_universe() == Some(self.size)
-                || rel.iter().all(|t| t.iter().all(|v| v < self.size)),
-            "extension relation {name} has tuples outside the universe"
-        );
+        assert_eq!(rel.universe(), self.size, "extension relation {name} universe");
         let mut vocab = (*self.vocab).clone();
         vocab.add_relation(name, rel.arity());
         let mut relations = self.relations.clone();
@@ -242,16 +259,17 @@ impl Structure {
     }
 
     /// Replace the interpretation of relation `id` wholesale.
+    ///
+    /// # Panics
+    /// Panics if `rel`'s arity or universe differs from the slot's.
     pub fn set_relation(&mut self, id: RelId, rel: Relation) {
         assert_eq!(
             rel.arity(),
             self.vocab.arity(id),
             "arity mismatch replacing relation"
         );
-        // Keep the slot's backend stable so equality checks, iteration,
-        // and later updates stay on the chosen representation.
-        let slot = &self.relations[id.0 as usize];
-        self.relations[id.0 as usize] = rel.to_backend_of(slot);
+        assert_eq!(rel.universe(), self.size, "universe mismatch replacing relation");
+        self.relations[id.0 as usize] = rel;
     }
 }
 

@@ -281,3 +281,24 @@ fn client_surfaces_remote_errors_as_typed() {
     client.apply(dynfo_core::Request::ins("M", [3])).unwrap();
     assert!(client.query().unwrap());
 }
+
+#[test]
+fn open_past_the_size_budget_is_an_error_reply() {
+    // REACH_u over n = 100 000 would need 10¹⁵ bits of bitmap: the
+    // Open is refused with a typed machine error before anything is
+    // allocated, and the same connection then serves a small session.
+    let h = Harness::start();
+    let mut client = Client::connect(&h.addr).unwrap();
+    match client.open("huge", "reach_u", 100_000) {
+        Err(NetError::Remote { code, detail }) => {
+            assert_eq!(code.as_u8(), ErrorCode::Machine.as_u8(), "{detail}");
+            assert!(detail.contains("budget"), "{detail}");
+        }
+        other => panic!("expected a Machine error, got {other:?}"),
+    }
+    client.open("small", "reach_u", 8).unwrap();
+    client.apply(dynfo_core::Request::ins("E", [0, 1])).unwrap();
+    assert!(client.query_named("connected", &[0, 1]).unwrap());
+    assert!(!client.query_named("connected", &[0, 2]).unwrap());
+    h.assert_still_serving();
+}

@@ -31,9 +31,8 @@
 //! The recovery invariant, proved by `tests/crash_recovery.rs`: for
 //! every prefix of a request stream that was durably committed, reopen
 //! after a crash reproduces *exactly* the machine state an
-//! uninterrupted run would have after that prefix — on either relation
-//! backend, from any surviving combination of snapshot and journal
-//! tail.
+//! uninterrupted run would have after that prefix, from any surviving
+//! combination of snapshot and journal tail.
 //!
 //! [`Request`]: dynfo_core::Request
 //! [`SessionStore`]: session::SessionStore

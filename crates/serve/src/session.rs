@@ -341,6 +341,9 @@ impl Session {
         config: StoreConfig,
         handle: &ObsHandle,
     ) -> Result<Session, ServeError> {
+        // Before the directory or any structure exists: a universe past
+        // the budget is a typed error, not an allocation.
+        program.check_size(n)?;
         let obs = SessionObs::new(handle, name);
         let fresh = !dir.exists();
         if fresh {
@@ -779,7 +782,7 @@ fn recover(
     let mut snap_seq = 0;
     let mut used_rank = None;
     for (rank, &seq) in snapshots.iter().enumerate() {
-        match read_snapshot(&snapshot_path(dir, seq), program) {
+        match read_snapshot(&snapshot_path(dir, seq), program, n) {
             Ok((m, stored_seq)) => {
                 if stored_seq != seq {
                     report.anomalies.push(format!(
@@ -923,6 +926,67 @@ mod tests {
         assert_eq!(s.state(), *reference.state());
         assert_eq!(s.recovery_report().replayed, 5);
         assert!(s.recovery_report().anomalies.is_empty());
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_snapshot_of_another_universe_is_skipped() {
+        // A CRC-valid REACH_u snapshot over n = 8, dropped into an n = 16
+        // session's directory at the journal's head: recovery must not
+        // adopt it, but fall back — here, with no older snapshot, to a
+        // replay of the whole journal.
+        let root = scratch_dir("store-foreign-n");
+        let program = reach_u::program();
+        let reqs: Vec<Request> = [(0, 1), (1, 2), (9, 12), (12, 15), (2, 9)]
+            .map(|(a, b)| Request::ins("E", [a, b]))
+            .into_iter()
+            .chain([Request::del("E", [1, 2])])
+            .collect();
+        {
+            let store = SessionStore::open(&root, StoreConfig::default()).unwrap();
+            let s = store.session("wide", &program, 16).unwrap();
+            for r in &reqs {
+                s.apply(r).unwrap();
+            }
+            store.shutdown().unwrap();
+        }
+        let mut small = DynFoMachine::new(program.clone(), 8);
+        small.apply(&Request::ins("E", [0, 1])).unwrap();
+        write_snapshot(&root.join("wide"), &small, reqs.len() as u64).unwrap();
+
+        let store = SessionStore::open(&root, StoreConfig::default()).unwrap();
+        let s = store.session("wide", &program, 16).unwrap();
+        let report = s.recovery_report();
+        assert_eq!(report.rung, 3, "{:?}", report.anomalies);
+        assert_eq!(report.replayed, reqs.len() as u64);
+        assert!(
+            report.anomalies.iter().any(|a| a.contains("n = 8")),
+            "no anomaly names the foreign universe: {:?}",
+            report.anomalies
+        );
+        let mut reference = program.initial_structure(16);
+        for r in &reqs {
+            reference = dynfo_testutil::reference_step(&program, &reference, r);
+        }
+        assert_eq!(s.state(), reference);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn opening_past_the_size_budget_is_a_typed_error() {
+        let root = scratch_dir("store-too-large");
+        let store = SessionStore::open(&root, StoreConfig::default()).unwrap();
+        match store.session("huge", &reach_u::program(), 100_000) {
+            Err(ServeError::Machine(dynfo_core::MachineError::TooLarge { bits, budget })) => {
+                assert!(bits > budget)
+            }
+            Err(e) => panic!("expected TooLarge, got {e}"),
+            Ok(_) => panic!("a session past the budget opened"),
+        }
+        assert!(!root.join("huge").exists(), "a refused session left a directory");
+        let s = store.session("small", &reach_u::program(), 8).unwrap();
+        s.apply(&Request::ins("E", [0, 1])).unwrap();
+        assert!(s.query_named("connected", &[0, 1]).unwrap());
         std::fs::remove_dir_all(&root).unwrap();
     }
 

@@ -10,22 +10,24 @@
 //!             crc:u32                     # CRC-32 of all preceding bytes
 //! ```
 //!
-//! Relations are stored as tuple sets, not backend bitmaps: restore
-//! rebuilds each relation through [`Structure::empty`], which re-selects
-//! the dense/sparse backend exactly as the uninterrupted machine did, so
-//! a restored structure is indistinguishable from the original on both
-//! backends. Snapshots are written to a temp file, fsynced, and renamed
-//! into place — a crash mid-snapshot leaves the previous snapshot
-//! intact, never a half-written current one.
+//! Relations are stored as tuple lists: restore inserts each list into
+//! the bitmaps of [`Structure::empty`], so a restored structure equals
+//! the original. Snapshots are written to a temp file, fsynced, and
+//! renamed into place — a crash mid-snapshot leaves the previous
+//! snapshot intact, never a half-written current one.
 //!
 //! Every lookup on the restore path goes through the `try_` structure
 //! accessors: a corrupt snapshot (unknown relation, bad arity, element
 //! outside the universe) surfaces as a [`ServeError`], never a panic.
+//! The stored `n` must equal the universe the caller expects, and is
+//! checked against the program's size budget before anything is
+//! allocated, so a CRC-valid file of another or an absurd size is
+//! refused, not built.
 
 use crate::codec::{crc32, Reader, Writer};
 use crate::error::ServeError;
 use dynfo_core::{DynFoMachine, DynFoProgram};
-use dynfo_logic::{Structure, Tuple};
+use dynfo_logic::{Elem, Structure, Tuple};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -93,12 +95,14 @@ pub fn write_snapshot(dir: &Path, machine: &DynFoMachine, seq: u64) -> Result<Pa
     Ok(final_path)
 }
 
-/// Decode and validate a snapshot against `program`, rebuilding the
-/// machine it captured. Returns the machine and the sequence number the
-/// snapshot was taken at.
+/// Decode and validate a snapshot against `program` over universe
+/// size `n`, rebuilding the machine it captured. Returns the machine
+/// and the sequence number the snapshot was taken at. A snapshot of
+/// another universe size is [`ServeError::Corrupt`].
 pub fn decode_snapshot(
     bytes: &[u8],
     program: &DynFoProgram,
+    n: Elem,
 ) -> Result<(DynFoMachine, u64), ServeError> {
     if bytes.len() < 4 + 2 + 4 {
         return Err(ServeError::Corrupt("snapshot file too short".to_string()));
@@ -126,10 +130,13 @@ pub fn decode_snapshot(
             program.name()
         )));
     }
-    let n = r.get_u32("universe size")?;
-    if n == 0 {
-        return Err(ServeError::Corrupt("universe size 0".to_string()));
+    let stored_n = r.get_u32("universe size")?;
+    if stored_n != n {
+        return Err(ServeError::Corrupt(format!(
+            "snapshot is over n = {stored_n}, expected n = {n}"
+        )));
     }
+    program.check_size(n)?;
     let seq = r.get_u64("sequence number")?;
 
     let vocab = program.aux_vocab();
@@ -203,13 +210,15 @@ pub fn decode_snapshot(
     Ok((machine, seq))
 }
 
-/// Read and decode the snapshot file at `path`.
+/// Read and decode the snapshot file at `path` (see
+/// [`decode_snapshot`]).
 pub fn read_snapshot(
     path: &Path,
     program: &DynFoProgram,
+    n: Elem,
 ) -> Result<(DynFoMachine, u64), ServeError> {
     let bytes = std::fs::read(path).map_err(|e| ServeError::io(path, e))?;
-    decode_snapshot(&bytes, program)
+    decode_snapshot(&bytes, program, n)
 }
 
 #[cfg(test)]
@@ -217,7 +226,7 @@ mod tests {
     use super::*;
     use crate::scratch_dir;
     use dynfo_core::programs::reach_u;
-    use dynfo_core::Request;
+    use dynfo_core::{MachineError, Request};
 
     fn populated_machine() -> DynFoMachine {
         let mut m = DynFoMachine::new(reach_u::program(), 8);
@@ -232,7 +241,7 @@ mod tests {
     fn snapshot_round_trips_state_and_seq() {
         let m = populated_machine();
         let bytes = encode_snapshot(&m, 5);
-        let (restored, seq) = decode_snapshot(&bytes, &reach_u::program()).unwrap();
+        let (restored, seq) = decode_snapshot(&bytes, &reach_u::program(), 8).unwrap();
         assert_eq!(seq, 5);
         assert_eq!(restored.state(), m.state());
         assert_eq!(restored.n(), m.n());
@@ -242,7 +251,7 @@ mod tests {
     fn restored_machine_answers_like_the_original() {
         let m = populated_machine();
         let bytes = encode_snapshot(&m, 5);
-        let (mut restored, _) = decode_snapshot(&bytes, &reach_u::program()).unwrap();
+        let (mut restored, _) = decode_snapshot(&bytes, &reach_u::program(), 8).unwrap();
         let mut original = m;
         for x in 0..8u32 {
             for y in 0..8u32 {
@@ -267,7 +276,7 @@ mod tests {
             .collect();
         assert_eq!(names.len(), 1, "no temp files left: {names:?}");
         assert_eq!(parse_snapshot_name(&names[0]), Some(5));
-        let (restored, seq) = read_snapshot(&path, &reach_u::program()).unwrap();
+        let (restored, seq) = read_snapshot(&path, &reach_u::program(), 8).unwrap();
         assert_eq!(seq, 5);
         assert_eq!(restored.state(), populated_machine().state());
         std::fs::remove_dir_all(&dir).unwrap();
@@ -285,44 +294,51 @@ mod tests {
             let mut bad = bytes.clone();
             bad[pos] ^= 0x20;
             assert!(
-                decode_snapshot(&bad, &program).is_err(),
+                decode_snapshot(&bad, &program, 8).is_err(),
                 "flip at byte {pos} went undetected"
             );
         }
     }
 
+    /// `bytes` with the stored universe size replaced by `n` and the
+    /// CRC recomputed, so only the size check can refuse it.
+    fn with_stored_n(bytes: &[u8], n: u32) -> Vec<u8> {
+        // magic (4), version (2), name length (2), name, then n.
+        let name_len = u16::from_le_bytes([bytes[6], bytes[7]]) as usize;
+        let at = 8 + name_len;
+        let mut out = bytes[..bytes.len() - 4].to_vec();
+        out[at..at + 4].copy_from_slice(&n.to_le_bytes());
+        let crc = crc32(&out);
+        out.extend_from_slice(&crc.to_le_bytes());
+        out
+    }
+
     #[test]
-    fn sparse_backend_relations_round_trip() {
-        use dynfo_logic::formula::{exists, rel, v};
-        // 128^4 possible tuples exceed DENSE_BITS_CAP, so "Big" lives on
-        // the sparse BTreeSet backend — the paper programs are all dense
-        // at test sizes, so this covers the other backend explicitly.
-        let program = DynFoProgram::builder("sparse_snap")
-            .input_relation("E", 2)
-            .aux_relation("Big", 4)
-            .query(exists(
-                ["x", "y", "z", "w"],
-                rel("Big", [v("x"), v("y"), v("z"), v("w")]),
-            ))
-            .build();
-        let n = 128;
-        let mut state = Structure::empty(Arc::clone(program.aux_vocab()), n);
-        state.insert("E", [0, 127]);
-        state.insert("E", [64, 3]);
-        for t in [[1, 2, 3, 4], [127, 126, 125, 124], [0, 0, 0, 0]] {
-            state.insert("Big", t);
+    fn another_universe_is_rejected() {
+        let bytes = encode_snapshot(&populated_machine(), 5);
+        match decode_snapshot(&bytes, &reach_u::program(), 16) {
+            Err(ServeError::Corrupt(why)) => assert!(why.contains("n = 8"), "{why}"),
+            other => panic!("expected corrupt, got {other:?}"),
         }
-        assert_eq!(
-            state.rel("Big").backend_kind(),
-            "sparse",
-            "test premise: Big must be sparse"
-        );
-        let m = DynFoMachine::from_state(program.clone(), state).unwrap();
-        let bytes = encode_snapshot(&m, 9);
-        let (restored, seq) = decode_snapshot(&bytes, &program).unwrap();
-        assert_eq!(seq, 9);
-        assert_eq!(restored.state(), m.state());
-        assert_eq!(restored.state().rel("Big").backend_kind(), "sparse");
+    }
+
+    #[test]
+    fn a_huge_stored_universe_is_rejected_before_allocating() {
+        // A CRC-valid snapshot claiming n = u32::MAX: REACH_u's ternary
+        // relation there would be 2⁹⁶ bits. The caller expecting that n
+        // gets the budget error; anyone else the mismatch.
+        let program = reach_u::program();
+        let huge = with_stored_n(&encode_snapshot(&populated_machine(), 5), u32::MAX);
+        match decode_snapshot(&huge, &program, u32::MAX) {
+            Err(ServeError::Machine(MachineError::TooLarge { bits, budget })) => {
+                assert!(bits > budget)
+            }
+            other => panic!("expected TooLarge, got {other:?}"),
+        }
+        assert!(matches!(decode_snapshot(&huge, &program, 8), Err(ServeError::Corrupt(_))));
+        // The rewrite itself is sound: n = 8 decodes back.
+        let same = with_stored_n(&huge, 8);
+        assert!(decode_snapshot(&same, &program, 8).is_ok());
     }
 
     #[test]
@@ -330,7 +346,7 @@ mod tests {
         let m = populated_machine();
         let bytes = encode_snapshot(&m, 5);
         let other = dynfo_core::programs::parity::program();
-        match decode_snapshot(&bytes, &other) {
+        match decode_snapshot(&bytes, &other, 8) {
             Err(ServeError::Corrupt(why)) => assert!(why.contains("program")),
             other => panic!("expected corrupt, got {other:?}"),
         }
@@ -342,7 +358,7 @@ mod tests {
         let bytes = encode_snapshot(&m, 5);
         for keep in [0, 3, 10, bytes.len() / 2, bytes.len() - 5] {
             assert!(
-                decode_snapshot(&bytes[..keep], &reach_u::program()).is_err(),
+                decode_snapshot(&bytes[..keep], &reach_u::program(), 8).is_err(),
                 "prefix of {keep} bytes decoded"
             );
         }

@@ -68,7 +68,7 @@ fn roundtrip(program: &DynFoProgram, n: u32, len: usize, seed: u64) {
         head.apply(r).unwrap();
     }
     let bytes = encode_snapshot(&head, cut as u64);
-    let (mut restored, snap_seq) = decode_snapshot(&bytes, program).unwrap();
+    let (mut restored, snap_seq) = decode_snapshot(&bytes, program, n).unwrap();
     prop_assert_eq!(snap_seq as usize, cut);
     prop_assert_eq!(restored.state(), head.state(), "restore diverged at the cut");
 

@@ -240,6 +240,19 @@ pub fn run_differential(
     machines
 }
 
+/// `⋀ rel(vᵢ, vⱼ)` over every pair `i < j` of `vars`: with the `vars`
+/// bound together, a block no quantifier moves out of, since every
+/// variable shares a conjunct with every other. Five variables at
+/// n = 64 make a 2³⁰-bit slot, past every compile cap, so a formula
+/// around it runs on the interpreter over any relations.
+pub fn clique(rel: &str, vars: &[&str]) -> Formula {
+    use dynfo_logic::formula::{and, rel as atom, v};
+    and(vars
+        .iter()
+        .enumerate()
+        .flat_map(|(i, &x)| vars[i + 1..].iter().map(move |&y| atom(rel, [v(x), v(y)]))))
+}
+
 /// Formula-level differential: compile `f` both with the algebraic
 /// optimizer off and on (skipping formulas the plan compiler declines),
 /// execute each plan twice on one arena (stable-slot reuse), and hold
