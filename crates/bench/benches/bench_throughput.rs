@@ -1,20 +1,17 @@
-//! E19 — batched update throughput: req/s over batch size × worker
-//! count, against the sequential baseline.
+//! E19 — batched update throughput: req/s over batch size, against the
+//! sequential baseline. Every request runs on the caller's thread.
 //!
 //! Two workloads:
 //!
 //! * **REACH** — undirected churn on REACH_u (`E²`, n = 16), the
 //!   general-rule-heavy case: every request re-evaluates path/forest
 //!   formulas, so the win comes from delta installs (grow/shrink
-//!   restricted scans, no full-relation diff) and the parallel rule
-//!   scheduler.
+//!   restricted scans, no full-relation diff).
 //! * **MSF** — weighted churn on MSF (`W³`, n = 8), the widest rule
-//!   set in the library, where the parallel scheduler has the most
-//!   independent targets per request.
+//!   set in the library: the most independent targets per request.
 //!
-//! The grid is batch {1, 16, 64, 256} × threads {1, 2, 4, 8}. The
-//! baseline `seq_t{k}` is sequential `apply_all` at the same thread
-//! count as the batched runs.
+//! The sweep is batch {1, 16, 64, 256}. The baseline `seq` is
+//! sequential `apply_all` over the same stream.
 //!
 //! A journal-amortization report prints before the timings: fsyncs per
 //! request for a `dynfo-serve` session at each batch size (group
@@ -30,7 +27,6 @@ use dynfo_serve::{scratch_dir, SessionStore, StoreConfig};
 const REACH_N: u32 = 16;
 const MSF_N: u32 = 8;
 const BATCHES: [usize; 4] = [1, 16, 64, 256];
-const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// `DYNFO_BENCH_SMOKE=1` shrinks the sweep to a CI-sized smoke run:
 /// the grid corners on short streams, enough to catch a pipeline
@@ -39,15 +35,15 @@ fn smoke() -> bool {
     std::env::var_os("DYNFO_BENCH_SMOKE").is_some_and(|v| v != "0")
 }
 
-fn run_batched(program: &DynFoProgram, n: u32, stream: &[Request], batch: usize, threads: usize) {
-    let mut m = DynFoMachine::new(program.clone(), n).with_parallelism(threads);
+fn run_batched(program: &DynFoProgram, n: u32, stream: &[Request], batch: usize) {
+    let mut m = DynFoMachine::new(program.clone(), n);
     for chunk in stream.chunks(batch) {
         m.apply_batch(chunk).expect("batch");
     }
 }
 
-fn run_sequential(program: &DynFoProgram, n: u32, stream: &[Request], threads: usize) {
-    let mut m = DynFoMachine::new(program.clone(), n).with_parallelism(threads);
+fn run_sequential(program: &DynFoProgram, n: u32, stream: &[Request]) {
+    let mut m = DynFoMachine::new(program.clone(), n);
     m.apply_all(stream).expect("apply_all");
 }
 
@@ -83,7 +79,6 @@ fn bench(c: &mut Criterion) {
     let smoke = smoke();
     let (reach_len, msf_len) = if smoke { (64, 24) } else { (256, 96) };
     let batches: &[usize] = if smoke { &[1, 64] } else { &BATCHES };
-    let threads: &[usize] = if smoke { &[1, 4] } else { &THREADS };
     let reach_stream = undirected_workload(REACH_N, reach_len, 11);
     let msf_stream = weighted_workload(MSF_N, msf_len, 12);
 
@@ -98,20 +93,11 @@ fn bench(c: &mut Criterion) {
         group.warm_up_time(std::time::Duration::from_millis(if smoke { 50 } else { 300 }));
         group.measurement_time(std::time::Duration::from_millis(if smoke { 200 } else { 2000 }));
 
-        for &threads in threads {
-            // Sequential apply_all, same threads.
-            group.bench_with_input(
-                BenchmarkId::new("seq", format!("t{threads}")),
-                &threads,
-                |b, &t| b.iter(|| run_sequential(&program, n, stream, t)),
-            );
-            for &batch in batches {
-                group.bench_with_input(
-                    BenchmarkId::new(format!("batch{batch}"), format!("t{threads}")),
-                    &threads,
-                    |b, &t| b.iter(|| run_batched(&program, n, stream, batch, t)),
-                );
-            }
+        group.bench_function("seq", |b| b.iter(|| run_sequential(&program, n, stream)));
+        for &batch in batches {
+            group.bench_with_input(BenchmarkId::new("batch", batch), &batch, |b, &batch| {
+                b.iter(|| run_batched(&program, n, stream, batch))
+            });
         }
         group.finish();
     }

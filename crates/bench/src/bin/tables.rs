@@ -29,7 +29,7 @@ use dynfo_core::native::{NativeMatching, NativeMsf, NativeReachAcyclic, NativeRe
 use dynfo_core::programs;
 use dynfo_core::request::Request;
 use dynfo_graph::graph::{DiGraph, Graph};
-use dynfo_logic::parallel::cram_depth;
+use dynfo_logic::analysis::cram_depth;
 
 fn header(title: &str) {
     println!("\n=== {title} ===");
@@ -66,7 +66,7 @@ fn main() {
         ("e13", e13_transfer),
         ("e14", e14_expansion),
         ("e15", e15_pad),
-        ("e16", e16_parallel),
+        ("e16", e16_depth),
         ("e20", e20_compiled),
         ("e21", e21_observability),
         ("e22", e22_simd),
@@ -685,9 +685,8 @@ fn e15_pad() {
 }
 
 /// E16 — FO = CRAM[1]: an update's parallel time is its quantifier
-/// depth, read off the rules each machine runs at two universe sizes;
-/// then the rule scheduler's wall clock on the one pool.
-fn e16_parallel() {
+/// depth, read off the rules each machine runs at two universe sizes.
+fn e16_depth() {
     header("E16 update depth (FO = CRAM[1]): max cram_depth over update rules");
     let sizes = [16u32, 64];
     let mut cols = vec!["program".to_string(), "rules".to_string()];
@@ -727,26 +726,6 @@ fn e16_parallel() {
         }
         row(&cols);
     }
-
-    // The rule scheduler spreads one request's general rules over
-    // `EvalPool` workers; the schedule is deterministic, so both
-    // machines must land on the same state.
-    header("E16 REACH_u n=64 per-update latency by rule-scheduler threads");
-    row(["threads", "us/update"].map(String::from).as_ref());
-    let n = 64;
-    let reqs = undirected_workload(n, 150, 71);
-    let mut states = Vec::new();
-    for threads in [1usize, 2] {
-        let mut machine =
-            DynFoMachine::new(programs::reach_u::program(), n).with_parallelism(threads);
-        let secs = mean_update_seconds(&mut machine, &reqs);
-        row(&[threads.to_string(), us(secs)]);
-        states.push(machine.state().clone());
-    }
-    assert_eq!(
-        states[0], states[1],
-        "parallel schedule diverged from serial"
-    );
 }
 
 /// E20 — the machine's compiled plans against Definition 3.1 executed

@@ -16,14 +16,13 @@ use crate::rules::{
 use dynfo_logic::analysis::canonicalize;
 use dynfo_logic::eval::{probe, Evaluator};
 use dynfo_logic::formula::Formula;
-use dynfo_logic::parallel::EvalPool;
 use dynfo_logic::{
     DeltaMode, Elem, EvalError, EvalStats, RelId, Relation, Structure, Sym, Tuple, MAX_ARITY,
 };
 use dynfo_obs::{Counter, Histogram, ObsHandle};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Rule-kind labels for the per-rule update latency histograms, in
 /// [`MachineObs::rule_ns`] order.
@@ -132,6 +131,9 @@ pub enum MachineError {
         /// The most bits one structure may take.
         budget: u128,
     },
+    /// A universe of size 0 was requested; a structure has at least one
+    /// element ([`DynFoProgram::check_size`]). Nothing was allocated.
+    EmptyUniverse,
 }
 
 impl fmt::Display for MachineError {
@@ -145,6 +147,7 @@ impl fmt::Display for MachineError {
                 f,
                 "the program's relations need {bits} bits, past the budget of {budget}"
             ),
+            MachineError::EmptyUniverse => write!(f, "the universe must have at least one element"),
         }
     }
 }
@@ -281,9 +284,6 @@ pub struct DynFoMachine {
     query_plan: Option<BitPlan>,
     /// Plans for named queries, compiled on first use.
     named_plans: BTreeMap<Sym, Option<BitPlan>>,
-    /// Worker threads for scheduling general rules within one request
-    /// (1 = serial).
-    parallelism: usize,
     /// Reused per-request buffers; empty between calls.
     scratch: Scratch,
     /// Where this machine's metrics go (see [`DynFoMachine::with_obs`]).
@@ -359,7 +359,6 @@ impl DynFoMachine {
             program,
             state,
             stats: MachineStats::default(),
-            parallelism: 1,
             scratch: Scratch::default(),
             obs: MachineObs::new(&ObsHandle::default()),
         }
@@ -419,25 +418,6 @@ impl DynFoMachine {
     /// plan ([`dynfo_logic::Plan::compose_joins`]).
     pub fn plan_compose_joins(&self) -> usize {
         self.bit_plans().map(|bp| bp.plan.compose_joins()).sum()
-    }
-
-    /// Worker threads used to schedule general rules within one request.
-    pub fn parallelism(&self) -> usize {
-        self.parallelism
-    }
-
-    /// Schedule general update rules across `threads` pool workers
-    /// (clamped to ≥ 1; 1 means the serial loop). Rules of one request
-    /// write disjoint targets and read only the pre-state, so the
-    /// parallel schedule is deterministic: state and installs equal the
-    /// serial schedule's, and worker stats are merged back in rule
-    /// order. Interpreter work (`rows_built`) may be higher than serial
-    /// when a rule is interpreted: each job's evaluator starts with an
-    /// empty memo and cannot reuse the witnesses' or another rule's
-    /// subformulas.
-    pub fn with_parallelism(mut self, threads: usize) -> DynFoMachine {
-        self.parallelism = threads.max(1);
-        self
     }
 
     /// Start over now: run the program's recompute closure against the
@@ -550,8 +530,8 @@ impl DynFoMachine {
     /// Three steps: probe every general rule's guards (which decides,
     /// per rule, the install mode and the bodies still to evaluate);
     /// run each witness relation some surviving body binds against,
-    /// once, for all rules of the kind; then evaluate the rules — one
-    /// after another, or one pool job each.
+    /// once, for all rules of the kind; then evaluate the rules one
+    /// after another on the caller's thread.
     fn eval_rules(
         &mut self,
         kind: RequestKind,
@@ -581,13 +561,12 @@ impl DynFoMachine {
                 .push(select(&self.state, cr, gplan, params, &self.obs)?);
         }
 
-        // One evaluator for the request: the witnesses and, on the serial
-        // path, every rule share its memo (Theorem 4.1's four `New`s are
-        // one subformula). Pool jobs each bring their own.
+        // One evaluator for the request: the witnesses and every rule
+        // share its memo (Theorem 4.1's four `New`s are one subformula).
         let mut ev = Evaluator::new(&self.state, params);
         // Each witness relation some selected body reads is computed
-        // once, here, for every rule of the kind — before the per-rule
-        // jobs, which only read it.
+        // once, here, for every rule of the kind — before the rules,
+        // which only read it.
         scratch.witnesses.resize_with(table.witnesses.len(), WitnessRows::default);
         let selected = || {
             generals()
@@ -621,57 +600,15 @@ impl DynFoMachine {
             witnesses: &scratch.witnesses,
         };
 
-        if self.parallelism > 1 && generals().nth(1).is_some() {
-            // One job per general rule. The program builder rejects two
-            // rules with the same (kind, target), so rules write
-            // disjoint targets; all of them read the shared pre-state
-            // and the request's witness relations read-only. Each worker
-            // fills a result slot, and the host merges slots *in rule
-            // order*, so state and installs are identical to the serial
-            // schedule. Interpreter work may be higher: each job's
-            // evaluator has its own empty memo, so an interpreted rule
-            // rebuilds subformulas the serial evaluator would share.
-            type WorkerOut = (Result<Option<DeltaMode>, EvalError>, EvalStats);
-            let pool = EvalPool::global(self.parallelism);
-            let slots: Vec<Mutex<Option<WorkerOut>>> =
-                generals().map(|_| Mutex::new(None)).collect();
-            {
-                let (state, obs, ctx) = (&self.state, &self.obs, &ctx);
-                let mut jobs: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(slots.len());
-                for (((_, cr, gplan), sel), slot) in generals().zip(&scratch.selected).zip(&slots) {
-                    jobs.push(Box::new(move || {
-                        let started = dynfo_obs::clock();
-                        let mut ev = Evaluator::new(state, params);
-                        let res = eval_general(ctx, cr, sel, &mut ev);
-                        obs.rule_ns[MachineObs::kind_index(gplan)].observe_since(started);
-                        *slot.lock().unwrap() = Some((res, ev.stats()));
-                    }));
-                }
-                pool.run_scoped(jobs);
-            }
-            let mut work = ev.stats();
-            for ((i, _, gplan), slot) in generals().zip(slots) {
-                let (res, stats) = slot
-                    .into_inner()
-                    .unwrap()
-                    .expect("eval worker filled its slot");
-                work.absorb(&stats);
-                let install = res?;
-                self.stats.installs.note_eval(gplan);
-                scratch.installs.push((i, install));
-            }
-            Ok(work)
-        } else {
-            for ((i, cr, gplan), sel) in generals().zip(&scratch.selected) {
-                let started = dynfo_obs::clock();
-                let res = eval_general(&ctx, cr, sel, &mut ev);
-                self.obs.rule_ns[MachineObs::kind_index(gplan)].observe_since(started);
-                let install = res?;
-                self.stats.installs.note_eval(gplan);
-                scratch.installs.push((i, install));
-            }
-            Ok(ev.stats())
+        for ((i, cr, gplan), sel) in generals().zip(&scratch.selected) {
+            let started = dynfo_obs::clock();
+            let res = eval_general(&ctx, cr, sel, &mut ev);
+            self.obs.rule_ns[MachineObs::kind_index(gplan)].observe_since(started);
+            let install = res?;
+            self.stats.installs.note_eval(gplan);
+            scratch.installs.push((i, install));
         }
+        Ok(ev.stats())
     }
 
     /// Install evaluated results and fast ops simultaneously, then, for
@@ -841,7 +778,7 @@ impl DynFoMachine {
         let mut ev = Evaluator::new(&self.state, &[]);
         if let Some(bp) = BitPlan::compile(&canonical, &self.state) {
             let mut arena = bp.arena.lock().expect("plan arena lock");
-            bp.plan.run(&mut ev, &mut arena, None)?;
+            bp.plan.run(&mut ev, &mut arena)?;
             let axes: Vec<Option<usize>> = (0..arity)
                 .map(|i| {
                     let x = Sym::new(&format!("x{i}"));
@@ -895,7 +832,7 @@ impl DynFoMachine {
             for (cr, l) in closed() {
                 let mut ev = Evaluator::new(&ext, &[]);
                 let mut arena = l.bits.arena.lock().expect("plan arena lock");
-                l.bits.plan.run(&mut ev, &mut arena, None)?;
+                l.bits.plan.run(&mut ev, &mut arena)?;
                 let mut out = cr.out.cleared(ext.relation(cr.target));
                 l.bits.plan.or_root_into(&arena, &l.axes, &mut out, ev.stats_mut());
                 work.absorb(&ev.stats());
@@ -1022,12 +959,8 @@ impl DynFoMachine {
     /// builds 13.5M interpreter rows (2.4 s) against 6 ms compiled.
     pub fn query(&mut self) -> Result<bool, MachineError> {
         let _span = dynfo_obs::span("machine.query");
-        // The query runs outside the rule scheduler, so big combine
-        // passes may slice across the pool.
-        let pool = (self.parallelism > 1).then(|| EvalPool::global(self.parallelism));
         let mut ev = Evaluator::new(&self.state, &[]);
-        let ans = run_plan(self.query_plan.as_ref(), self.program.query(), pool.as_deref(), &mut ev)?
-            .as_bool();
+        let ans = run_plan(self.query_plan.as_ref(), self.program.query(), &mut ev)?.as_bool();
         self.stats.queries += 1;
         self.stats.query_work.absorb(&ev.stats());
         Ok(ans)
@@ -1050,10 +983,9 @@ impl DynFoMachine {
             let bp = BitPlan::compile(f, &self.state);
             self.named_plans.insert(sym, bp);
         }
-        let pool = (self.parallelism > 1).then(|| EvalPool::global(self.parallelism));
         let mut ev = Evaluator::new(&self.state, args);
         let plan = self.named_plans.get(&sym).and_then(|o| o.as_ref());
-        let ans = run_plan(plan, f, pool.as_deref(), &mut ev)?.as_bool();
+        let ans = run_plan(plan, f, &mut ev)?.as_bool();
         self.stats.queries += 1;
         self.stats.query_work.absorb(&ev.stats());
         Ok(ans)
@@ -1090,12 +1022,11 @@ impl InstallStats {
 fn run_plan(
     plan: Option<&BitPlan>,
     f: &Formula,
-    pool: Option<&EvalPool>,
     ev: &mut Evaluator<'_>,
 ) -> Result<dynfo_logic::Table, EvalError> {
     if let Some(bp) = plan {
         let mut arena = bp.arena.lock().unwrap();
-        return bp.plan.execute(ev, &mut arena, pool);
+        return bp.plan.execute(ev, &mut arena, None);
     }
     ev.stats_mut().plan_fallback += 1;
     if dynfo_obs::ENABLED {
@@ -1177,14 +1108,14 @@ fn run_witness(
     rows.count = 0;
     if read {
         let mut arena = witness.bits.arena.lock().expect("witness arena lock");
-        witness.bits.plan.run(ev, &mut arena, None)?;
+        witness.bits.plan.run(ev, &mut arena)?;
         rows.count = witness.bits.plan.root_count(&arena);
     }
     Ok(())
 }
 
-/// What a rule evaluation reads besides its own rule: shared verbatim
-/// between the serial loop and the parallel scheduler's jobs.
+/// What a rule evaluation reads besides its own rule and the evaluator:
+/// the request's pre-state, parameters and witness relations.
 struct RuleCtx<'a> {
     st: &'a Structure,
     params: &'a [Elem],
@@ -1217,9 +1148,7 @@ fn eval_general(
         match admitted_route(ctx, cr, r) {
             Some(parts) => run_compiled(ctx, parts, &mut out, ev)?,
             None => {
-                // No pool: rule plans may already be running on pool
-                // workers, and pools must not nest.
-                let table = run_plan(None, &r.formula, None, ev)?;
+                let table = run_plan(None, &r.formula, ev)?;
                 out.insert_all(&align_to_rule(table, &cr.rule, st.size()));
             }
         }
@@ -1264,9 +1193,7 @@ fn run_compiled(
 ) -> Result<(), EvalError> {
     let run = |l: &Lowered, ev: &mut Evaluator<'_>, out: &mut Relation| -> Result<(), EvalError> {
         let mut arena = l.bits.arena.lock().expect("plan arena lock");
-        // No pool: rule plans may already be running on pool workers,
-        // and pools must not nest.
-        l.bits.plan.run(ev, &mut arena, None)?;
+        l.bits.plan.run(ev, &mut arena)?;
         l.bits.plan.or_root_into(&arena, &l.axes, out, ev.stats_mut());
         Ok(())
     };
@@ -1793,60 +1720,35 @@ mod tests {
     }
 
     #[test]
-    fn parallel_scheduler_matches_serial_schedule() {
-        // MSF has several general rules per request kind; run the same
-        // stream serial and with 4 workers and compare everything
-        // observable: state, per-request work, installs, answers.
-        let mut reqs = Vec::new();
-        for (a, b, w) in [(0, 1, 3), (1, 2, 1), (2, 3, 2), (0, 3, 5), (3, 4, 1)] {
-            reqs.push(Request::ins("W", [a, b, w]));
-        }
-        reqs.push(Request::del("W", [0, 1, 3]));
-        let mut serial = DynFoMachine::new(crate::programs::msf::program(), 6);
-        let mut parallel = DynFoMachine::new(crate::programs::msf::program(), 6)
-            .with_parallelism(4);
-        assert_eq!(parallel.parallelism(), 4);
-        for r in &reqs {
-            let s = serial.apply(r).unwrap();
-            let p = parallel.apply(r).unwrap();
-            assert_eq!(serial.state(), parallel.state(), "after {r}");
-            assert_eq!(s, p, "{r}: the schedules did different work");
-            assert_eq!(s.rows_built, 0, "{r}: the interpreter ran");
-        }
-        assert_eq!(serial.stats().installs, parallel.stats().installs);
-        for a in 0..6 {
-            for b in 0..6 {
-                assert_eq!(
-                    serial.query_named("connected", &[a, b]).unwrap(),
-                    parallel.query_named("connected", &[a, b]).unwrap()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_scheduler_shares_one_witness_evaluation() {
+    fn delete_rules_share_one_witness_evaluation() {
         // Bipartiteness has three delete rules (F, PV, Odd) binding
-        // against the same witness relation `New`: it is computed once
-        // per request, before the per-rule jobs, which only read it —
-        // so the parallel schedule runs exactly the plans the serial
-        // one runs and installs the same bits.
+        // against the same witness relation `New`: the kind compiles it
+        // once, and each request evaluates it once, before the rules,
+        // which only read it.
+        let mut m = DynFoMachine::new(crate::programs::bipartite::program(), 8);
+        let del = Request::del("E", [0, 1]).kind();
+        let table = &m.tables[&del];
+        assert_eq!(table.witnesses.len(), 1, "one shared `New`");
+        let readers = table
+            .rules
+            .iter()
+            .filter(|cr| {
+                cr.disjuncts
+                    .iter()
+                    .filter_map(|d| d.body.residual())
+                    .any(|r| r.witnesses().any(|w| w == 0))
+            })
+            .count();
+        assert_eq!(readers, 3, "F, PV and Odd all read the one witness");
         let mut reqs: Vec<Request> = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 6), (2, 5)]
             .into_iter()
             .map(|(a, b)| Request::ins("E", [a, b]))
             .collect();
         reqs.extend([(1, 2), (2, 5), (3, 4), (0, 1)].map(|(a, b)| Request::del("E", [a, b])));
-        let mut serial = DynFoMachine::new(crate::programs::bipartite::program(), 8);
-        let mut parallel =
-            DynFoMachine::new(crate::programs::bipartite::program(), 8).with_parallelism(2);
         for r in &reqs {
-            let s = serial.apply(r).unwrap();
-            let p = parallel.apply(r).unwrap();
-            assert_eq!(serial.state(), parallel.state(), "after {r}");
-            assert_eq!(s, p, "{r}: the schedules did different work");
-            assert_eq!(s.rows_built, 0, "{r}: the interpreter ran");
+            let work = m.apply(r).unwrap();
+            assert_eq!(work.rows_built, 0, "{r}: the interpreter ran");
         }
-        assert_eq!(serial.stats().installs, parallel.stats().installs);
-        assert!(serial.stats().installs.tuples_removed > 0, "no forest delete happened");
+        assert!(m.stats().installs.tuples_removed > 0, "no forest delete happened");
     }
 }

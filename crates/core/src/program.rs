@@ -140,12 +140,15 @@ impl DynFoProgram {
         &self.init
     }
 
-    /// `Ok` iff the program's relations fit
-    /// [`STRUCTURE_BITS_BUDGET`] as bitmaps over `{0..n}`, and
-    /// [`MachineError::TooLarge`] otherwise. Allocates nothing; every
-    /// path that takes `n` from outside the process asks this before it
-    /// builds a structure.
+    /// `Ok` iff `n ≥ 1` and the program's relations fit
+    /// [`STRUCTURE_BITS_BUDGET`] as bitmaps over `{0..n}`;
+    /// [`MachineError::EmptyUniverse`] or [`MachineError::TooLarge`]
+    /// otherwise. Allocates nothing; every path that takes `n` from
+    /// outside the process asks this before it builds a structure.
     pub fn check_size(&self, n: Elem) -> Result<(), MachineError> {
+        if n == 0 {
+            return Err(MachineError::EmptyUniverse);
+        }
         let bits = Structure::bits_needed(&self.aux_vocab, n);
         if bits > STRUCTURE_BITS_BUDGET {
             return Err(MachineError::TooLarge {
@@ -406,13 +409,14 @@ mod tests {
     use dynfo_logic::formula::{and, exists, not};
 
     /// REACH_u and MSF build at n = 512, the size the budget is chosen
-    /// for, and the first size past the budget is refused without
-    /// allocating.
+    /// for, and n = 0 and the first size past the budget are refused
+    /// without allocating.
     #[test]
     fn the_size_budget_admits_n_512_and_refuses_one_past_it() {
         use crate::programs::{msf, reach_u};
         use crate::DynFoMachine;
         for program in [reach_u::program(), msf::program()] {
+            assert_eq!(program.check_size(0), Err(MachineError::EmptyUniverse));
             assert_eq!(program.check_size(512), Ok(()), "{}", program.name());
             assert_eq!(DynFoMachine::new(program.clone(), 512).n(), 512);
             let past = (512..)

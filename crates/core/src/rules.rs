@@ -222,11 +222,10 @@ pub(crate) struct BitPlan {
     /// vocabulary at compile time. Their maintained populations are the
     /// live side of the density-aware budget.
     reads: Arc<[RelId]>,
-    /// Slot buffers reused across requests. A mutex rather than a cell
-    /// because the parallel scheduler executes rule plans from pool
-    /// workers; each rule's plan is used by at most one job per request
-    /// (a shared witness plan runs before the jobs start and is only
-    /// read by them), so the lock is never contended for long.
+    /// Slot buffers reused across requests. Plans run through the
+    /// shared `&CompiledRule`s the machine lends out while it writes,
+    /// hence the interior mutability; a request runs its plans one after
+    /// another on its caller's thread, so the lock is never contended.
     pub arena: Mutex<PlanArena>,
 }
 

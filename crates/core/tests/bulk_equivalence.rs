@@ -442,9 +442,8 @@ fn shrink_program_differential_over_random_streams() {
 }
 
 /// Bulk requests compose with every execution mode at once: the native
-/// path, the parallel scheduler and `apply_batch`
-/// (which dispatches bulk natively inside a chunk) all stay aligned on
-/// one mixed stream.
+/// path and `apply_batch` (which dispatches bulk natively inside a
+/// chunk) stay aligned with the expanded stream on one mixed stream.
 #[test]
 fn bulk_composes_with_every_execution_mode() {
     let n = 8u32;
@@ -459,7 +458,6 @@ fn bulk_composes_with_every_execution_mode() {
         &[
             DiffMode::Plans,
             DiffMode::Bulk,
-            DiffMode::Parallel(3),
             DiffMode::Batch(5),
         ],
     );

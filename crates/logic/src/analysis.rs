@@ -82,6 +82,14 @@ pub fn quantifier_depth(f: &Formula) -> usize {
     }
 }
 
+/// The CRAM parallel time of evaluating `f` — the "parallel" of the
+/// paper's title, FO = CRAM\[1\]: its quantifier depth after
+/// canonicalization (desugaring can change nesting, so measure what is
+/// actually evaluated). For every Dyn-FO program it is independent of n.
+pub fn cram_depth(f: &Formula) -> usize {
+    quantifier_depth(&canonicalize(f))
+}
+
 /// Number of connectives, quantifier blocks, and atoms.
 pub fn size(f: &Formula) -> usize {
     use Formula::*;
@@ -495,5 +503,14 @@ mod tests {
             assert!(is_canonical(&c), "canonicalize left non-canonical: {f} -> {c}");
             assert_eq!(canonicalize(&c), c, "canonicalize not idempotent on {f}");
         }
+    }
+
+    #[test]
+    fn cram_depth_is_canonical_depth() {
+        // ∀z (E(x,z) → z=y): canonically ¬∃z(...), depth 1.
+        let f = forall(["z"], implies(rel("E", [v("x"), v("z")]), eq(v("z"), v("y"))));
+        assert_eq!(cram_depth(&f), 1);
+        let g = exists(["u"], forall(["w"], rel("E", [v("u"), v("w")])));
+        assert_eq!(cram_depth(&g), 2);
     }
 }

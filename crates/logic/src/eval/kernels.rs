@@ -89,15 +89,15 @@ impl Layout {
 /// operands share `dst`'s arity; the plan compiler broadcasts narrower
 /// ones first. Operands are named by index into `bufs` — the plan's own
 /// slot table — so the executor builds no operand list per request.
-pub(crate) fn combine<B: AsRef<[u64]>>(
+pub(crate) fn combine(
     dst: &mut [u64],
-    bufs: &[B],
+    bufs: &[Vec<u64>],
     srcs: &[(usize, bool)],
     and: bool,
     valid: Option<&[u64]>,
 ) -> u64 {
     debug_assert!(!srcs.is_empty());
-    debug_assert!(srcs.iter().all(|&(s, _)| bufs[s].as_ref().len() == dst.len()));
+    debug_assert!(srcs.iter().all(|&(s, _)| bufs[s].len() == dst.len()));
     let vmask = |w: usize| valid.map(|v| v[w]).unwrap_or(!0u64);
     let flip = |neg: bool| if neg { !0u64 } else { 0 };
     // The 1- and 2-source widths (the overwhelming majority after the
@@ -105,11 +105,11 @@ pub(crate) fn combine<B: AsRef<[u64]>>(
     // SIMD passes; wider combines keep the scalar loop, which the
     // compiler autovectorizes.
     match *srcs {
-        [(a, na)] => crate::simd::combine1(dst, bufs[a].as_ref(), flip(na), valid),
+        [(a, na)] => crate::simd::combine1(dst, &bufs[a], flip(na), valid),
         [(a, na), (b, nb)] => crate::simd::combine2(
             dst,
-            bufs[a].as_ref(),
-            bufs[b].as_ref(),
+            &bufs[a],
+            &bufs[b],
             and,
             flip(na),
             flip(nb),
@@ -119,7 +119,7 @@ pub(crate) fn combine<B: AsRef<[u64]>>(
             for (w, d) in dst.iter_mut().enumerate() {
                 let mut acc = if and { !0u64 } else { 0u64 };
                 for &(s, neg) in srcs {
-                    let x = bufs[s].as_ref()[w] ^ flip(neg);
+                    let x = bufs[s][w] ^ flip(neg);
                     acc = if and { acc & x } else { acc | x };
                 }
                 *d = acc & vmask(w);
@@ -646,25 +646,24 @@ mod tests {
         for n in [3u32, 5, 64, 70] {
             let lay = Layout::new(n);
             let k = if n > 8 { 2 } else { 3 };
-            let a = scatter(&lay, k, 7);
-            let b = scatter(&lay, k, 99);
-            let c = scatter(&lay, k, 1234);
+            let bufs = [scatter(&lay, k, 7), scatter(&lay, k, 99), scatter(&lay, k, 1234)];
+            let [a, b, c] = &bufs;
             let valid = valid_mask(&lay, k);
             let mut dst = vec![0u64; lay.words(k)];
             // a ∧ ¬b ∧ c
-            combine(&mut dst, &[&a, &b, &c], &[(0, false), (1, true), (2, false)], true, Some(&valid));
+            combine(&mut dst, &bufs, &[(0, false), (1, true), (2, false)], true, Some(&valid));
             for w in 0..dst.len() {
                 assert_eq!(dst[w], a[w] & !b[w] & c[w] & valid[w]);
             }
             // ¬a ∨ b (garbage must stay zero)
-            combine(&mut dst, &[&a, &b], &[(0, true), (1, false)], false, Some(&valid));
+            combine(&mut dst, &bufs, &[(0, true), (1, false)], false, Some(&valid));
             for w in 0..dst.len() {
                 assert_eq!(dst[w], (!a[w] | b[w]) & valid[w]);
             }
             // NOT kernel agrees with single-source negated combine.
             let mut nd = vec![0u64; lay.words(k)];
-            not(&mut nd, &a, &valid);
-            combine(&mut dst, &[&a], &[(0, true)], true, Some(&valid));
+            not(&mut nd, a, &valid);
+            combine(&mut dst, &bufs, &[(0, true)], true, Some(&valid));
             assert_eq!(nd, dst);
         }
     }

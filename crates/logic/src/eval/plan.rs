@@ -34,7 +34,6 @@ use super::{alpha_normalize, numeric_pred, numeric_terms, EvalError, Evaluator, 
 use crate::analysis::{free_vars, is_canonical, mentions_param_or_const};
 use crate::formula::{Formula, Term};
 use crate::intern::Sym;
-use crate::parallel::EvalPool;
 use crate::relation::Relation;
 use crate::structure::Structure;
 use crate::tuple::{Elem, Tuple, MAX_ARITY};
@@ -47,11 +46,6 @@ use std::collections::HashMap;
 /// interpreter path (the machine's rule plans) apply their own work
 /// budget on top via [`Plan::work_words`].
 pub const PLAN_SLOT_BITS_CAP: u128 = 1 << 28;
-
-/// Combine passes at least this many words wide are sliced across the
-/// [`EvalPool`] when the executor is given one (query path only — rule
-/// evaluation already runs rule-parallel on the pool).
-const PARALLEL_MIN_WORDS: usize = 1 << 14;
 
 pub(crate) type SlotId = usize;
 
@@ -160,8 +154,7 @@ pub struct Plan {
 }
 
 /// Per-plan scratch buffers, reused across requests. Holding one arena
-/// per rule (each parallel rule worker owns its rule's arena) means zero
-/// allocation on the steady-state update path.
+/// per rule means zero allocation on the steady-state update path.
 #[derive(Debug, Default)]
 pub struct PlanArena {
     bufs: Vec<Vec<u64>>,
@@ -266,16 +259,16 @@ impl Plan {
     /// (unbound parameter, unknown symbol) surface exactly as the
     /// interpreter would raise them.
     ///
-    /// `pool`: when given, combine passes over at least
-    /// `PARALLEL_MIN_WORDS` words are sliced across it. Pass `None` from
-    /// inside pool workers (the rule scheduler) — pools must not nest.
+    /// The third argument has no value but `None`. It is retained only
+    /// because the frozen `benchmark/` crate calls `execute` with three
+    /// arguments.
     pub fn execute(
         &self,
         ev: &mut Evaluator<'_>,
         arena: &mut PlanArena,
-        pool: Option<&EvalPool>,
+        _retained: Option<std::convert::Infallible>,
     ) -> Result<Table, EvalError> {
-        self.run(ev, arena, pool)?;
+        self.run(ev, arena)?;
         Ok(self.decode_root(arena))
     }
 
@@ -284,13 +277,8 @@ impl Plan {
     /// [`Plan::or_root_into`] read it — the update path installs from
     /// the bits and never materializes a [`Table`]. Fails as
     /// [`Plan::execute`] does.
-    pub fn run(
-        &self,
-        ev: &mut Evaluator<'_>,
-        arena: &mut PlanArena,
-        pool: Option<&EvalPool>,
-    ) -> Result<(), EvalError> {
-        self.run_choosing(ev, arena, pool, None)
+    pub fn run(&self, ev: &mut Evaluator<'_>, arena: &mut PlanArena) -> Result<(), EvalError> {
+        self.run_choosing(ev, arena, None)
     }
 
     /// [`Plan::run`] with every [`LoadPath::Gather`] load pinned to the
@@ -305,14 +293,13 @@ impl Plan {
         arena: &mut PlanArena,
         gather: bool,
     ) -> Result<(), EvalError> {
-        self.run_choosing(ev, arena, None, Some(gather))
+        self.run_choosing(ev, arena, Some(gather))
     }
 
     fn run_choosing(
         &self,
         ev: &mut Evaluator<'_>,
         arena: &mut PlanArena,
-        pool: Option<&EvalPool>,
         gather: Option<bool>,
     ) -> Result<(), EvalError> {
         if Layout::new(ev.st.size()) != self.lay {
@@ -351,12 +338,7 @@ impl Plan {
                 Op::Combine { srcs, and, masked, .. } => {
                     let k = self.slots[dst].vars.len();
                     let valid = masked.then(|| self.valids[k].as_ref().unwrap().as_slice());
-                    kw += match pool {
-                        Some(p) if buf.len() >= PARALLEL_MIN_WORDS && p.size() > 1 => {
-                            combine_pooled(p, buf, lo, srcs, *and, valid)
-                        }
-                        _ => kernels::combine(buf, lo, srcs, *and, valid),
-                    };
+                    kw += kernels::combine(buf, lo, srcs, *and, valid);
                 }
                 Op::Not { src, .. } => {
                     let k = self.slots[dst].vars.len();
@@ -679,26 +661,6 @@ fn resolve_opt(ev: &Evaluator<'_>, t: &Term) -> Result<Option<Elem>, EvalError> 
             Some(ev.st.constant(id))
         }
     })
-}
-
-/// Slice one combine pass across the pool.
-fn combine_pooled(
-    pool: &EvalPool,
-    dst: &mut [u64],
-    bufs: &[Vec<u64>],
-    srcs: &[(SlotId, bool)],
-    and: bool,
-    valid: Option<&[u64]>,
-) -> u64 {
-    let len = dst.len();
-    // Each chunk combines the matching sub-slices, named 0, 1, … in
-    // operand order.
-    let lanes: Vec<(usize, bool)> = srcs.iter().enumerate().map(|(i, &(_, neg))| (i, neg)).collect();
-    pool.for_each_chunk(dst, |off, piece| {
-        let sub: Vec<&[u64]> = srcs.iter().map(|&(s, _)| &bufs[s][off..off + piece.len()]).collect();
-        kernels::combine(piece, &sub, &lanes, and, valid.map(|v| &v[off..off + piece.len()]));
-    });
-    (len * (srcs.len() + 1)) as u64
 }
 
 // ---------------------------------------------------------------------------

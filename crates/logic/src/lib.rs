@@ -14,7 +14,6 @@ pub mod formula;
 pub mod fxhash;
 pub mod intern;
 pub mod obs;
-pub mod parallel;
 pub mod parser;
 pub mod printer;
 pub mod relation;

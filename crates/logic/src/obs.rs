@@ -1,11 +1,11 @@
-//! Evaluator and pool instrumentation: process-wide metric handles,
+//! Evaluator instrumentation: process-wide metric handles,
 //! resolved once against the global [`dynfo_obs`] registry and cached
 //! in a `OnceLock`, so hot-path recording is a single relaxed atomic.
 //! Everything here compiles to nothing when `dynfo_obs::ENABLED` is
 //! false (call sites guard on it, and the primitives early-return).
 
 use crate::formula::Formula;
-use dynfo_obs::{Counter, Gauge};
+use dynfo_obs::Counter;
 use std::sync::{Arc, OnceLock};
 
 /// Subformula classes for the memo hit/miss breakdown, in the order
@@ -24,7 +24,7 @@ pub fn class_of(f: &Formula) -> usize {
     }
 }
 
-/// Cached handles for every metric the evaluator and the pool record.
+/// Cached handles for every metric the evaluator records.
 pub struct EvalObs {
     /// `eval.cache_hit.{class}` — per-evaluator memo hits by class.
     pub cache_hit: [Arc<Counter>; 6],
@@ -57,13 +57,6 @@ pub struct EvalObs {
     /// `eval.simd_lanes` — u64 words that went through a ≥128-bit
     /// vector path in [`crate::simd`] (0 when the scalar tier runs).
     pub simd_lanes: Arc<Counter>,
-    /// `pool.jobs` — jobs submitted to [`crate::parallel::EvalPool`]s.
-    pub pool_jobs: Arc<Counter>,
-    /// `pool.queue_depth` — submitted-but-not-started jobs, now.
-    pub pool_queue_depth: Arc<Gauge>,
-    /// `pool.busy_ns` — total nanoseconds pool workers spent running
-    /// jobs (sum across workers; divide by wall time for utilization).
-    pub pool_busy_ns: Arc<Counter>,
 }
 
 /// The process-wide evaluator metrics, registered on first use.
@@ -83,9 +76,6 @@ pub fn eval_obs() -> &'static EvalObs {
             plan_opt_ops_removed: reg.counter("plan.opt_ops_removed"),
             plan_opt_kernel_words_saved: reg.counter("plan.opt_kernel_words_saved"),
             simd_lanes: reg.counter("eval.simd_lanes"),
-            pool_jobs: reg.counter("pool.jobs"),
-            pool_queue_depth: reg.gauge("pool.queue_depth"),
-            pool_busy_ns: reg.counter("pool.busy_ns"),
         }
     })
 }

@@ -286,7 +286,7 @@ mod awkward_shapes {
                                 tables.push(plan.decode_root(&arena).sorted());
                             }
                             let mut ev = Evaluator::new(&st, &params);
-                            plan.run(&mut ev, &mut arena, None).unwrap();
+                            plan.run(&mut ev, &mut arena).unwrap();
                             tables.push(plan.decode_root(&arena).sorted());
                         }
                         gathers += 1;
@@ -388,7 +388,7 @@ mod awkward_shapes {
         let old: BTreeSet<Tuple> = st.relation(id).iter().collect();
         let plan = Plan::compile(f, st).expect("dense formula compiles");
         let mut arena = plan.arena();
-        plan.run(&mut Evaluator::new(st, &[]), &mut arena, None).unwrap();
+        plan.run(&mut Evaluator::new(st, &[]), &mut arena).unwrap();
         let axes: Vec<Option<usize>> = vars
             .iter()
             .map(|var| plan.vars().iter().position(|r| r == var))
@@ -453,7 +453,7 @@ mod awkward_shapes {
             force_tier(tier);
             for plan in [&off, &on] {
                 let mut arena = plan.arena();
-                plan.run(&mut Evaluator::new(st, &[]), &mut arena, None).unwrap();
+                plan.run(&mut Evaluator::new(st, &[]), &mut arena).unwrap();
                 tables.push(plan.decode_root(&arena).sorted());
             }
         }

@@ -2,14 +2,11 @@
 //! lock or the journal, whether the server is healthy enough to take
 //! it — and shed with a typed `Overloaded` response when it is not.
 //!
-//! Three signals gate a write, all already maintained by the layers
+//! Two signals gate a write, both already maintained by the layers
 //! below (this module adds no bookkeeping to the hot path):
 //!
 //! * the server's own in-flight write count (a hard cap, tracked here
 //!   with a plain atomic so it works even with `obs` compiled out);
-//! * the `pool.queue_depth` gauge — update rules queued on the
-//!   [`EvalPool`] but not started; a deep queue means the evaluator is
-//!   saturated and more writes only grow latency;
 //! * the p99 of `serve.journal.fsync_ns` — when the disk falls behind,
 //!   every write holds the session lock for the fsync, and shedding is
 //!   kinder than queueing. The histogram itself is cumulative, so the
@@ -26,8 +23,6 @@
 //!
 //! Reads are never shed: the whole point of the replica tier is that
 //! query capacity scales out, and a query costs no fsync.
-//!
-//! [`EvalPool`]: dynfo_logic::parallel::EvalPool
 
 use dynfo_obs::{Gauge, Histogram, ObsHandle, HISTOGRAM_BUCKETS};
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -46,7 +41,8 @@ pub const FSYNC_WARMUP_SAMPLES: u64 = 16;
 pub struct AdmissionConfig {
     /// Hard cap on writes admitted and not yet completed.
     pub max_inflight_writes: i64,
-    /// Shed writes while `pool.queue_depth` exceeds this.
+    /// Ignored: no signal reads it. Retained only because the frozen
+    /// `benchmark/` crate sets it.
     pub max_pool_queue_depth: i64,
     /// Shed writes while the journal fsync p99 exceeds this (ns).
     pub max_fsync_p99_ns: u64,
@@ -75,9 +71,6 @@ pub struct Admission {
     inflight: AtomicI64,
     /// Exporter mirror of `inflight` (`net.server.inflight_writes`).
     inflight_gauge: Arc<Gauge>,
-    /// Live queue depth of the evaluation pool (`pool.queue_depth`),
-    /// resolved from the same registry the pool records to.
-    pool_queue_depth: Arc<Gauge>,
     /// Journal fsync latency (`serve.journal.fsync_ns`), resolved from
     /// the same registry the store's journal writers record to.
     fsync_ns: Arc<Histogram>,
@@ -96,7 +89,6 @@ struct FsyncWindow {
 /// Why a write was shed (the `Overloaded` detail string).
 pub(crate) enum Overload {
     Inflight(i64),
-    QueueDepth(i64),
     FsyncP99(u64),
 }
 
@@ -107,10 +99,6 @@ impl Overload {
                 "{v} writes in flight (limit {})",
                 config.max_inflight_writes
             ),
-            Overload::QueueDepth(v) => format!(
-                "eval pool queue depth {v} (limit {})",
-                config.max_pool_queue_depth
-            ),
             Overload::FsyncP99(v) => format!(
                 "journal fsync p99 {v}ns (limit {}ns)",
                 config.max_fsync_p99_ns
@@ -120,9 +108,9 @@ impl Overload {
 }
 
 impl Admission {
-    /// Build a controller reading its gauges from `handle`'s registry —
-    /// the same handle the store and its pools were opened with, so the
-    /// signals are the server's own, not another tenant's.
+    /// Build a controller reading the fsync histogram from `handle`'s
+    /// registry — the same handle the store was opened with, so the
+    /// signal is the server's own, not another tenant's.
     pub fn new(config: AdmissionConfig, handle: &ObsHandle) -> Admission {
         let fsync_ns = handle.histogram("serve.journal.fsync_ns");
         let baseline = fsync_ns.bucket_counts();
@@ -130,7 +118,6 @@ impl Admission {
             config,
             inflight: AtomicI64::new(0),
             inflight_gauge: handle.gauge("net.server.inflight_writes"),
-            pool_queue_depth: handle.gauge("pool.queue_depth"),
             fsync_ns,
             fsync_window: Mutex::new(FsyncWindow {
                 baseline,
@@ -161,10 +148,6 @@ impl Admission {
     /// completes, rather than being unsendable forever.
     pub(crate) fn try_admit(&self, weight: u64) -> Result<WritePermit<'_>, Overload> {
         let weight = (weight.max(1)).min(i64::MAX as u64) as i64;
-        let depth = self.pool_queue_depth.get();
-        if depth > self.config.max_pool_queue_depth {
-            return Err(Overload::QueueDepth(depth));
-        }
         if let Some(p99) = self.windowed_fsync_p99_over_limit() {
             return Err(Overload::FsyncP99(p99));
         }
@@ -283,25 +266,6 @@ mod tests {
         let _a = adm.try_admit(5).ok().unwrap();
         let _b = adm.try_admit(5).ok().unwrap(); // 5 < 8: still admitted
         assert!(adm.try_admit(1).is_err(), "10 in flight is over the cap");
-    }
-
-    #[test]
-    fn pool_queue_depth_gauge_sheds() {
-        let reg = Arc::new(dynfo_obs::Registry::new());
-        let handle = ObsHandle::with_registry(Arc::clone(&reg));
-        let adm = Admission::new(
-            AdmissionConfig {
-                max_pool_queue_depth: 10,
-                ..AdmissionConfig::default()
-            },
-            &handle,
-        );
-        assert!(adm.try_admit(1).is_ok());
-        reg.gauge("pool.queue_depth").set(11);
-        let err = adm.try_admit(1).err().unwrap();
-        assert!(err.detail(adm.config()).contains("queue depth 11"));
-        reg.gauge("pool.queue_depth").set(0);
-        assert!(adm.try_admit(1).is_ok());
     }
 
     #[test]

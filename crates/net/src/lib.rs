@@ -9,9 +9,9 @@
 //!   session from a shared [`SessionStore`](dynfo_serve::SessionStore)
 //!   and speaks strict request/response;
 //! * [`Admission`] — backpressure: writes are shed with a typed
-//!   `Overloaded` frame when the in-flight cap, the evaluation pool's
-//!   queue-depth gauge, or the journal's fsync-latency p99 says the
-//!   box is past its knee. Reads are never shed;
+//!   `Overloaded` frame when the in-flight cap or the journal's
+//!   fsync-latency p99 says the box is past its knee. Reads are never
+//!   shed;
 //! * [`Replica`] — log-shipping read replicas: followers pull the
 //!   primary's group-committed journal suffix, replay it through their
 //!   own durable session (so a follower restart uses the standard

@@ -284,17 +284,22 @@ fn client_surfaces_remote_errors_as_typed() {
 
 #[test]
 fn open_past_the_size_budget_is_an_error_reply() {
-    // REACH_u over n = 100 000 would need 10¹⁵ bits of bitmap: the
-    // Open is refused with a typed machine error before anything is
-    // allocated, and the same connection then serves a small session.
+    // REACH_u over n = 100 000 would need 10¹⁵ bits of bitmap, and a
+    // universe of n = 0 has no structure at all: each Open is refused
+    // with a typed machine error before anything is allocated or
+    // written, and the same connection then serves a small session
+    // under the same name — so on the same store shard.
     let h = Harness::start();
     let mut client = Client::connect(&h.addr).unwrap();
-    match client.open("huge", "reach_u", 100_000) {
-        Err(NetError::Remote { code, detail }) => {
-            assert_eq!(code.as_u8(), ErrorCode::Machine.as_u8(), "{detail}");
-            assert!(detail.contains("budget"), "{detail}");
+    for (n, why) in [(100_000, "budget"), (0, "at least one element")] {
+        match client.open("small", "reach_u", n) {
+            Err(NetError::Remote { code, detail }) => {
+                assert_eq!(code.as_u8(), ErrorCode::Machine.as_u8(), "n = {n}: {detail}");
+                assert!(detail.contains(why), "n = {n}: {detail}");
+            }
+            other => panic!("n = {n}: expected a Machine error, got {other:?}"),
         }
-        other => panic!("expected a Machine error, got {other:?}"),
+        assert!(!h.dir.join("small").exists(), "n = {n} left a session directory");
     }
     client.open("small", "reach_u", 8).unwrap();
     client.apply(dynfo_core::Request::ins("E", [0, 1])).unwrap();

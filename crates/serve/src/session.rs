@@ -690,13 +690,13 @@ impl Inner {
     }
 }
 
-/// Drain per-session request queues with a pool of worker threads.
+/// Drain per-session request queues on `workers` scoped threads.
 ///
 /// Each entry pairs a session with its queued requests. A worker claims
 /// one queue at a time and pushes it through [`Session::apply_batch`]
 /// in chunks of `batch` requests, so the per-session order is exactly
-/// the queue order while distinct sessions drain in parallel — the
-/// serving-side counterpart of the machine's parallel rule scheduler.
+/// the queue order while distinct sessions drain in parallel; each
+/// request still evaluates on the one thread that drains its queue.
 /// Queues should reference distinct sessions; two queues for the same
 /// session stay safe (the per-session lock still serializes batches)
 /// but their interleaving is unspecified.

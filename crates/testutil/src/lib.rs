@@ -106,8 +106,6 @@ pub enum DiffMode {
     /// The machine as built: compiled bit-parallel plans, with the
     /// interpreter as its in-runtime fallback.
     Plans,
-    /// Plans plus the parallel rule scheduler with this many workers.
-    Parallel(usize),
     /// Plans, applying requests through `apply_batch` in chunks of
     /// this size; state is compared at chunk boundaries only.
     Batch(usize),
@@ -120,17 +118,6 @@ pub enum DiffMode {
     /// requests through `apply_batch`, which dispatches them natively
     /// too.)
     Bulk,
-}
-
-impl DiffMode {
-    fn build(self, program: &dyn Fn() -> DynFoProgram, n: u32) -> DynFoMachine {
-        match self {
-            DiffMode::Plans | DiffMode::Batch(_) | DiffMode::Bulk => {
-                DynFoMachine::new(program(), n)
-            }
-            DiffMode::Parallel(t) => DynFoMachine::new(program(), n).with_parallelism(t),
-        }
-    }
 }
 
 /// Drive `reqs` through one machine per mode and assert every mode is
@@ -160,7 +147,7 @@ pub fn run_differential(
         "the reference mode must step single-tuple requests"
     );
     let mut machines: Vec<DynFoMachine> =
-        modes.iter().map(|m| m.build(program, n)).collect();
+        modes.iter().map(|_| DynFoMachine::new(program(), n)).collect();
     let mut pending: Vec<Vec<Request>> = vec![Vec::new(); modes.len()];
     for (step, req) in reqs.iter().enumerate() {
         for (i, mode) in modes.iter().enumerate() {

@@ -8,8 +8,8 @@
 //! through its own recovery-grade session, and serves the same reads
 //! from a second endpoint. Writes to the replica are refused with a
 //! typed `ReadOnly` error; writes to an overloaded primary come back
-//! as typed `Overloaded` (shown here by squeezing the admission
-//! controller's queue-depth threshold); ctrl-c (or the programmatic
+//! as typed `Overloaded` (shown here by feeding the admission
+//! controller a slow-disk fsync signature); ctrl-c (or the programmatic
 //! equivalent used below) drains connections, flushes the group-commit
 //! buffer with a final fsync, and seals the active journal segment.
 //!
@@ -17,7 +17,8 @@
 
 use dynfo::core::Request;
 use dynfo::net::{
-    Client, NetError, ProgramRegistry, Replica, ReplicaConfig, Server, ServerConfig,
+    AdmissionConfig, Client, NetError, ProgramRegistry, Replica, ReplicaConfig, Server,
+    ServerConfig,
 };
 use dynfo::obs::ObsHandle;
 use dynfo::serve::{scratch_dir, SessionStore, StoreConfig};
@@ -51,7 +52,15 @@ fn main() {
         "127.0.0.1:0",
         Arc::clone(&primary_store),
         Arc::clone(&registry),
-        ServerConfig::default(),
+        ServerConfig {
+            // A short fsync window, so the backpressure demo below
+            // clears in a fraction of a second.
+            admission: AdmissionConfig {
+                fsync_window: Duration::from_millis(200),
+                ..AdmissionConfig::default()
+            },
+            ..ServerConfig::default()
+        },
         primary_handle.clone(),
     )
     .expect("start primary");
@@ -122,21 +131,25 @@ fn main() {
         other => println!("\nunexpected: {other:?}"),
     }
 
-    // --- backpressure: saturate the queue-depth signal --------------
-    // The admission controller reads the evaluator's live queue-depth
-    // gauge; forcing it over the threshold makes the next write shed
-    // with a typed Overloaded — the client's cue to back off.
-    primary_handle
-        .registry()
-        .unwrap()
-        .gauge("pool.queue_depth")
-        .set(i64::MAX - 1);
+    // --- backpressure: a slow disk sheds writes ----------------------
+    // The admission controller watches the journal's fsync p99 over a
+    // rolling window; a burst of one-second fsyncs in that histogram
+    // makes the next write shed with a typed Overloaded — the client's
+    // cue to back off.
+    let fsync_ns = primary_handle.registry().unwrap().histogram("serve.journal.fsync_ns");
+    for _ in 0..dynfo::net::backpressure::FSYNC_WARMUP_SAMPLES {
+        fsync_ns.observe(1_000_000_000);
+    }
     match writer.apply(Request::ins("E", [5, 6])) {
         Err(e) if e.is_overloaded() => println!("primary shed a write: {e}"),
         other => println!("unexpected: {other:?}"),
     }
-    primary_handle.registry().unwrap().gauge("pool.queue_depth").set(0);
-    writer.apply(Request::ins("E", [5, 6])).expect("write flows again");
+    // The disk recovers. The first write past the window boundary
+    // rotates the window (and may still be judged on the stall); the
+    // fresh window holds no slow samples, so writes flow again.
+    std::thread::sleep(Duration::from_millis(250));
+    let resumed = (0..3).any(|_| writer.apply(Request::ins("E", [5, 6])).is_ok());
+    assert!(resumed, "write flows again");
     println!("load cleared; writes flow again");
 
     // --- graceful shutdown: drain, final fsync, sealed segment ------

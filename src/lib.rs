@@ -14,8 +14,8 @@
 //! This crate re-exports the whole workspace:
 //!
 //! * [`logic`] — finite structures, FO formulas (+parser), and an
-//!   evaluator that compiles FO to relational algebra; the parallel
-//!   (work/depth) evaluator.
+//!   evaluator that compiles FO to relational algebra and to
+//!   word-kernel plans; the CRAM depth measure.
 //! * [`core`] — the Dyn-FO machinery (requests, programs, machines) and
 //!   every Section 4 update program as executable FO formulas, plus
 //!   native fast-path mirrors.

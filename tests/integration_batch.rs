@@ -4,8 +4,8 @@
 //! generically from a program's input vocabulary:
 //!
 //! 1. **Batch ≡ sequential.** `DynFoMachine::apply_batch` over any
-//!    chunking of a stream (including chunks that coalesce into
-//!    fast-op runs, set requests, and parallel general-rule windows)
+//!    chunking of a stream (including chunks that mix fast-op rules,
+//!    set requests, and general rules)
 //!    reproduces exactly the state, query answers, and request count of
 //!    one-at-a-time `apply` — for **every** program in the library.
 //! 2. **Delta ≡ Definition 3.1.** The default delta-install pipeline
@@ -101,14 +101,13 @@ fn random_batches(stream: &[Request], max_batch: usize, seed: u64) -> Vec<&[Requ
     out
 }
 
-/// Invariant 1: any batching of a stream, on any worker count, equals
-/// the sequential run over the batches that validate.
+/// Invariant 1: any batching of a stream equals the sequential run over
+/// the batches that validate.
 fn batch_matches_sequential(program: &DynFoProgram, n: u32, len: usize, seed: u64) {
     let stream = random_stream(program, n, len, seed, 0.08);
     let batches = random_batches(&stream, 7, seed);
-    let parallelism = 1 + (seed % 4) as usize;
 
-    let mut batched = DynFoMachine::new(program.clone(), n).with_parallelism(parallelism);
+    let mut batched = DynFoMachine::new(program.clone(), n);
     let mut reference = DynFoMachine::new(program.clone(), n);
     for batch in &batches {
         match batched.apply_batch(batch) {
@@ -133,10 +132,9 @@ fn batch_matches_sequential(program: &DynFoProgram, n: u32, len: usize, seed: u6
     prop_assert_eq!(
         batched.state(),
         reference.state(),
-        "{}: batched run diverged (batches {}, workers {})",
+        "{}: batched run diverged (batches {})",
         program.name(),
-        batches.len(),
-        parallelism
+        batches.len()
     );
     prop_assert_eq!(batched.query().unwrap(), reference.query().unwrap());
     prop_assert_eq!(batched.stats().requests, reference.stats().requests);
