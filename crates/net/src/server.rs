@@ -9,15 +9,17 @@
 //! gets a handler thread that owns the socket end to end (the frame
 //! protocol is strictly request/response per connection, so no demux is
 //! needed). Sessions are shared: many connections may bind the same
-//! session name and the per-session lock in `dynfo-serve` serializes
-//! them, while connections on different sessions proceed in parallel —
-//! the network mirror of the store's sharding.
+//! session name. The session's commit lock in `dynfo-serve` serializes
+//! their writes, and each write answers with the sequence number it was
+//! assigned; queries take only the machine lock, so a reader never
+//! waits out a writer's fsync. Connections on different sessions
+//! proceed in parallel — the network mirror of the store's sharding.
 //!
 //! ## Backpressure
 //!
 //! Every write passes [`Admission`] first. A shed write costs the
 //! server a frame decode and one small response — it never touches the
-//! session lock, the evaluator, or the journal — and tells the client
+//! session locks, the evaluator, or the journal — and tells the client
 //! `Overloaded` in a typed frame so it can back off. Queries bypass
 //! admission entirely.
 //!
@@ -435,7 +437,7 @@ fn dispatch(shared: &Shared, conn: &mut Conn, msg: Message) -> Message {
                     }
                 };
                 match session.apply(&req) {
-                    Ok(_) => Message::Ok { seq: session.seq() },
+                    Ok(seq) => Message::Ok { seq },
                     Err(e) => serve_error_reply(&e),
                 }
             }
@@ -452,10 +454,10 @@ fn dispatch(shared: &Shared, conn: &mut Conn, msg: Message) -> Message {
                     }
                 };
                 match session.apply_batch(&reqs) {
-                    Ok(_) => Message::Ok { seq: session.seq() },
-                    Err(ServeError::Batch { index, source }) => Message::BatchErr {
+                    Ok(seq) => Message::Ok { seq },
+                    Err(ServeError::Batch { index, seq, source }) => Message::BatchErr {
                         index: index.min(u32::MAX as usize) as u32,
-                        seq: session.seq(),
+                        seq,
                         code: match source.as_ref() {
                             ServeError::Machine(_) => ErrorCode::Machine,
                             _ => ErrorCode::Internal,

@@ -33,6 +33,9 @@ pub enum ServeError {
     Batch {
         /// Zero-based index of the failing request within the batch.
         index: usize,
+        /// The session's sequence number once the applied prefix was
+        /// journaled — the last frame this batch assigned.
+        seq: u64,
         /// The underlying failure.
         source: Box<ServeError>,
     },
@@ -68,7 +71,7 @@ impl fmt::Display for ServeError {
             ServeError::Machine(e) => write!(f, "machine error: {e}"),
             ServeError::SessionExists(name) => write!(f, "session {name} already exists"),
             ServeError::UnknownSession(name) => write!(f, "unknown session {name}"),
-            ServeError::Batch { index, source } => {
+            ServeError::Batch { index, source, .. } => {
                 write!(f, "batch failed at request {index}: {source}")
             }
             ServeError::UnsupportedCodec { found, min, max } => write!(

@@ -13,8 +13,9 @@
 //!   tail instead of the whole history.
 //! * [`session`] — a [`SessionStore`] of named machines served
 //!   concurrently from many threads, with a per-session total order on
-//!   updates and queries, snapshot-every-k checkpointing, and crash
-//!   recovery on reopen.
+//!   updates, queries that wait only for the in-memory apply (never a
+//!   journal fsync), snapshot-every-k checkpointing, and crash recovery
+//!   on reopen.
 //! * [`fault`] — fault injection (torn frames, missing or corrupt
 //!   snapshots) used by the crash-recovery test matrix.
 //!
@@ -52,7 +53,7 @@ pub use error::ServeError;
 pub use journal::{read_log_after, read_segment, JournalEntry, JournalWriter, SegmentRead};
 pub use obs::JournalObs;
 pub use session::{drain_queues, RecoveryReport, Session, SessionStore, StoreConfig};
-pub use snapshot::{read_snapshot, write_snapshot};
+pub use snapshot::{persist_snapshot, read_snapshot};
 
 /// A fresh scratch directory for tests and examples, unique per process
 /// and call, under the system temp dir. The caller removes it.

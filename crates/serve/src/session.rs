@@ -3,9 +3,11 @@
 //!
 //! A [`SessionStore`] owns a directory; each session gets a
 //! subdirectory holding its journal segments and snapshots. Sessions
-//! are `Sync` — worker threads share a session handle and the per-
-//! session mutex serializes its update/query stream (per-session total
-//! order), while different sessions proceed in parallel.
+//! are `Sync` — worker threads share a session handle, while different
+//! sessions proceed in parallel. Within a session a commit lock gives
+//! writes a total order, and a query waits only for the machine lock,
+//! never for a journal fsync (see [`Session`] for the lock order and
+//! the read semantics).
 //!
 //! Durability contract: [`Session::apply`] returns only after the
 //! request is (a) applied to the in-memory machine and (b) appended to
@@ -23,9 +25,11 @@ use crate::journal::{
 };
 use crate::codec::{crc32, Reader, Writer};
 use crate::obs::SessionObs;
-use crate::snapshot::{parse_snapshot_name, read_snapshot, snapshot_path, write_snapshot};
+use crate::snapshot::{
+    encode_snapshot, parse_snapshot_name, persist_snapshot, read_snapshot, snapshot_path,
+};
 use dynfo_core::{DynFoMachine, DynFoProgram, Request};
-use dynfo_logic::{Elem, EvalStats, Structure};
+use dynfo_logic::{Elem, Structure};
 use dynfo_obs::ObsHandle;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -309,17 +313,38 @@ impl SessionStore {
 }
 
 /// One named durable machine instance.
+///
+/// Two locks, always taken in the order commit → machine (no path takes
+/// them the other way round):
+///
+/// * `commit` guards the durable side — the sequence number, the
+///   journal writer, the rotated-fsync count and the kill hook. A write
+///   holds it from sequence assignment through journal append, fsync,
+///   snapshot and rotation, so the journal records exactly the applied
+///   requests in order.
+/// * `machine` guards the in-memory machine. It is held only while the
+///   machine applies, recomputes, answers or is encoded — never across
+///   a journal append, an fsync or a snapshot write.
+///
+/// Queries take the machine lock alone, so a reader waits for at most
+/// one in-memory apply, not for the writer's `sync_data`. A query sees
+/// every request whose `apply` has returned, and may also see one whose
+/// fsync is still in flight — the same contract `group_commit > 1`
+/// already gives. Durability is unchanged: [`Session::durable_seq`]
+/// is the crash-safe watermark.
 pub struct Session {
     name: String,
+    program_name: String,
     dir: PathBuf,
     config: StoreConfig,
     recovery: RecoveryReport,
     obs: SessionObs,
-    inner: Mutex<Inner>,
+    commit: Mutex<Commit>,
+    machine: Mutex<DynFoMachine>,
 }
 
-struct Inner {
-    machine: DynFoMachine,
+/// The durable side of a session, guarded by its commit lock.
+struct Commit {
     /// Requests applied over the session's lifetime (== the sequence
     /// number of the latest frame).
     seq: u64,
@@ -377,17 +402,18 @@ impl Session {
         obs.recovery_replayed.add(recovery.replayed);
         Ok(Session {
             name: name.to_string(),
+            program_name: program.name().to_string(),
             dir,
             config,
             recovery,
             obs,
-            inner: Mutex::new(Inner {
-                machine,
+            commit: Mutex::new(Commit {
                 seq,
                 journal,
                 rotated_fsyncs: 0,
                 killed_after: None,
             }),
+            machine: Mutex::new(machine),
         })
     }
 
@@ -402,8 +428,8 @@ impl Session {
     }
 
     /// The program this session runs (by name).
-    pub fn program_name(&self) -> String {
-        self.inner.lock().unwrap().machine.program().name().to_string()
+    pub fn program_name(&self) -> &str {
+        &self.program_name
     }
 
     /// What recovery found when this session was (re)opened.
@@ -413,7 +439,7 @@ impl Session {
 
     /// Requests applied so far (the journal sequence number).
     pub fn seq(&self) -> u64 {
-        self.inner.lock().unwrap().seq
+        self.commit.lock().unwrap().seq
     }
 
     /// Highest sequence number whose journal frame is fsynced — the
@@ -423,35 +449,43 @@ impl Session {
     /// follower never replays an entry a primary power-loss could
     /// still roll back.
     pub fn durable_seq(&self) -> u64 {
-        self.inner.lock().unwrap().journal.durable_seq()
+        self.commit.lock().unwrap().journal.durable_seq()
     }
 
     /// Apply one request: machine update + journal append, atomically
-    /// ordered within this session. A malformed request is rejected
-    /// before any state or disk change.
-    pub fn apply(&self, req: &Request) -> Result<EvalStats, ServeError> {
-        let mut inner = self.inner.lock().unwrap();
-        let stats = inner.machine.apply(req)?;
-        self.obs.requests.inc();
-        inner.seq += 1;
-        let seq = inner.seq;
-        // Recompute before any snapshot so a checkpoint at this seq
-        // captures the post-recompute state — exactly what replay
-        // produces when it reaches the same sequence number.
-        if self.config.recompute_every > 0 && seq.is_multiple_of(self.config.recompute_every) {
-            inner.machine.recompute()?;
-        }
-        if !inner.is_killed(seq) {
-            inner.journal.append(seq, req)?;
-            if self.config.snapshot_every > 0 && seq.is_multiple_of(self.config.snapshot_every) {
-                inner.checkpoint_locked(&self.dir, self.config, &self.obs)?;
+    /// ordered within this session. Returns the sequence number the
+    /// request was assigned. A malformed request is rejected before any
+    /// state or disk change.
+    ///
+    /// The machine lock is released before the journal append, so
+    /// queries proceed while this call waits on its fsync.
+    pub fn apply(&self, req: &Request) -> Result<u64, ServeError> {
+        let mut commit = self.commit.lock().unwrap();
+        let seq = commit.seq + 1;
+        {
+            let mut machine = self.machine.lock().unwrap();
+            machine.apply(req)?;
+            self.obs.requests.inc();
+            commit.seq = seq;
+            // Recompute before any snapshot so a checkpoint at this seq
+            // captures the post-recompute state — exactly what replay
+            // produces when it reaches the same sequence number.
+            if self.config.recompute_every > 0 && seq.is_multiple_of(self.config.recompute_every) {
+                machine.recompute()?;
             }
         }
-        Ok(stats)
+        if !commit.is_killed(seq) {
+            commit.journal.append(seq, req)?;
+            if self.config.snapshot_every > 0 && seq.is_multiple_of(self.config.snapshot_every) {
+                self.checkpoint_locked(&mut commit)?;
+            }
+        }
+        Ok(seq)
     }
 
     /// Apply a batch of requests under one lock acquisition and one
-    /// journal group commit.
+    /// journal group commit. Returns the sequence number of the batch's
+    /// last frame (the current one for an empty batch).
     ///
     /// The machine validates the whole batch up front
     /// ([`DynFoMachine::apply_batch`]): a malformed frame rejects the
@@ -466,130 +500,142 @@ impl Session {
     ///
     /// An evaluation failure mid-batch journals and keeps the applied
     /// prefix — identical to issuing the requests one at a time — and
-    /// surfaces the machine's error.
+    /// surfaces the machine's error as [`ServeError::Batch`], whose
+    /// `seq` is the prefix's last frame.
     ///
     /// With [`StoreConfig::recompute_every`] nonzero the machine is
     /// stepped frame by frame instead (recompute points must land on
     /// exact sequence numbers for replay to reproduce them), so a
     /// malformed frame keeps the applied prefix rather than rejecting
     /// the whole batch; journaling and group commit are unchanged.
-    pub fn apply_batch(&self, reqs: &[Request]) -> Result<EvalStats, ServeError> {
+    pub fn apply_batch(&self, reqs: &[Request]) -> Result<u64, ServeError> {
+        let mut commit = self.commit.lock().unwrap();
+        let start = commit.seq;
         if reqs.is_empty() {
-            return Ok(EvalStats::default());
+            return Ok(start);
         }
-        let mut inner = self.inner.lock().unwrap();
-        let start = inner.seq;
-        let (applied, outcome) = if self.config.recompute_every > 0 {
-            inner.apply_frames_locked(reqs, start, self.config.recompute_every)
-        } else {
-            match inner.machine.apply_batch(reqs) {
-                Ok(stats) => (reqs.len() as u64, Ok(stats)),
-                Err(be) => (
-                    be.applied as u64,
-                    Err(ServeError::Batch {
-                        index: be.index,
-                        source: Box::new(ServeError::from(be.error)),
-                    }),
-                ),
+        let (applied, failure) = {
+            let mut machine = self.machine.lock().unwrap();
+            if self.config.recompute_every > 0 {
+                apply_frames(&mut machine, reqs, start, self.config.recompute_every)
+            } else {
+                match machine.apply_batch(reqs) {
+                    Ok(_) => (reqs.len(), None),
+                    Err(be) => (be.applied, Some((be.index, be.error))),
+                }
             }
         };
-        self.obs.requests.add(applied);
-        for (k, req) in reqs[..applied as usize].iter().enumerate() {
+        self.obs.requests.add(applied as u64);
+        for (k, req) in reqs[..applied].iter().enumerate() {
             let seq = start + 1 + k as u64;
-            if !inner.is_killed(seq) {
-                inner.journal.append_deferred(seq, req)?;
+            if !commit.is_killed(seq) {
+                commit.journal.append_deferred(seq, req)?;
             }
         }
-        inner.seq = start + applied;
-        let seq = inner.seq;
-        if applied > 0 && !inner.is_killed(seq) {
-            inner.journal.commit()?;
+        commit.seq = start + applied as u64;
+        let seq = commit.seq;
+        if applied > 0 && !commit.is_killed(seq) {
+            commit.journal.commit()?;
             // Snapshot if the batch crossed a boundary (the snapshot
             // lands at the batch end, not the exact multiple; recovery
             // handles arbitrary snapshot positions).
             if self.config.snapshot_every > 0
                 && seq / self.config.snapshot_every > start / self.config.snapshot_every
             {
-                inner.checkpoint_locked(&self.dir, self.config, &self.obs)?;
+                self.checkpoint_locked(&mut commit)?;
             }
         }
-        outcome
+        match failure {
+            None => Ok(seq),
+            Some((index, error)) => Err(ServeError::Batch {
+                index,
+                seq,
+                source: Box::new(ServeError::from(error)),
+            }),
+        }
     }
 
     /// Journal fsyncs issued over this session's lifetime, all segments
     /// included — divide by [`Session::seq`] for fsyncs per request.
     pub fn fsyncs(&self) -> u64 {
-        let inner = self.inner.lock().unwrap();
-        inner.rotated_fsyncs + inner.journal.syncs()
+        let commit = self.commit.lock().unwrap();
+        commit.rotated_fsyncs + commit.journal.syncs()
     }
 
     /// Admission weight of a write: each plain request counts 1, a bulk
     /// request counts its live Δ-popcount against the machine's current
-    /// state (see [`DynFoMachine::bulk_delta_count`]). A request that
-    /// fails to validate or evaluate weighs 1 — admission is a load
-    /// estimate, and `apply`/`apply_batch` own the typed rejection.
+    /// state (see [`DynFoMachine::bulk_delta_count`]). Only a bulk
+    /// request takes the machine lock. A request that fails to validate
+    /// or evaluate weighs 1 — admission is a load estimate, and
+    /// `apply`/`apply_batch` own the typed rejection.
     pub fn write_weight(&self, reqs: &[Request]) -> u64 {
-        let inner = self.inner.lock().unwrap();
+        if !reqs.iter().any(Request::is_bulk) {
+            return reqs.len() as u64;
+        }
+        let machine = self.machine.lock().unwrap();
         reqs.iter()
-            .map(|req| inner.machine.bulk_delta_count(req).unwrap_or(1) as u64)
+            .map(|req| machine.bulk_delta_count(req).unwrap_or(1) as u64)
             .sum()
     }
 
     /// Answer the program's boolean query.
     pub fn query(&self) -> Result<bool, ServeError> {
-        Ok(self.inner.lock().unwrap().machine.query()?)
+        Ok(self.machine.lock().unwrap().query()?)
     }
 
     /// Answer a named query with arguments.
     pub fn query_named(&self, name: &str, args: &[Elem]) -> Result<bool, ServeError> {
-        Ok(self.inner.lock().unwrap().machine.query_named(name, args)?)
+        Ok(self.machine.lock().unwrap().query_named(name, args)?)
     }
 
     /// A clone of the current auxiliary structure (tests, diagnostics).
     pub fn state(&self) -> Structure {
-        self.inner.lock().unwrap().machine.state().clone()
+        self.machine.lock().unwrap().state().clone()
     }
 
     /// Force the journal batch to disk now.
     pub fn sync(&self) -> Result<(), ServeError> {
-        let mut inner = self.inner.lock().unwrap();
-        let seq = inner.seq;
-        if inner.is_killed(seq) {
+        let mut commit = self.commit.lock().unwrap();
+        let seq = commit.seq;
+        if commit.is_killed(seq) {
             return Ok(());
         }
-        inner.journal.commit()
+        commit.journal.commit()
     }
 
     /// Commit the journal batch and seal the active segment (rotate to
     /// a fresh one, no snapshot). Graceful shutdown calls this so the
     /// final segment on disk is complete and immutable; replication
-    /// uses the sealed boundary as a shipping unit.
+    /// uses the sealed boundary as a shipping unit. A segment with no
+    /// frames is left in place.
     pub fn seal_segment(&self) -> Result<(), ServeError> {
-        let mut inner = self.inner.lock().unwrap();
-        let seq = inner.seq;
-        if inner.is_killed(seq) {
+        let mut commit = self.commit.lock().unwrap();
+        let seq = commit.seq;
+        if commit.is_killed(seq) {
             return Ok(());
         }
-        inner.seal_locked(&self.dir, self.config, &self.obs)
+        commit.journal.commit()?;
+        commit.rotate(&self.dir, self.config, &self.obs)
     }
 
     /// The canonical snapshot encoding of the current machine state at
     /// the current sequence number — the byte-identical comparison
     /// anchor for replication tests (a follower that replayed the same
-    /// durable prefix must produce exactly these bytes).
+    /// durable prefix must produce exactly these bytes). Holds the
+    /// commit lock so the sequence number and the state agree.
     pub fn snapshot_bytes(&self) -> Vec<u8> {
-        let inner = self.inner.lock().unwrap();
-        crate::snapshot::encode_snapshot(&inner.machine, inner.seq)
+        let commit = self.commit.lock().unwrap();
+        encode_snapshot(&self.machine.lock().unwrap(), commit.seq)
     }
 
     /// Force a snapshot + segment rotation now.
     pub fn checkpoint(&self) -> Result<(), ServeError> {
-        let mut inner = self.inner.lock().unwrap();
-        let seq = inner.seq;
-        if inner.is_killed(seq) {
+        let mut commit = self.commit.lock().unwrap();
+        let seq = commit.seq;
+        if commit.is_killed(seq) {
             return Ok(());
         }
-        inner.checkpoint_locked(&self.dir, self.config, &self.obs)
+        self.checkpoint_locked(&mut commit)
     }
 
     /// Fault hook: pretend the process dies right after journal frame
@@ -597,87 +643,44 @@ impl Session {
     /// snapshot silently vanishes, while the in-memory machine keeps
     /// running (that state is exactly what a real crash would lose).
     pub fn kill_after_frame(&self, seq: u64) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.killed_after = Some(seq);
+        self.commit.lock().unwrap().killed_after = Some(seq);
+    }
+
+    /// Commit the journal, snapshot the machine at `commit.seq` and
+    /// rotate to a fresh segment. The caller holds the commit lock, so
+    /// no write moves the machine past `commit.seq` meanwhile; the
+    /// machine lock is held only for the encode, and readers do not
+    /// wait out the snapshot's `sync_all`.
+    fn checkpoint_locked(&self, commit: &mut Commit) -> Result<(), ServeError> {
+        commit.journal.commit()?;
+        let started = dynfo_obs::clock();
+        let bytes = encode_snapshot(&self.machine.lock().unwrap(), commit.seq);
+        persist_snapshot(&self.dir, commit.seq, &bytes)?;
+        self.obs.snapshot_ns.observe_since(started);
+        // Rotate: later frames land in a fresh segment based at the
+        // snapshot, so recovery from this snapshot reads only segments
+        // with base ≥ seq.
+        commit.rotate(&self.dir, self.config, &self.obs)
     }
 }
 
-impl Inner {
+impl Commit {
     fn is_killed(&self, seq: u64) -> bool {
         self.killed_after.is_some_and(|k| seq > k)
     }
 
-    /// Frame-by-frame batch application for sessions with a recompute
-    /// cadence: each frame lands on its exact sequence number and the
-    /// recompute pass fires at every multiple, mirroring what recovery
-    /// replay does. Returns `(applied, outcome)` shaped like the
-    /// machine's own `apply_batch` result.
-    fn apply_frames_locked(
-        &mut self,
-        reqs: &[Request],
-        start: u64,
-        recompute_every: u64,
-    ) -> (u64, Result<EvalStats, ServeError>) {
-        let mut stats = EvalStats::default();
-        for (index, req) in reqs.iter().enumerate() {
-            let step = |e: dynfo_core::MachineError| ServeError::Batch {
-                index,
-                source: Box::new(ServeError::from(e)),
-            };
-            match self.machine.apply(req) {
-                Ok(s) => stats = s,
-                Err(e) => return (index as u64, Err(step(e))),
-            }
-            let seq = start + 1 + index as u64;
-            if seq.is_multiple_of(recompute_every) {
-                if let Err(e) = self.machine.recompute() {
-                    // The frame itself applied; count it before failing.
-                    return (index as u64 + 1, Err(step(e)));
-                }
-            }
-        }
-        (reqs.len() as u64, Ok(stats))
-    }
-
-    fn checkpoint_locked(
+    /// Replace the (committed) active segment with a fresh one based at
+    /// the current sequence number. A segment with no frames already is
+    /// that fresh segment and stays in place, so a second checkpoint or
+    /// seal at one sequence number is a no-op here.
+    fn rotate(
         &mut self,
         dir: &Path,
         config: StoreConfig,
         obs: &SessionObs,
     ) -> Result<(), ServeError> {
-        self.journal.commit()?;
-        let started = dynfo_obs::clock();
-        write_snapshot(dir, &self.machine, self.seq)?;
-        obs.snapshot_ns.observe_since(started);
-        // Rotate: later frames land in a fresh segment based at the
-        // snapshot, so recovery from this snapshot reads only segments
-        // with base ≥ seq.
-        self.rotated_fsyncs += self.journal.syncs();
-        self.journal = JournalWriter::create_with_obs(
-            &segment_path(dir, self.seq),
-            config.group_commit,
-            obs.journal.clone(),
-        )?;
-        // The commit above made everything through `seq` durable; the
-        // fresh writer carries the watermark across the rotation.
-        self.journal.set_durable_seq(self.seq);
-        Ok(())
-    }
-
-    /// Commit and seal the active segment, rotating to a fresh one
-    /// based at the current sequence — no snapshot is taken. Used by
-    /// graceful shutdown (the sealed file is immutable from here on)
-    /// and by replication tests that want whole-segment shipping
-    /// boundaries. A segment with no frames is left in place.
-    fn seal_locked(
-        &mut self,
-        dir: &Path,
-        config: StoreConfig,
-        obs: &SessionObs,
-    ) -> Result<(), ServeError> {
-        self.journal.commit()?;
         if self.journal.committed_frames() == 0 {
-            return Ok(()); // already a fresh segment; nothing to seal
+            return Ok(());
         }
         self.rotated_fsyncs += self.journal.syncs();
         self.journal = JournalWriter::create_with_obs(
@@ -685,9 +688,37 @@ impl Inner {
             config.group_commit,
             obs.journal.clone(),
         )?;
+        // The caller's commit made everything through `seq` durable;
+        // the fresh writer carries the watermark across the rotation.
         self.journal.set_durable_seq(self.seq);
         Ok(())
     }
+}
+
+/// Frame-by-frame batch application for sessions with a recompute
+/// cadence: each frame lands on its exact sequence number and the
+/// recompute pass fires at every multiple, mirroring what recovery
+/// replay does. Returns the frames applied and, on failure, the failing
+/// index and error — shaped like the machine's own `apply_batch`.
+fn apply_frames(
+    machine: &mut DynFoMachine,
+    reqs: &[Request],
+    start: u64,
+    recompute_every: u64,
+) -> (usize, Option<(usize, dynfo_core::MachineError)>) {
+    for (index, req) in reqs.iter().enumerate() {
+        if let Err(e) = machine.apply(req) {
+            return (index, Some((index, e)));
+        }
+        let seq = start + 1 + index as u64;
+        if seq.is_multiple_of(recompute_every) {
+            if let Err(e) = machine.recompute() {
+                // The frame itself applied; count it before failing.
+                return (index + 1, Some((index, e)));
+            }
+        }
+    }
+    (reqs.len(), None)
 }
 
 /// Drain per-session request queues on `workers` scoped threads.
@@ -698,7 +729,7 @@ impl Inner {
 /// the queue order while distinct sessions drain in parallel; each
 /// request still evaluates on the one thread that drains its queue.
 /// Queues should reference distinct sessions; two queues for the same
-/// session stay safe (the per-session lock still serializes batches)
+/// session stay safe (the commit lock still serializes batches)
 /// but their interleaving is unspecified.
 ///
 /// Returns the total number of requests applied. A failing queue stops
@@ -903,6 +934,44 @@ mod tests {
     }
 
     #[test]
+    fn queries_wait_for_the_machine_lock_only() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let root = scratch_dir("store-split-lock");
+        let store = SessionStore::open(&root, StoreConfig::default()).unwrap();
+        let s = store.session("net", &reach_u::program(), 8).unwrap();
+        s.apply(&Request::ins("E", [0, 1])).unwrap();
+        let s = &*s;
+        // Stand in for a writer parked in the journal's `sync_data`.
+        let commit = s.commit.lock().unwrap();
+        std::thread::scope(move |scope| {
+            let (read_tx, read_rx) = mpsc::channel();
+            scope.spawn(move || {
+                let connected = s.query_named("connected", &[0, 1]).unwrap();
+                let query = s.query().is_ok();
+                read_tx.send((connected, query, s.state())).unwrap();
+            });
+            let (connected, query, state) = read_rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("a read waited for the commit lock");
+            assert!(connected && query);
+            assert_eq!(state.size(), 8);
+
+            let (write_tx, write_rx) = mpsc::channel();
+            scope.spawn(move || write_tx.send(s.apply(&Request::ins("E", [1, 2]))).unwrap());
+            assert!(
+                write_rx.recv_timeout(Duration::from_millis(200)).is_err(),
+                "apply returned while another thread held the commit lock"
+            );
+            drop(commit);
+            let seq = write_rx.recv_timeout(Duration::from_secs(10)).unwrap();
+            assert_eq!(seq.unwrap(), 2, "apply returns the seq it assigned");
+        });
+        assert!(s.query_named("connected", &[0, 2]).unwrap());
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
     fn restart_recovers_exact_state() {
         let root = scratch_dir("store-restart");
         {
@@ -952,7 +1021,8 @@ mod tests {
         }
         let mut small = DynFoMachine::new(program.clone(), 8);
         small.apply(&Request::ins("E", [0, 1])).unwrap();
-        write_snapshot(&root.join("wide"), &small, reqs.len() as u64).unwrap();
+        let seq = reqs.len() as u64;
+        persist_snapshot(&root.join("wide"), seq, &encode_snapshot(&small, seq)).unwrap();
 
         let store = SessionStore::open(&root, StoreConfig::default()).unwrap();
         let s = store.session("wide", &program, 16).unwrap();
@@ -1307,6 +1377,32 @@ mod tests {
     }
 
     #[test]
+    fn checkpoints_and_seals_at_one_seq_do_not_collide() {
+        let root = scratch_dir("store-checkpoint-twice");
+        let store = SessionStore::open(&root, StoreConfig::default()).unwrap();
+        let s = store.session("net", &reach_u::program(), 8).unwrap();
+        s.apply(&Request::ins("E", [0, 1])).unwrap();
+        s.checkpoint().unwrap();
+        s.checkpoint().unwrap();
+        s.seal_segment().unwrap();
+        s.checkpoint().unwrap();
+        s.apply(&Request::ins("E", [1, 2])).unwrap();
+        s.seal_segment().unwrap();
+        s.checkpoint().unwrap();
+        assert_eq!(
+            s.fsyncs(),
+            2,
+            "one journal fsync per write, none lost to rotation"
+        );
+        store.crash();
+        let store = SessionStore::open(&root, StoreConfig::default()).unwrap();
+        let s = store.session("net", &reach_u::program(), 8).unwrap();
+        assert_eq!(s.seq(), 2);
+        assert!(s.query_named("connected", &[0, 2]).unwrap());
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
     fn apply_batch_error_carries_failing_index() {
         let root = scratch_dir("store-batch-index");
         let store = SessionStore::open(&root, StoreConfig::default()).unwrap();
@@ -1317,8 +1413,9 @@ mod tests {
             Request::ins("E", [1, 2]),
         ];
         match s.apply_batch(&batch) {
-            Err(ServeError::Batch { index, source }) => {
+            Err(ServeError::Batch { index, seq, source }) => {
                 assert_eq!(index, 1, "the offending frame's position");
+                assert_eq!(seq, 0, "nothing applied, nothing assigned");
                 assert!(matches!(*source, ServeError::Machine(_)));
             }
             other => panic!("expected ServeError::Batch, got {other:?}"),

@@ -80,14 +80,15 @@ pub fn encode_snapshot(machine: &DynFoMachine, seq: u64) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Write a snapshot atomically: temp file → fsync → rename into place.
-/// Returns the final path.
-pub fn write_snapshot(dir: &Path, machine: &DynFoMachine, seq: u64) -> Result<PathBuf, ServeError> {
-    let bytes = encode_snapshot(machine, seq);
+/// Write snapshot `bytes` (from [`encode_snapshot`] at `seq`) atomically:
+/// temp file → fsync → rename into place. Returns the final path. Takes
+/// bytes, not a machine, so a session encodes under its machine lock and
+/// pays the `sync_all` outside it.
+pub fn persist_snapshot(dir: &Path, seq: u64, bytes: &[u8]) -> Result<PathBuf, ServeError> {
     let tmp = dir.join(format!(".tmp-snap-{seq:020}"));
     let final_path = snapshot_path(dir, seq);
     let mut f = std::fs::File::create(&tmp).map_err(|e| ServeError::io(&tmp, e))?;
-    f.write_all(&bytes)
+    f.write_all(bytes)
         .and_then(|()| f.sync_all())
         .map_err(|e| ServeError::io(&tmp, e))?;
     drop(f);
@@ -268,7 +269,7 @@ mod tests {
     fn atomic_write_lands_final_file_only() {
         let dir = scratch_dir("snap-atomic");
         let m = populated_machine();
-        let path = write_snapshot(&dir, &m, 5).unwrap();
+        let path = persist_snapshot(&dir, 5, &encode_snapshot(&m, 5)).unwrap();
         assert_eq!(path, snapshot_path(&dir, 5));
         let names: Vec<String> = std::fs::read_dir(&dir)
             .unwrap()
