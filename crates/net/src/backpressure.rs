@@ -1,6 +1,7 @@
-//! Admission control: decide, *before* a write touches the session
-//! lock or the journal, whether the server is healthy enough to take
-//! it — and shed with a typed `Overloaded` response when it is not.
+//! Admission control: decide, *before* a write takes the session's
+//! commit lock or touches the journal, whether the server is healthy
+//! enough to take it — and shed with a typed `Overloaded` response when
+//! it is not.
 //!
 //! Two signals gate a write, both already maintained by the layers
 //! below (this module adds no bookkeeping to the hot path):
@@ -8,7 +9,7 @@
 //! * the server's own in-flight write count (a hard cap, tracked here
 //!   with a plain atomic so it works even with `obs` compiled out);
 //! * the p99 of `serve.journal.fsync_ns` — when the disk falls behind,
-//!   every write holds the session lock for the fsync, and shedding is
+//!   every write holds the commit lock for the fsync, and shedding is
 //!   kinder than queueing. The histogram itself is cumulative, so the
 //!   controller judges it through a *rolling window*: it snapshots the
 //!   bucket counts every [`AdmissionConfig::fsync_window`] and computes

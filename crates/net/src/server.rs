@@ -18,8 +18,9 @@
 //! ## Backpressure
 //!
 //! Every write passes [`Admission`] first. A shed write costs the
-//! server a frame decode and one small response — it never touches the
-//! session locks, the evaluator, or the journal — and tells the client
+//! server a frame decode and one small response — it never takes the
+//! commit lock or touches the journal, and only a bulk write reads the
+//! machine (for its weight) — and tells the client
 //! `Overloaded` in a typed frame so it can back off. Queries bypass
 //! admission entirely.
 //!
